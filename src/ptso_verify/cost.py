@@ -75,25 +75,6 @@ class CostFunction:
         return max(self.costs.values())
 
 
-def step_cost(prog, cost, c, c2):
-    """Cost of the instruction executed between c and c2: the moving process
-    is the unique one whose label changed. Disabled self-steps and
-    non-successor pairs cost 0."""
-    moved = [i for i, (a, b) in enumerate(zip(c.labels, c2.labels)) if a != b]
-    if len(moved) != 1:
-        return 0
-    pi = moved[0]
-    mid = None
-    if pi in semantics.enabled_indices(prog, c):
-        mid = semantics.process_step(prog, c, pi)
-    if mid is None or mid.labels != c2.labels:
-        return 0
-    counts, _ = semantics.update_successors(prog, mid)
-    if c2 not in counts:
-        return 0
-    return cost[c.labels[pi]]
-
-
 @dataclass
 class CostResult:
     value: Fraction               # CostApprx / (ProbApprx + PError), certified lower end
@@ -174,7 +155,6 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     frontier = {(init, 0): Fraction(1)}
     n = 0
     max_size = semantics.size(init)
-    label_costs = {lbl: cost[lbl] for lbl in prog.labels()}
 
     while True:
         n += 1
@@ -184,25 +164,18 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
                 cost_apprx += psi * phi
                 prob_apprx += phi
                 continue
-            sched = oracle.policy.sched_distribution(prog, c)
-            if not sched:
-                for succ, q in oracle.policy.update_distribution(prog, c).items():
-                    key = (succ, psi)
-                    add = phi * q
-                    prev = new.get(key)
-                    new[key] = add if prev is None else prev + add
-            else:
-                for pi, w in sched.items():
-                    step_c = label_costs[c.labels[pi]]
-                    mid = semantics.process_step(prog, c, pi)
-                    for succ, q in oracle.policy.update_distribution(prog, mid).items():
-                        key = (succ, psi + step_c)
-                        add = phi * w * q
-                        prev = new.get(key)
-                        new[key] = add if prev is None else prev + add
-                        sz = semantics.size(succ)
-                        if sz > max_size:
-                            max_size = sz
+            for succ, q in oracle.distribution(c).items():
+                # A process step changes the label of the moving process and
+                # no other (no jump may target its own label), so the step
+                # costs the label that changed; a disabled step costs 0.
+                moved = [a for a, b in zip(c.labels, succ.labels) if a != b]
+                key = (succ, psi + (cost[moved[0]] if moved else 0))
+                add = phi * q
+                prev = new.get(key)
+                new[key] = add if prev is None else prev + add
+                sz = semantics.size(succ)
+                if sz > max_size:
+                    max_size = sz
         # By construction c_error = kappa*alpha^n/(1-alpha)^2 and
         # p_error = alpha^n/(1-alpha); tests check the closed forms.
         c_error *= alpha
@@ -218,7 +191,8 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
             # All mass was absorbed at the target (entries never vanish
             # otherwise), so CostApprx/ProbApprx are final and only the error
             # terms keep decaying: jump to the first terminating layer.
-            assert prob_apprx == 1
+            if prob_apprx != 1:
+                raise AssertionError(f"frontier empty with absorbed mass {prob_apprx} != 1")
             kap = Fraction(kappa)
             base_c = kap / (1 - alpha) ** 2
             base_p = Fraction(1) / (1 - alpha)

@@ -127,7 +127,8 @@ def round_up(x, bits=128):
 
 def iv_pow(lo, hi, n, bits=128):
     """[lo, hi]^n for 0 <= lo <= hi, with outward relative rounding."""
-    assert 0 <= lo <= hi and n >= 0
+    if not (0 <= lo <= hi and n >= 0):
+        raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
     rlo, rhi = Fraction(1), Fraction(1)
     blo, bhi = lo, hi
     while n:
@@ -353,7 +354,8 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
         alpha_d, n_d = Fraction(1, 2), beta * size_a
     else:
         base_hi = _coarse_upper(nth_root_bounds(1 - mu, beta * size_a)[1])
-        assert base_hi < 1
+        if not base_hi < 1:
+            raise AssertionError("D-run base rate is not below 1")
         alpha_d = (base_hi + 1) / 2
         inner_hi = nth_root_bounds(1 - mu, size_a)[1]
         const_hi = size_a / ((1 - mu) * (1 - inner_hi))
@@ -386,6 +388,8 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
 
     params = EagernessParams(Q_STAR, P_STAR, gamma, beta, alpha_s, tuple(a_set),
                              mu, alpha_d, n_d, alpha_hat, n_hat, alpha, n_threshold)
-    assert alpha_s[1] < 1 and alpha_d < 1
-    assert max(alpha_s[1], alpha_d) < params.alpha_hat < params.alpha < 1
+    if not (alpha_s[1] < 1 and alpha_d < 1):
+        raise AssertionError("S-run or D-run rate is not below 1")
+    if not max(alpha_s[1], alpha_d) < params.alpha_hat < params.alpha < 1:
+        raise AssertionError("certificate rates are not strictly increasing below 1")
     return params

@@ -140,9 +140,6 @@ class Program:
     def labels(self):
         return self.tables["label_pos"].keys()
 
-    def process_of_label(self, label):
-        return self.tables["label_pos"][label][0]
-
     def stmt_at(self, label):
         pi, ii = self.tables["label_pos"][label]
         return self.processes[pi].instrs[ii].stmt
@@ -170,6 +167,7 @@ def _build_tables(prog):
         "reg_owner": reg_owner,
         "var_index": var_index,
         "proc_index": proc_index,
+        "update_rows": {},    # semantics: (bufs, mem) -> update-step row
     }
 
 
@@ -257,6 +255,8 @@ def _validate_structure(prog):
                 case Goto(target=t):
                     if t not in seen_labels:
                         raise ProgramError(f"label {instr.label!r}: unknown goto target {t!r}")
+                    if t == instr.label:
+                        raise ProgramError(f"label {instr.label!r}: `goto` may not target its own label")
 
 
 def _validate_surface(prog):

@@ -65,21 +65,33 @@ def step_distribution(prog, c, policy=DEFAULT_POLICY):
 
 
 def _check(dist):
-    assert sum(dist.values()) == 1, "distribution does not sum to 1"
-    assert all(p > 0 for p in dist.values()), "distribution has nonpositive mass"
+    if sum(dist.values()) != 1:
+        raise ValueError("distribution does not sum to 1")
+    if not all(p > 0 for p in dist.values()):
+        raise ValueError("distribution has nonpositive mass")
 
 
 def frac_str(x):
     """Exactness-preserving JSON rendering of a rational."""
     x = Fraction(x)
-    try:
-        return f"{x.numerator}/{x.denominator}"
-    except ValueError:
-        # certified error terms carry alpha^n with thousands of digits
-        import sys
-        need = (max(x.numerator.bit_length(), x.denominator.bit_length()) // 3) + 10
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), need))
-        return f"{x.numerator}/{x.denominator}"
+    return f"{_int_str(x.numerator)}/{_int_str(x.denominator)}"
+
+
+_SMALL = 10 ** 600   # below the interpreter's smallest int-to-str digit limit
+
+
+def _int_str(n):
+    """Decimal digits of an int of any size. Certified error terms carry
+    alpha^n with thousands of digits, beyond the interpreter's int-to-str
+    limit; split by a power of ten instead of raising that process-wide
+    limit."""
+    if -_SMALL < n < _SMALL:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20          # about half the digits
+    hi, lo = divmod(n, 10 ** k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
 
 
 def parse_frac(text):

@@ -11,12 +11,12 @@ independent of any parallel split.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import sqrt
 
 from . import semantics
-from .lang import Cas, Term
 
 
 def _per_run_seed(seed, idx):
@@ -28,25 +28,16 @@ class RunSampler:
 
     def __init__(self, prog):
         self.prog = prog
-        self.var_index = prog.tables["var_index"]
         self._proc_cache = {}
-        self._w_memo = {(): 1}
+        self._w_memo = {}
 
     def _enabled_entry(self, c):
         key = (c.labels, tuple(bool(b) for b in c.bufs))
         ent = self._proc_cache.get(key)
         if ent is None:
-            enabled = []
-            cum = []
-            total = 0
-            for pi, proc in enumerate(self.prog.processes):
-                stmt = self.prog.stmt_at(c.labels[pi])
-                if isinstance(stmt, Term) or (isinstance(stmt, Cas) and c.bufs[pi]):
-                    continue
-                enabled.append(pi)
-                total += proc.weight
-                cum.append(total)
-            ent = (enabled, cum, total)
+            enabled = semantics.enabled_indices(self.prog, c)
+            cum = list(itertools.accumulate(self.prog.processes[pi].weight for pi in enabled))
+            ent = (enabled, cum, cum[-1] if cum else 0)
             self._proc_cache[key] = ent
         return ent
 
@@ -55,11 +46,7 @@ class RunSampler:
         key = tuple(sorted(caps))
         got = self._w_memo.get(key)
         if got is None:
-            got = 1
-            for i, cap in enumerate(key):
-                if cap:
-                    sub = key[:i] + (cap - 1,) + key[i + 1:]
-                    got += self.total_words(sub)
+            got = sum(semantics.update_word_counts_by_length(key).values())
             self._w_memo[key] = got
         return got
 
@@ -100,18 +87,10 @@ class RunSampler:
                 k += 1
             pi = enabled[k]
             mid = semantics.process_step(self.prog, c, pi)
-        word = self._sample_word([len(b) for b in mid.bufs], rng)
+        word = tuple(self._sample_word([len(b) for b in mid.bufs], rng))
         if not word:
             return pi, (), mid
-        mem = list(mid.mem)
-        taken = [0] * len(mid.bufs)
-        for wp in word:
-            buf = mid.bufs[wp]
-            x, v = buf[len(buf) - 1 - taken[wp]]
-            taken[wp] += 1
-            mem[self.var_index[x]] = v
-        bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(mid.bufs, taken))
-        return pi, tuple(word), semantics.Config(mid.labels, mid.regs, bufs, tuple(mem))
+        return pi, word, semantics.apply_schedule(self.prog, mid, word)
 
 
 @dataclass
@@ -267,12 +246,3 @@ def estimate_cond_cost(prog, init, label, cost, runs, horizon, seed):
         half = float("inf")
     return CondCostEstimate(mean, (mean - half, mean + half), n, runs, horizon, seed)
 
-
-def run_generator(prog, init, seed, sampler=None):
-    """Infinite lazy run: yields (process index or None, successor config)."""
-    sampler = sampler or RunSampler(prog)
-    rng = random.Random(seed)
-    c = init
-    while True:
-        pi, _, c = sampler.step(c, rng)
-        yield pi, c

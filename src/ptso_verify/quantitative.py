@@ -101,7 +101,8 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
                         max_size = sz
         frontier = new
         iterations += 1
-        assert pos + neg + sum(frontier.values()) == 1
+        if pos + neg + sum(frontier.values()) != 1:
+            raise AssertionError(f"{analysis}: mass not conserved at layer {iterations}")
     return QuantResult(analysis, pos, neg, epsilon, iterations,
                        one - pos - neg, max_size, oracle.config.final_bound, pruned)
 

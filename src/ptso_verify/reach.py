@@ -72,7 +72,7 @@ class Exploration:
     bound: int
     nodes: set
     succs: dict                    # config -> tuple of successor configs
-    parent: dict                   # BFS tree: config -> (pred, proc, schedule)
+    parent: dict                   # BFS tree: config -> (pred, moving process or None)
     pruned: bool
     max_size_seen: int
     _preds: dict = field(default=None, repr=False)
@@ -115,12 +115,15 @@ class Exploration:
         return out
 
     def path_to(self, prog, target):
-        """BFS-tree witness path from the root to `target`, replayable."""
+        """BFS-tree witness path from the root to `target`, replayable; the
+        update schedule of each printed step is looked up here."""
         steps = []
         c = target
         while c != self.root:
-            pred, proc, sched = self.parent[c]
-            steps.append({"proc": proc, "schedule": list(sched),
+            pred, proc = self.parent[c]
+            mid = pred if proc is None else semantics.process_step(prog, pred, proc)
+            steps.append({"proc": proc,
+                          "schedule": list(semantics.witness_schedule(prog, mid, c)),
                           "config": semantics.config_to_json(prog, c)})
             c = pred
         steps.reverse()
@@ -225,7 +228,7 @@ class ReachOracle:
             next_queue = []
             for c in queue:
                 kept = []
-                for succ, (proc, sched) in sorted(self.successors(c).items()):
+                for succ, proc in sorted(self.successors(c).items()):
                     sz = semantics.size(succ)
                     if sz > bound:
                         pruned = True
@@ -233,7 +236,7 @@ class ReachOracle:
                     kept.append(succ)
                     if succ not in nodes:
                         nodes.add(succ)
-                        parent[succ] = (c, proc, sched)
+                        parent[succ] = (c, proc)
                         next_queue.append(succ)
                         if sz > max_size:
                             max_size = sz
@@ -299,10 +302,6 @@ class ReachOracle:
 
     # -- plain and B-plain enumeration --
 
-    def reachable_plain_configs(self, source):
-        ex = self.explore(source)
-        return sorted(c for c in ex.nodes if semantics.is_plain(c))
-
     def bplain_configs(self, source=None):
         """Plain configurations in bottom SCCs of the bounded step graph.
 
@@ -320,26 +319,3 @@ class ReachOracle:
         for comp in ex.bottom_sccs():
             out.update(c for c in comp if semantics.is_plain(c))
         return sorted(out)
-
-
-def all_plain_configs(prog, cap=1_000_000):
-    """Every plain configuration (All mode), capped by state-count."""
-    import itertools
-
-    label_lists = [tuple(i.label for i in p.instrs) for p in prog.processes]
-    nregs = len(prog.tables["reg_index"])
-    nvars = len(prog.vars)
-    total = 1
-    for ls in label_lists:
-        total *= len(ls)
-    total *= prog.domain_size ** (nregs + nvars)
-    if total > cap:
-        raise ValueError(f"plain-configuration space has {total} states, above cap {cap}")
-    dom = range(prog.domain_size)
-    out = []
-    empty = ((),) * len(prog.processes)
-    for labels in itertools.product(*label_lists):
-        for regs in itertools.product(dom, repeat=nregs):
-            for mem in itertools.product(dom, repeat=nvars):
-                out.append(semantics.Config(labels, regs, empty, mem))
-    return out

@@ -43,41 +43,15 @@ def is_plain(c):
     return all(not b for b in c.bufs)
 
 
-def level(c):
-    """Attractor level: 0 for small (size <= 4) configurations, else the size."""
-    s = size(c)
-    return 0 if s <= 4 else s
-
-
-def fetch_val(var, buf, mem):
-    """TSO read value: newest buffered write to `var` if any, else memory."""
-    for x, v in buf:
-        if x == var:
-            return v
-    return mem[var]
-
-
-def _disabled_indices(prog, c):
+def enabled_indices(prog, c):
+    """Indices of the processes that may take a step in c: every process
+    except those at `term` and those at a CAS with a nonempty buffer."""
     out = []
-    for pi, proc in enumerate(prog.processes):
+    for pi in range(len(prog.processes)):
         stmt = prog.stmt_at(c.labels[pi])
-        if isinstance(stmt, Term) or (isinstance(stmt, Cas) and c.bufs[pi]):
+        if not (isinstance(stmt, Term) or (isinstance(stmt, Cas) and c.bufs[pi])):
             out.append(pi)
     return out
-
-
-def enabled_indices(prog, c):
-    disabled = set(_disabled_indices(prog, c))
-    return [pi for pi in range(len(prog.processes)) if pi not in disabled]
-
-
-def enabled_set(prog, c):
-    """Names of processes that may take a step in c."""
-    return frozenset(prog.processes[pi].name for pi in enabled_indices(prog, c))
-
-
-def is_disabled(prog, c):
-    return not enabled_indices(prog, c)
 
 
 def _resolve_proc(prog, proc):
@@ -158,13 +132,6 @@ def process_step(prog, c, proc):
     raise AssertionError(stmt)
 
 
-def disabled_step(prog, c):
-    """The disabled self-loop: only legal when no process is enabled."""
-    if enabled_indices(prog, c):
-        raise ValueError("configuration is enabled; disabled_step does not apply")
-    return c
-
-
 def apply_schedule(prog, c, word):
     """Execute an update schedule: each letter pops the named process's oldest
     message into memory, front of the word first."""
@@ -184,39 +151,25 @@ def apply_schedule(prog, c, word):
     return Config(c.labels, c.regs, bufs, tuple(mem))
 
 
-def _multiset_perms(items):
-    """Distinct permutations of a multiset, lexicographically."""
-    items = sorted(items)
-    n = len(items)
-    if n == 0:
-        yield ()
-        return
-    counts = {}
-    for it in items:
-        counts[it] = counts.get(it, 0) + 1
-    keys = sorted(counts)
+def _interleavings(ks):
+    """Distinct words with ks[p] letters p, lexicographically."""
+    counts = list(ks)
+    n = sum(ks)
     word = []
 
     def rec():
         if len(word) == n:
             yield tuple(word)
             return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                word.append(k)
+        for p, k in enumerate(counts):
+            if k:
+                counts[p] -= 1
+                word.append(p)
                 yield from rec()
                 word.pop()
-                counts[k] += 1
+                counts[p] += 1
 
     yield from rec()
-
-
-def multinomial(ks):
-    total = factorial(sum(ks))
-    for k in ks:
-        total //= factorial(k)
-    return total
 
 
 def update_word_counts_by_length(buffer_lengths):
@@ -238,13 +191,53 @@ def update_word_counts_by_length(buffer_lengths):
     for ln, coeff in enumerate(poly):
         val = coeff * factorial(ln)
         if val:
-            assert val.denominator == 1
+            if val.denominator != 1:
+                raise AssertionError(f"non-integer word count {val} for length {ln}")
             counts[ln] = val.numerator
     return counts
 
 
-def update_total_count(buffer_lengths):
-    return sum(update_word_counts_by_length(buffer_lengths).values())
+def _enumerate_updates(prog, bufs, mem):
+    """Walk every feasible update word from (bufs, mem): suffix-length tuples
+    in product order, then distinct interleavings lexicographically.
+
+    Returns (row, total): row maps each successor (bufs, mem) to
+    [number of words reaching it, first such word as process indices].
+    """
+    vix = prog.tables["var_index"]
+    nprocs = len(bufs)
+    row = {}
+    total = 0
+    # Oldest-first pop streams per process.
+    streams = [tuple(reversed(b)) for b in bufs]
+    for ks in itertools.product(*[range(len(b) + 1) for b in bufs]):
+        succ_bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(bufs, ks))
+        for word in _interleavings(ks):
+            total += 1
+            m = list(mem)
+            taken = [0] * nprocs
+            for pi in word:
+                x, v = streams[pi][taken[pi]]
+                taken[pi] += 1
+                m[vix[x]] = v
+            key = (succ_bufs, tuple(m))
+            entry = row.get(key)
+            if entry is None:
+                row[key] = [1, word]
+            else:
+                entry[0] += 1
+    return row, total
+
+
+def _update_row(prog, c):
+    """The update step from c, enumerated once per (bufs, mem) pair and kept
+    on the program: labels and registers never affect it."""
+    memo = prog.tables["update_rows"]
+    key = (c.bufs, c.mem)
+    got = memo.get(key)
+    if got is None:
+        got = memo[key] = _enumerate_updates(prog, c.bufs, c.mem)
+    return got
 
 
 def update_successors(prog, c):
@@ -252,64 +245,33 @@ def update_successors(prog, c):
 
     Returns (counts, total) where counts maps successor configurations to the
     number of update words reaching them and total is the number of feasible
-    words. Enumerates suffix-length tuples, then distinct interleavings.
+    words.
     """
-    vix = prog.tables["var_index"]
-    nprocs = len(prog.processes)
-    counts = {}
-    total = 0
-    # Oldest-first pop streams per process.
-    streams = [tuple(reversed(b)) for b in c.bufs]
-    for ks in itertools.product(*[range(len(b) + 1) for b in c.bufs]):
-        bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(c.bufs, ks))
-        letters = [pi for pi in range(nprocs) for _ in range(ks[pi])]
-        for word in _multiset_perms(letters):
-            total += 1
-            mem = list(c.mem)
-            taken = [0] * nprocs
-            for pi in word:
-                x, v = streams[pi][taken[pi]]
-                taken[pi] += 1
-                mem[vix[x]] = v
-            succ = Config(c.labels, c.regs, bufs, tuple(mem))
-            counts[succ] = counts.get(succ, 0) + 1
+    row, total = _update_row(prog, c)
+    counts = {Config(c.labels, c.regs, bufs, mem): n for (bufs, mem), (n, _) in row.items()}
     return counts, total
 
 
-def intermediate_configs(prog, c):
-    """Process-transition results before the update step: one per enabled
-    process, or the configuration itself when disabled."""
-    enabled = enabled_indices(prog, c)
-    if not enabled:
-        return [(None, c)]
-    return [(pi, process_step(prog, c, pi)) for pi in enabled]
+def witness_schedule(prog, mid, succ):
+    """The first update word, in enumeration order, taking `mid` to its
+    update successor `succ`, as process names."""
+    row, _ = _update_row(prog, mid)
+    return tuple(prog.processes[pi].name for pi in row[(succ.bufs, succ.mem)][1])
 
 
 def step_successors(prog, c):
     """Successor set of the full (process; update) transition relation.
 
-    Returns a dict successor -> (process name or None, one witness schedule).
+    Returns a dict successor -> the first process (by index) whose step
+    reaches it, or None when c is disabled and only the update step runs.
     """
     out = {}
-    for pi, mid in intermediate_configs(prog, c):
-        pname = None if pi is None else prog.processes[pi].name
-        counts, _ = update_successors(prog, mid)
-        for succ in counts:
-            if succ not in out:
-                out[succ] = (pname, _witness_schedule(prog, mid, succ))
+    for pi in enabled_indices(prog, c) or [None]:
+        mid = c if pi is None else process_step(prog, c, pi)
+        name = None if pi is None else prog.processes[pi].name
+        for succ in update_successors(prog, mid)[0]:
+            out.setdefault(succ, name)
     return out
-
-
-def _witness_schedule(prog, mid, succ):
-    """One schedule taking `mid` to `succ` by an update step."""
-    ks = tuple(len(a) - len(b) for a, b in zip(mid.bufs, succ.bufs))
-    letters = []
-    for pi, k in enumerate(ks):
-        letters.extend([pi] * k)
-    for word in _multiset_perms(letters):
-        if apply_schedule(prog, mid, word) == succ:
-            return tuple(prog.processes[pi].name for pi in word)
-    raise AssertionError("no schedule found for claimed update successor")
 
 
 # --- Canonical JSON rendering ---

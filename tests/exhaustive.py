@@ -5,9 +5,10 @@ Gaussian elimination. Deliberately does not share any algorithmic code with
 the frontier-based analyses it validates.
 """
 
+import itertools
 from fractions import Fraction
 
-from ptso_verify import markov
+from ptso_verify import markov, semantics
 
 MAX_STATES = 10_000
 
@@ -169,3 +170,24 @@ def conditional_expected_cost(prog, init, label, cost, max_states=MAX_STATES):
     p0 = x[0]
     assert p0 > 0, "label unreachable; conditional cost undefined"
     return p0, z[0] / p0
+
+
+def all_plain_configs(prog, cap=1_000_000):
+    """Every plain configuration (All mode), capped by state-count."""
+    label_lists = [tuple(i.label for i in p.instrs) for p in prog.processes]
+    nregs = len(prog.tables["reg_index"])
+    nvars = len(prog.vars)
+    total = 1
+    for ls in label_lists:
+        total *= len(ls)
+    total *= prog.domain_size ** (nregs + nvars)
+    if total > cap:
+        raise ValueError(f"plain-configuration space has {total} states, above cap {cap}")
+    dom = range(prog.domain_size)
+    out = []
+    empty = ((),) * len(prog.processes)
+    for labels in itertools.product(*label_lists):
+        for regs in itertools.product(dom, repeat=nregs):
+            for mem in itertools.product(dom, repeat=nvars):
+                out.append(semantics.Config(labels, regs, empty, mem))
+    return out

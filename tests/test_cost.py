@@ -6,7 +6,7 @@ import exhaustive
 from conftest import load_corpus, make_config
 from ptso_verify import cost as cost_mod
 from ptso_verify import eagerness, lang, markov, reach, semantics
-from ptso_verify.cost import CostFunction, expected_avg_cost, step_cost
+from ptso_verify.cost import CostFunction, expected_avg_cost
 from ptso_verify.errors import BudgetExceededError
 
 F = Fraction
@@ -42,22 +42,6 @@ def test_cost_function_validation():
     assert cf["S0"] == cost_mod.DEFAULT_KIND_COSTS["assign"]
     assert cf["GOAL"] == cost_mod.DEFAULT_KIND_COSTS["term"]
     assert CostFunction.uniform(p).max_cost == 1
-
-
-def test_step_cost_cases():
-    p = load_corpus("race_flag")
-    cf = CostFunction.validate(p, {lbl: 3 if lbl == "P1" else 1 for lbl in p.labels()})
-    init = semantics.initial_config(p)
-    # write step by P at P1
-    c = make_config(p, labels={"P": "P1"}, regs={"w": 1})
-    succ = semantics.process_step(p, c, "P")
-    assert step_cost(p, cf, c, succ) == 3
-    # fully disabled self-step costs 0
-    done = make_config(p, labels={"P": "P2", "Q": "J"})
-    assert step_cost(p, cf, done, done) == 0
-    # non-successor pair costs 0
-    other = make_config(p, labels={"P": "P2", "Q": "Q0"}, regs={"w": 1})
-    assert step_cost(p, cf, init, other) == 0
 
 
 def test_deterministic_three_steps(det):

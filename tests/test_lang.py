@@ -53,6 +53,14 @@ def test_if_self_target_rejected():
         lang.parse_program(text)
 
 
+def test_goto_self_target_rejected():
+    # a step that leaves its process's label unchanged would make the moving
+    # process (and so its step cost) unidentifiable
+    with pytest.raises(ProgramError, match="own label"):
+        lang.Program(2, ("x",), (lang.ProcessDef("P", 1, ("a",), (
+            Instruction("0", Goto("0")), Instruction("1", Term()))),))
+
+
 def test_register_collision_across_processes():
     text = ("domain 2\nvars x\nproc P weight 1\nregs a\n0: x := a\n1: term\n"
             "proc Q weight 1\nregs a\n2: x := a\n3: term\n")

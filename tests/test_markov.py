@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def test_faithfulness_and_ts_equality(prog):
     # distribution equals the transition relation
     c = make_config(prog, labels={"P": "P1"}, bufs={"P": [("x", 1)], "Q": [("x", 0)]})
     sched = markov.sched_distribution(prog, c)
-    assert set(sched) == set(semantics.enabled_set(prog, c))
+    assert set(sched) == {prog.processes[pi].name for pi in semantics.enabled_indices(prog, c)}
     assert all(p > 0 for p in sched.values())
     dist = markov.step_distribution(prog, c)
     assert set(dist) == set(semantics.step_successors(prog, c))
@@ -160,3 +161,16 @@ def test_corpus_row_sums_support_and_size_law():
                     assert semantics.size(succ) <= semantics.size(c) + 1
                 nxt.extend(s for s in dist if s not in seen and not seen.add(s))
             frontier = nxt
+
+
+def test_frac_str_huge_keeps_int_digit_limit():
+    # 12k digits, with a long zero run that the chunked rendering must pad
+    digits = "9" + "0" * 5000 + "".join(str((7 * i * i + 3 * i + 1) % 10) for i in range(7000))
+    num = 0
+    for i in range(0, len(digits), 500):    # int(str) is length-limited too
+        chunk = digits[i:i + 500]
+        num = num * 10 ** len(chunk) + int(chunk)
+    limit = sys.get_int_max_str_digits()
+    assert markov.frac_str(Fraction(num)) == f"{digits}/1"
+    assert markov.frac_str(Fraction(-1, num)) == f"-1/{digits}"
+    assert sys.get_int_max_str_digits() == limit

@@ -1,5 +1,6 @@
 import pytest
 
+import exhaustive
 from conftest import load_corpus, make_config
 from ptso_verify import lang, montecarlo, qualitative, reach, semantics
 from ptso_verify.errors import OracleUnknownError
@@ -133,7 +134,7 @@ def test_scan_equivalent_to_all_mode_guarded(corpus_mod, oracles):
         targets = {c for c in ex.nodes if lbl in c.labels}
         can = ex.backward_set(targets)
         scan = True
-        for c in reach.all_plain_configs(p):
+        for c in exhaustive.all_plain_configs(p):
             if c in ex.nodes and c not in can:
                 scan = False
         assert scan == qualitative.qual_rep_reach(p, init, lbl, oracle).verdict

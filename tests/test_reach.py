@@ -1,5 +1,6 @@
 import pytest
 
+import exhaustive
 from conftest import load_corpus, make_config
 from ptso_verify import lang, markov, reach, semantics
 from ptso_verify.errors import OracleUnknownError
@@ -63,9 +64,10 @@ def test_witness_path_replays():
         succ = semantics.config_from_json(p, step["config"])
         assert markov.step_distribution(p, c)[succ] > 0
         if step["proc"] is None:
-            mid = semantics.disabled_step(p, c)
+            assert semantics.enabled_indices(p, c) == []
+            mid = c
         else:
-            assert step["proc"] in semantics.enabled_set(p, c)
+            assert p.proc_index(step["proc"]) in semantics.enabled_indices(p, c)
             mid = semantics.process_step(p, c, step["proc"])
         assert semantics.apply_schedule(p, mid, step["schedule"]) == succ
         c = succ
@@ -89,13 +91,14 @@ def test_reaches_config():
 
 def test_all_plain_configs_count():
     p = lang.parse_program("domain 2\nvars x\nproc P weight 1\nregs a\nA0: x := a\nA1: term\n")
-    allp = reach.all_plain_configs(p)
+    allp = exhaustive.all_plain_configs(p)
     assert len(allp) == 2 * 2 * 2
     oracle = reach.ReachOracle(p)
-    reachable = oracle.reachable_plain_configs(semantics.initial_config(p))
-    assert set(reachable) <= set(allp)
+    reachable = {c for c in oracle.explore(semantics.initial_config(p)).nodes
+                 if semantics.is_plain(c)}
+    assert reachable <= set(allp)
     with pytest.raises(ValueError, match="cap"):
-        reach.all_plain_configs(p, cap=3)
+        exhaustive.all_plain_configs(p, cap=3)
 
 
 def naive_bplain(oracle, source):
@@ -154,7 +157,8 @@ def test_reachable_plain_excludes_impossible_valuations():
     # configuration (brute-force over the explored plain set)
     p = load_corpus("writer_reader")
     oracle = reach.ReachOracle(p)
-    plains = oracle.reachable_plain_configs(semantics.initial_config(p))
+    plains = sorted(c for c in oracle.explore(semantics.initial_config(p)).nodes
+                    if semantics.is_plain(c))
     a_ix = p.tables["reg_index"]["a"]
     x_ix = p.tables["var_index"]["x"]
     assert plains

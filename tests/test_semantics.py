@@ -51,18 +51,26 @@ def test_initial_config(prog):
 
 
 def test_fetch_val():
-    buf = (("x", 3), ("y", 2), ("x", 1))
-    assert semantics.fetch_val("x", buf, {"x": 7}) == 3
-    assert semantics.fetch_val("x", (("y", 2),), {"x": 7}) == 7
-    assert semantics.fetch_val("x", (), {"x": 7}) == 7
+    """A read takes the newest own buffered write to the variable, over
+    older buffered writes and over memory; memory when none is buffered."""
+    p = lang.parse_program(
+        "domain 8\nvars x y\nproc P weight 1\nregs r\nR0: r := x\nR1: term\n")
+    r = p.tables["reg_index"]["r"]
+
+    def read(buf):
+        c = make_config(p, bufs={"P": buf}, mem={"x": 7})
+        return semantics.process_step(p, c, "P").regs[r]
+
+    assert read([("x", 3), ("y", 2), ("x", 1)]) == 3
+    assert read([("y", 2)]) == 7
+    assert read([]) == 7
 
 
 def test_enabled_set(prog):
     c = semantics.initial_config(prog)
-    assert semantics.enabled_set(prog, c) == {"P", "Q"}
+    assert semantics.enabled_indices(prog, c) == [0, 1]
     done = make_config(prog, labels={"P": "P1", "Q": "Q1"})
-    assert semantics.enabled_set(prog, done) == frozenset()
-    assert semantics.is_disabled(prog, done)
+    assert semantics.enabled_indices(prog, done) == []
 
 
 CAS_PROG = """
@@ -78,9 +86,9 @@ C1: term
 def test_cas_disabled_with_nonempty_buffer():
     p = lang.parse_program(CAS_PROG)
     c = make_config(p, bufs={"P": [("x", 1)]})
-    assert semantics.enabled_set(p, c) == frozenset()
+    assert semantics.enabled_indices(p, c) == []
     empty = semantics.initial_config(p)
-    assert semantics.enabled_set(p, empty) == {"P"}
+    assert semantics.enabled_indices(p, empty) == [0]
 
 
 def test_cas_true_and_false():
@@ -111,10 +119,10 @@ def test_if_false_advances():
 
 
 def test_disabled_step(prog):
+    """With no process enabled, the step is the update step alone."""
     done = make_config(prog, labels={"P": "P1", "Q": "Q1"}, bufs={"P": [("x", 1)]})
-    assert semantics.disabled_step(prog, done) == done
-    with pytest.raises(ValueError):
-        semantics.disabled_step(prog, semantics.initial_config(prog))
+    counts, _ = semantics.update_successors(prog, done)
+    assert semantics.step_successors(prog, done) == dict.fromkeys(counts)
     with pytest.raises(ValueError):
         semantics.process_step(prog, done, "P")
 
@@ -183,7 +191,6 @@ def test_update_word_counts_by_length_vs_brute_force(prog):
         _, btotal = brute_force_update_words(prog, c)
         by_len = semantics.update_word_counts_by_length(lens)
         assert sum(by_len.values()) == btotal
-        assert semantics.update_total_count(lens) == btotal
     assert semantics.update_word_counts_by_length((2, 1)) == {0: 1, 1: 2, 2: 3, 3: 3}
 
 
@@ -200,13 +207,11 @@ def test_schedule_commutation(prog):
         assert r.bufs == ((), ())
 
 
-def test_size_level():
+def test_size():
     p = lang.parse_program(TWO_WRITERS)
-    c = make_config(p, bufs={"P": [("x", 0)] * 4})
-    assert semantics.size(c) == 4 and semantics.level(c) == 0
-    c5 = make_config(p, bufs={"P": [("x", 0)] * 5})
-    assert semantics.size(c5) == 5 and semantics.level(c5) == 5
-    assert semantics.level(semantics.initial_config(p)) == 0
+    c = make_config(p, bufs={"P": [("x", 0)] * 4, "Q": [("y", 1)]})
+    assert semantics.size(c) == 5
+    assert semantics.size(semantics.initial_config(p)) == 0
 
 
 def test_process_step_size_law(prog):
@@ -240,8 +245,35 @@ def test_update_counts_property(bufp, bufq):
     c = make_config(prog, bufs={"P": bufp, "Q": bufq})
     counts, total = semantics.update_successors(prog, c)
     assert sum(counts.values()) == total
-    assert total == semantics.update_total_count([len(bufp), len(bufq)])
+    assert total == sum(semantics.update_word_counts_by_length([len(bufp), len(bufq)]).values())
     # every successor only shrinks buffers and keeps labels/regs
     for succ in counts:
         assert succ.labels == c.labels and succ.regs == c.regs
         assert semantics.size(succ) <= semantics.size(c)
+
+
+def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
+    """explore, then distribution on every explored configuration: update
+    words are enumerated once per distinct (bufs, mem) pair, and the oracle
+    caches keep the moving process only, never a schedule."""
+    from conftest import load_corpus
+    from ptso_verify import reach
+
+    prog = load_corpus("writer_reader")
+    enumerated = []
+    real = semantics._enumerate_updates
+    monkeypatch.setattr(semantics, "_enumerate_updates",
+                        lambda p, bufs, mem: enumerated.append((bufs, mem)) or real(p, bufs, mem))
+    pairs = set()
+    real_succ = semantics.update_successors
+    monkeypatch.setattr(semantics, "update_successors",
+                        lambda p, c: pairs.add((c.bufs, c.mem)) or real_succ(p, c))
+    oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
+    ex = oracle.explore(semantics.initial_config(prog))
+    after_explore = len(enumerated)
+    for c in sorted(ex.nodes):
+        oracle.distribution(c)
+    assert len(enumerated) == len(set(enumerated)) == len(pairs)
+    assert len(enumerated) == after_explore    # distribution reuses every row
+    names = {p.name for p in prog.processes} | {None}
+    assert all(proc in names for succs in oracle._succs.values() for proc in succs.values())
