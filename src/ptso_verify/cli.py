@@ -95,11 +95,6 @@ def _load(args):
     return prog, init, reach.ReachOracle(prog, oc)
 
 
-def _check_label(prog, label):
-    if label not in prog.tables["label_pos"]:
-        raise lang.ProgramError(f"unknown label {label!r}")
-
-
 _QUAL = {
     "qual-reach": qualitative.qual_reach,
     "qual-rep-reach": qualitative.qual_rep_reach,
@@ -130,8 +125,6 @@ def main(argv=None):
             _emit(doc, f"parsed {args.program}: {len(prog.processes)} processes, "
                        f"{len(list(prog.labels()))} instructions")
             return EXIT_OK
-
-        _check_label(prog, args.label)
 
         if args.command in _QUAL:
             res = _QUAL[args.command](prog, init, args.label, oracle)

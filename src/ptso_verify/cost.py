@@ -139,8 +139,9 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         raise ValueError("epsilon must be positive")
     if not semantics.is_plain(init):
         raise ValueError("the start configuration must be plain")
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if not oracle.require(oracle.reaches_label(init, label)):
+    if not oracle.can_reach(init, label):
         raise ValueError(f"label {label!r} is unreachable; the conditional expected cost is undefined")
     if eager is None:
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
@@ -173,14 +174,12 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
                 add = phi * q
                 prev = new.get(key)
                 new[key] = add if prev is None else prev + add
-                sz = semantics.size(succ)
-                if sz > max_size:
-                    max_size = sz
         # By construction c_error = kappa*alpha^n/(1-alpha)^2 and
         # p_error = alpha^n/(1-alpha); tests check the closed forms.
         c_error *= alpha
         p_error *= alpha
         frontier = new
+        max_size = max(max_size, max((semantics.size(c) for c, _ in frontier), default=0))
 
         if (n >= n_threshold and p_error > 0 and prob_apprx > 0
                 and _gap_below(cost_apprx, c_error, prob_apprx, p_error, epsilon)):
@@ -231,15 +230,8 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
 
 def _result(prog, oracle, label, cost_apprx, prob_apprx, c_error, p_error, n,
             epsilon, n_threshold, aborted, frontier, max_size):
-    live = Fraction(0)
-    memo = {}
-    for (c, _), phi in frontier.items():
-        alive = memo.get(c)
-        if alive is None:
-            alive = oracle.require(oracle.reaches_label(c, label))
-            memo[c] = alive
-        if alive:
-            live += phi
+    live = sum((phi for (c, _), phi in frontier.items() if oracle.can_reach(c, label)),
+               Fraction(0))
     value = cost_apprx / (prob_apprx + p_error)
     upper = None if prob_apprx == 0 else (cost_apprx + c_error) / prob_apprx
     return CostResult(value, upper, cost_apprx, prob_apprx, c_error, p_error,

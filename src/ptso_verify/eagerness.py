@@ -257,13 +257,8 @@ class EagernessParams:
 
 def _small_reach_set(prog, label, oracle, source):
     """A: small configurations reachable from `source` that can reach `label`."""
-    ex = oracle.explore(source)
-    if ex.pruned and oracle.config.strict:
-        from .errors import OracleUnknownError
-        raise OracleUnknownError(f"A-set unknown: exploration pruned at bound {ex.bound}")
-    targets = {c for c in ex.nodes if label in c.labels}
-    can_reach = ex.backward_set(targets)
-    return ex, sorted(c for c in can_reach if semantics.size(c) <= SMALL_SIZE)
+    ex = oracle.checked(source, "A-set")
+    return sorted(c for c in ex.reaching(label) if semantics.size(c) <= SMALL_SIZE)
 
 
 def _witness_bfs(oracle, start, label, bound):
@@ -302,7 +297,7 @@ def compute_mu(prog, label, oracle=None, source=None):
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
-    _, a_set = _small_reach_set(prog, label, oracle, source)
+    a_set = _small_reach_set(prog, label, oracle, source)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from any small configuration")
     bound = oracle.config.final_bound
@@ -328,6 +323,7 @@ def _coarse_upper(x, bits=48):
 
 def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     """Compute the full eagerness certificate for runs from `source`."""
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     if oracle.policy is not markov.DEFAULT_POLICY:
         raise ValueError("eagerness constants are specific to the default scheduling/update policy")
@@ -339,7 +335,7 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     if alpha_s[1] >= 1:
         raise ValueError(f"beta={beta} gives S-run rate >= 1; use a larger beta (150 suffices)")
 
-    _, a_set = _small_reach_set(prog, label, oracle, source)
+    a_set = _small_reach_set(prog, label, oracle, source)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from {source}")
     mu, per = compute_mu(prog, label, oracle, source)

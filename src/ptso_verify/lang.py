@@ -140,6 +140,11 @@ class Program:
     def labels(self):
         return self.tables["label_pos"].keys()
 
+    def check_label(self, label):
+        """Reject a target label that names no instruction."""
+        if label not in self.tables["label_pos"]:
+            raise ProgramError(f"unknown label {label!r}")
+
     def stmt_at(self, label):
         pi, ii = self.tables["label_pos"][label]
         return self.processes[pi].instrs[ii].stmt
@@ -485,8 +490,7 @@ def fresh_label(prog, base="__term"):
 def remove_label(prog, label):
     """The P (-) label transform: statement at `label` becomes a goto to a
     fresh trailing `term`, so reaching `label` halts the owning process."""
-    if label not in prog.tables["label_pos"]:
-        raise ProgramError(f"unknown label {label!r}")
+    prog.check_label(label)
     pi, ii = prog.tables["label_pos"][label]
     new = fresh_label(prog)
     proc = prog.processes[pi]

@@ -174,6 +174,7 @@ class ReachEstimate:
 
 def estimate_reach(prog, init, label, runs, horizon, seed):
     """Fraction of sampled runs reaching `label` within `horizon` steps."""
+    prog.check_label(label)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sampler = RunSampler(prog)
@@ -216,6 +217,7 @@ class CondCostEstimate:
 
 def estimate_cond_cost(prog, init, label, cost, runs, horizon, seed):
     """Sample mean of cost-to-first-hit over runs that reach `label`."""
+    prog.check_label(label)
     if runs < 1:
         raise ValueError("runs must be >= 1")
     sampler = RunSampler(prog)

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import lang, reach, semantics
-from .errors import OracleUnknownError
 
 
 @dataclass
@@ -33,10 +32,21 @@ class QualResult:
         return doc
 
 
-def _strict_guard(oracle, ex):
-    if ex.pruned and oracle.config.strict:
-        raise OracleUnknownError(
-            f"plain-configuration scan pruned at bound {ex.bound}; rerun with a larger --bound")
+def _scan(analysis, prog, ex, label, candidates, reachable):
+    """The first candidate whose can-reach answer for `label` is `reachable`
+    refutes the analysis; none refutes it, verdict true."""
+    config_key, label_key = (("bplain_config", "reachable_label") if reachable
+                             else ("plain_config", "unreachable_label"))
+    can = ex.reaching(label)
+    for c in candidates:
+        if (c in can) == reachable:
+            witness = {
+                config_key: semantics.config_to_json(prog, c),
+                "path_to_it": ex.path_to(prog, c),
+                label_key: label,
+            }
+            return QualResult(analysis, False, witness, ex.bound, ex.pruned)
+    return QualResult(analysis, True, None, ex.bound, ex.pruned)
 
 
 def qual_reach(prog, init, label, oracle=None):
@@ -46,59 +56,33 @@ def qual_reach(prog, init, label, oracle=None):
     label-removed program for a reachable plain configuration that cannot
     reach the label.
     """
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     if label in init.labels:
         return QualResult("qual_reach", True, None, oracle.config.final_bound, False)
-    if label not in prog.tables["label_pos"]:
-        raise lang.ProgramError(f"unknown label {label!r}")
 
     transformed = lang.remove_label(prog, label)
     fresh = (set(transformed.labels()) - set(prog.labels())).pop()
     sub = reach.ReachOracle(transformed, oracle.config, oracle.policy)
-    ex = sub.explore(init)
-    _strict_guard(sub, ex)
-    targets = {c for c in ex.nodes if label in c.labels}
-    can_reach = ex.backward_set(targets)
-    for c in sorted(ex.nodes):
-        if not semantics.is_plain(c) or fresh in c.labels:
-            continue
-        if c not in can_reach:
-            witness = {
-                "plain_config": semantics.config_to_json(transformed, c),
-                "path_to_it": ex.path_to(transformed, c),
-                "unreachable_label": label,
-            }
-            return QualResult("qual_reach", False, witness, ex.bound, ex.pruned)
-    return QualResult("qual_reach", True, None, ex.bound, ex.pruned)
+    ex = sub.checked(init, "plain-configuration scan")
+    candidates = [c for c in sorted(ex.nodes)
+                  if semantics.is_plain(c) and fresh not in c.labels]
+    return _scan("qual_reach", transformed, ex, label, candidates, False)
 
 
 def qual_rep_reach(prog, init, label, oracle=None):
     """Almost-sure repeated reachability; scans the original program."""
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if label not in prog.tables["label_pos"]:
-        raise lang.ProgramError(f"unknown label {label!r}")
-    ex = oracle.explore(init)
-    _strict_guard(oracle, ex)
-    targets = {c for c in ex.nodes if label in c.labels}
-    can_reach = ex.backward_set(targets)
-    for c in sorted(ex.nodes):
-        if not semantics.is_plain(c):
-            continue
-        if c not in can_reach:
-            witness = {
-                "plain_config": semantics.config_to_json(prog, c),
-                "path_to_it": ex.path_to(prog, c),
-                "unreachable_label": label,
-            }
-            return QualResult("qual_rep_reach", False, witness, ex.bound, ex.pruned)
-    return QualResult("qual_rep_reach", True, None, ex.bound, ex.pruned)
+    ex = oracle.checked(init, "plain-configuration scan")
+    candidates = [c for c in sorted(ex.nodes) if semantics.is_plain(c)]
+    return _scan("qual_rep_reach", prog, ex, label, candidates, False)
 
 
 def never_qual_reach(prog, init, label, oracle=None):
     """Almost-never reachability: probability 0 iff the label is unreachable."""
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if label not in prog.tables["label_pos"]:
-        raise lang.ProgramError(f"unknown label {label!r}")
     answer = oracle.reaches_label(init, label)
     verdict = not oracle.require(answer)
     witness = None if verdict else {"path_to_label": answer.path}
@@ -108,19 +92,8 @@ def never_qual_reach(prog, init, label, oracle=None):
 def never_qual_rep_reach(prog, init, label, oracle=None):
     """Almost-never repeated reachability: false iff some reachable B-plain
     configuration can reach the label."""
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if label not in prog.tables["label_pos"]:
-        raise lang.ProgramError(f"unknown label {label!r}")
-    ex = oracle.explore(init)
-    _strict_guard(oracle, ex)
-    targets = {c for c in ex.nodes if label in c.labels}
-    can_reach = ex.backward_set(targets)
-    for c in oracle.bplain_configs(init):
-        if c in can_reach:
-            witness = {
-                "bplain_config": semantics.config_to_json(prog, c),
-                "path_to_it": ex.path_to(prog, c),
-                "reachable_label": label,
-            }
-            return QualResult("never_qual_rep_reach", False, witness, ex.bound, ex.pruned)
-    return QualResult("never_qual_rep_reach", True, None, ex.bound, ex.pruned)
+    ex = oracle.checked(init, "plain-configuration scan")
+    return _scan("never_qual_rep_reach", prog, ex, label,
+                 oracle.bplain_configs(init), True)

@@ -48,26 +48,6 @@ class QuantResult:
         }
 
 
-class _NegMemo:
-    """Memoized 'cannot reach the target' test, bulk-seeded from the root
-    exploration and falling back to per-configuration oracle queries for
-    frontier entries that escape the explored region."""
-
-    def __init__(self, oracle, ex, label):
-        targets = {c for c in ex.nodes if label in c.labels}
-        can = ex.backward_set(targets)
-        self.cache = {c: (c not in can) for c in ex.nodes}
-        self.oracle = oracle
-        self.label = label
-
-    def cannot_reach(self, c):
-        got = self.cache.get(c)
-        if got is None:
-            got = not self.oracle.require(self.oracle.reaches_label(c, self.label))
-            self.cache[c] = got
-        return got
-
-
 def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
          max_iterations, pruned):
     epsilon = Fraction(epsilon)
@@ -96,11 +76,9 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
                 for succ, p in sorted(oracle.distribution(c).items()):
                     prev = new.get(succ)
                     new[succ] = mass * p if prev is None else prev + mass * p
-                    sz = semantics.size(succ)
-                    if sz > max_size:
-                        max_size = sz
         frontier = new
         iterations += 1
+        max_size = max(max_size, max(map(semantics.size, frontier), default=0))
         if pos + neg + sum(frontier.values()) != 1:
             raise AssertionError(f"{analysis}: mass not conserved at layer {iterations}")
     return QuantResult(analysis, pos, neg, epsilon, iterations,
@@ -110,12 +88,12 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
 def quant_reach(prog, init, label, epsilon, oracle=None,
                 max_iterations=DEFAULT_MAX_ITERATIONS):
     """Approximate p = P(reach label) with p in [value, value + epsilon]."""
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     ex = oracle.explore(init)
-    neg = _NegMemo(oracle, ex, label)
     return _run(prog, init, label, epsilon, oracle,
                 pos_test=lambda c: label in c.labels,
-                neg_test=neg.cannot_reach,
+                neg_test=lambda c: not oracle.can_reach(c, label),
                 analysis="quant_reach",
                 max_iterations=max_iterations, pruned=ex.pruned)
 
@@ -128,11 +106,11 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
     from it can reach the label, negative mass when the label is unreachable
     from it; everything else keeps expanding.
     """
+    prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     ex = oracle.explore(init)
-    neg = _NegMemo(oracle, ex, label)
     bplain = oracle.bplain_configs(init)
-    bad = {c for c in bplain if neg.cannot_reach(c)}
+    bad = {c for c in bplain if not oracle.can_reach(c, label)}
     reach_bad = ex.backward_set(bad)
     escape_memo = {}
 
@@ -148,6 +126,6 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
 
     return _run(prog, init, label, epsilon, oracle,
                 pos_test=lambda c: not reaches_bad(c),
-                neg_test=neg.cannot_reach,
+                neg_test=lambda c: not oracle.can_reach(c, label),
                 analysis="quant_rep_reach",
                 max_iterations=max_iterations, pruned=ex.pruned)

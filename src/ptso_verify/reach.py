@@ -73,10 +73,16 @@ class Exploration:
     nodes: set
     succs: dict                    # config -> tuple of successor configs
     parent: dict                   # BFS tree: config -> (pred, moving process or None)
-    pruned: bool
+    pruned_at: set                 # configs with a successor pruned by the bound
     max_size_seen: int
     _preds: dict = field(default=None, repr=False)
     _sccs: list = field(default=None, repr=False)
+    _reaching: dict = field(default_factory=dict, repr=False)
+    _pruned_cone: set = field(default=None, repr=False)
+
+    @property
+    def pruned(self):
+        return bool(self.pruned_at)
 
     def preds(self):
         if self._preds is None:
@@ -100,6 +106,20 @@ class Exploration:
                     seen.add(p)
                     stack.append(p)
         return seen
+
+    def reaching(self, label):
+        """All explored configurations that can reach a `label`-bearing one."""
+        got = self._reaching.get(label)
+        if got is None:
+            got = self.backward_set(c for c in self.nodes if label in c.labels)
+            self._reaching[label] = got
+        return got
+
+    def cone_pruned(self, c):
+        """Did the bound prune a successor somewhere in `c`'s forward cone?"""
+        if self._pruned_cone is None:
+            self._pruned_cone = self.backward_set(self.pruned_at)
+        return c in self._pruned_cone
 
     def sccs(self):
         if self._sccs is None:
@@ -182,7 +202,9 @@ class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
     One oracle serves one analysis at a time; the successor and distribution
-    caches are shared by every query against the same program.
+    caches are shared by every query against the same program. Every
+    analysis asks it, and only it, whether a configuration can reach a label
+    and whether a pruned exploration makes an answer Unknown.
     """
 
     def __init__(self, prog, config=None, policy=markov.DEFAULT_POLICY):
@@ -192,7 +214,7 @@ class ReachOracle:
         self._succs = {}
         self._dists = {}
         self._explorations = {}
-        self._label_memo = {}
+        self._home = {}            # config -> a final-bound exploration holding it
 
     # -- cached one-step structure --
 
@@ -221,7 +243,7 @@ class ReachOracle:
         nodes = {root}
         succs = {}
         parent = {}
-        pruned = False
+        pruned_at = set()
         max_size = semantics.size(root)
         queue = [root]
         while queue:
@@ -231,7 +253,7 @@ class ReachOracle:
                 for succ, proc in sorted(self.successors(c).items()):
                     sz = semantics.size(succ)
                     if sz > bound:
-                        pruned = True
+                        pruned_at.add(c)
                         continue
                     kept.append(succ)
                     if succ not in nodes:
@@ -242,22 +264,47 @@ class ReachOracle:
                             max_size = sz
                 succs[c] = tuple(kept)
             queue = next_queue
-        got = Exploration(root, bound, nodes, succs, parent, pruned, max_size)
+        got = Exploration(root, bound, nodes, succs, parent, pruned_at, max_size)
         self._explorations[key] = got
+        if bound == self.config.final_bound:
+            # A node's forward cone does not depend on the root it was
+            # reached from, so any exploration holding it answers for it.
+            for c in nodes:
+                self._home.setdefault(c, got)
         return got
 
-    def _resolve_negative(self, ex):
+    def checked(self, root, what):
+        """explore(root); in strict mode a pruned exploration makes `what`,
+        the result resting on it, Unknown."""
+        ex = self.explore(root)
         if ex.pruned and self.config.strict:
-            return ReachAnswer("unknown", bound=ex.bound, pruned=True)
-        return ReachAnswer("no", bound=ex.bound, pruned=ex.pruned)
+            raise OracleUnknownError(
+                f"{what} unknown: exploration pruned at bound {ex.bound}; rerun with a larger --bound")
+        return ex
+
+    # -- reachability of a label --
+
+    def can_reach(self, c, label):
+        """require(reaches_label(c, label)) without a witness path.
+
+        Decided at the final bound: exploration is monotone in the bound and
+        an unpruned exploration is the full closure, so an iterative schedule
+        changes only the bound stamp and the path of reaches_label.
+        """
+        ex = self._home.get(c)
+        if ex is None:
+            ex = self.explore(c)
+        if c in ex.reaching(label):
+            return True
+        if self.config.strict and ex.cone_pruned(c):
+            raise OracleUnknownError(
+                f"reachability of {label!r} unknown at bound {ex.bound}; rerun with a larger --bound")
+        return False
 
     def reaches_label(self, c, label):
-        """Is a configuration containing `label` reachable from c?"""
-        memo_key = (c, label)
-        got = self._label_memo.get(memo_key)
-        if got is not None:
-            return got
-        answer = None
+        """Is a configuration containing `label` reachable from c? A yes
+        carries a replayable witness path; the answer is stamped with the
+        bound of the exploration that decided it."""
         for bound in self.config.schedule():
             ex = self.explore(c, bound)
             hit = None
@@ -269,29 +316,12 @@ class ReachOracle:
                         hit = node
                         break
             if hit is not None:
-                answer = ReachAnswer("yes", path=ex.path_to(self.prog, hit),
-                                     bound=bound, pruned=ex.pruned)
-                break
-            if not ex.pruned:
-                answer = ReachAnswer("no", bound=bound, pruned=False)
-                break
-        if answer is None:
-            answer = self._resolve_negative(self.explore(c, self.config.final_bound))
-        self._label_memo[memo_key] = answer
-        return answer
-
-    def reaches_config(self, c, target):
-        """Is the plain configuration `target` reachable from c?"""
-        if not semantics.is_plain(target):
-            raise ValueError("reaches_config target must be plain")
-        for bound in self.config.schedule():
-            ex = self.explore(c, bound)
-            if target in ex.nodes:
-                return ReachAnswer("yes", path=ex.path_to(self.prog, target),
+                return ReachAnswer("yes", path=ex.path_to(self.prog, hit),
                                    bound=bound, pruned=ex.pruned)
             if not ex.pruned:
                 return ReachAnswer("no", bound=bound, pruned=False)
-        return self._resolve_negative(self.explore(c, self.config.final_bound))
+        return ReachAnswer("unknown" if self.config.strict else "no",
+                           bound=ex.bound, pruned=True)
 
     def require(self, answer):
         """Collapse to a boolean, aborting on Unknown (strict mode)."""
@@ -311,10 +341,7 @@ class ReachOracle:
         forward cone reaches back to it.
         """
         source = semantics.initial_config(self.prog) if source is None else source
-        ex = self.explore(source)
-        if ex.pruned and self.config.strict:
-            raise OracleUnknownError(
-                f"B-plain set unknown: exploration pruned at bound {ex.bound}")
+        ex = self.checked(source, "B-plain set")
         out = set()
         for comp in ex.bottom_sccs():
             out.update(c for c in comp if semantics.is_plain(c))

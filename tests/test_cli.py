@@ -93,6 +93,19 @@ def test_strict_unknown_exit_3():
     assert "unknown" in r.stderr
 
 
+def test_strict_quant_reach_unknown_exit_3():
+    # init cannot reach PT and its cone is pruned: banking its mass as
+    # "cannot reach" rests on the bound, so strict mode answers Unknown
+    args = ("quant-reach", prog("loop_all"), "--label", "PT")
+    r = run_cli(*args, "--strict")
+    assert r.returncode == 3 and r.stdout == ""
+    assert "unknown" in r.stderr
+    lax = run_cli(*args)
+    assert lax.returncode == 0
+    doc = json.loads(lax.stdout)
+    assert (doc["value"], doc["neg"], doc["oracle_pruned"]) == ("0/1", "1/1", True)
+
+
 def test_cost_budget_exit_4(tmp_path):
     costs = tmp_path / "c.json"
     costs.write_text(json.dumps({"P0": 1, "P1": 1, "P2": 1, "Q0": 1, "Q1": 1,

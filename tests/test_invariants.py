@@ -1,11 +1,19 @@
-"""Invariant checks must hold under `python -O`, which strips `assert`
-statements: the package raises explicitly instead."""
+"""Package-wide invariants: checks hold under `python -O`, which strips
+`assert` statements (the package raises explicitly instead); only `reach`
+decides whether a reachability answer is Unknown; every analysis rejects an
+unknown target label."""
 
 import ast
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
+
+from conftest import load_corpus
+from ptso_verify import cost, eagerness, lang, montecarlo, qualitative, quantitative, semantics
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -41,3 +49,45 @@ def test_no_assert_statements_in_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _name(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_unknown_answers_decided_in_reach_only():
+    found = []
+    for path in sorted((SRC / "ptso_verify").glob("*.py")):
+        if path.name == "reach.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            made = ((isinstance(node, ast.Call) and _name(node.func) == "OracleUnknownError")
+                    or (isinstance(node, ast.Raise) and _name(node.exc) == "OracleUnknownError"))
+            strict = (isinstance(node, ast.Attribute) and node.attr == "strict"
+                      and _name(node.value) == "config")
+            if made or strict:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+UNKNOWN_LABEL_ANALYSES = {
+    "qual_reach": lambda p, c: qualitative.qual_reach(p, c, "NOPE"),
+    "qual_rep_reach": lambda p, c: qualitative.qual_rep_reach(p, c, "NOPE"),
+    "never_qual_reach": lambda p, c: qualitative.never_qual_reach(p, c, "NOPE"),
+    "never_qual_rep_reach": lambda p, c: qualitative.never_qual_rep_reach(p, c, "NOPE"),
+    "quant_reach": lambda p, c: quantitative.quant_reach(p, c, "NOPE", Fraction(1, 100)),
+    "quant_rep_reach": lambda p, c: quantitative.quant_rep_reach(p, c, "NOPE", Fraction(1, 100)),
+    "expected_avg_cost": lambda p, c: cost.expected_avg_cost(
+        p, c, "NOPE", cost.CostFunction.uniform(p), Fraction(1, 10)),
+    "compute_eagerness": lambda p, c: eagerness.compute_eagerness(p, "NOPE", source=c),
+    "estimate_reach": lambda p, c: montecarlo.estimate_reach(p, c, "NOPE", 10, 10, 0),
+    "estimate_cond_cost": lambda p, c: montecarlo.estimate_cond_cost(
+        p, c, "NOPE", cost.CostFunction.uniform(p), 10, 10, 0),
+}
+
+
+@pytest.mark.parametrize("analysis", sorted(UNKNOWN_LABEL_ANALYSES))
+def test_unknown_label_rejected_by_every_analysis(analysis):
+    p = load_corpus("race_flag")
+    with pytest.raises(lang.ProgramError, match="unknown label 'NOPE'"):
+        UNKNOWN_LABEL_ANALYSES[analysis](p, semantics.initial_config(p))

@@ -1,7 +1,7 @@
 import pytest
 
 import exhaustive
-from conftest import load_corpus, make_config
+from conftest import load_corpus
 from ptso_verify import lang, markov, reach, semantics
 from ptso_verify.errors import OracleUnknownError
 
@@ -72,21 +72,6 @@ def test_witness_path_replays():
         assert semantics.apply_schedule(p, mid, step["schedule"]) == succ
         c = succ
     assert "W1" in c.labels
-
-
-def test_reaches_config():
-    p = lang.parse_program(STRAIGHT)
-    oracle = reach.ReachOracle(p)
-    init = semantics.initial_config(p)
-    assert oracle.reaches_config(init, init).is_yes
-    final = make_config(p, labels={"P": "S2"}, regs={"a": 1}, mem={"x": 1})
-    assert oracle.reaches_config(init, final).is_yes
-    wrong = make_config(p, labels={"P": "S2"}, regs={"a": 1}, mem={"x": 0})
-    # the only run writes x=1 and must flush before term... memory x=0 with
-    # empty buffers at S2 is unreachable
-    assert oracle.reaches_config(init, wrong).is_no
-    with pytest.raises(ValueError, match="plain"):
-        oracle.reaches_config(init, make_config(p, bufs={"P": [("x", 1)]}))
 
 
 def test_all_plain_configs_count():
@@ -198,3 +183,44 @@ def test_strict_mode_unknown():
     lax = reach.ReachOracle(p, reach.OracleConfig(bound=3))
     ans2 = lax.reaches_label(init, "PT")
     assert ans2.is_no and ans2.pruned and ans2.bound == 3
+
+
+def _outcome(ask):
+    try:
+        return ask()
+    except OracleUnknownError:
+        return "unknown"
+
+
+@pytest.mark.parametrize("name,labels,config", [
+    ("race_retry", None, reach.OracleConfig(bound=1)),
+    ("race_retry", None, reach.OracleConfig(bound=1, strict=True)),
+    ("loop_all", ["PT", "P1"], reach.OracleConfig(bound=2)),
+    ("loop_all", ["PT", "P1"], reach.OracleConfig(bound=2, strict=True)),
+    ("writer_reader", ["WIN"], reach.OracleConfig(bound=2, strict=True)),
+    ("race_retry", None,
+     reach.OracleConfig(mode="iterative", bound=1, bound_max=2, strict=True)),
+    ("loop_all", ["PT", "P1"],
+     reach.OracleConfig(mode="iterative", bound=1, bound_max=2, strict=True)),
+])
+def test_can_reach_matches_reaches_label(name, labels, config):
+    """can_reach equals require(reaches_label) on every explored node and
+    every one-step successor, including those beyond the bound, whether or
+    not reaches_label explored at smaller bounds first on the same oracle."""
+    p = load_corpus(name)
+    labels = labels or sorted(p.labels())
+    fast = reach.ReachOracle(p, config)
+    slow = reach.ReachOracle(p, config)
+    ex = fast.explore(semantics.initial_config(p))
+    configs = set(ex.nodes)
+    for c in ex.nodes:
+        configs.update(fast.distribution(c))
+    kinds = set()
+    for c in sorted(configs):
+        for label in labels:
+            want = _outcome(lambda: slow.require(slow.reaches_label(c, label)))
+            assert _outcome(lambda: fast.can_reach(c, label)) == want, (c, label)
+            assert _outcome(lambda: slow.can_reach(c, label)) == want, (c, label)
+            kinds.add(want)
+    if config == reach.OracleConfig(bound=1, strict=True):
+        assert kinds == {True, False, "unknown"}
