@@ -190,7 +190,7 @@ def main(argv=None):
         else:
             sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_BUDGET
-    except (lang.ProgramError, ValueError) as exc:
+    except (OSError, lang.ProgramError, ValueError) as exc:   # OSError: --costs FILE
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -2,9 +2,13 @@
 certified error tracking driven by the eagerness certificate.
 
 Breadth-first layers carry (configuration, accumulated cost) entries with
-exact rational path mass. CostApprx/ProbApprx accumulate the mass absorbed at
-the target; CError/PError are the geometric tail bounds kappa*alpha^n/(1-alpha)^2
-and alpha^n/(1-alpha), valid once n reaches the eagerness threshold.
+exact path mass, held as integers over one denominator per layer (see
+`quantitative`). CostApprx/ProbApprx accumulate the mass absorbed at the
+target; CError/PError are the geometric tail bounds kappa*alpha^n/(1-alpha)^2
+and alpha^n/(1-alpha), valid once n reaches the eagerness threshold. The gap
+they leave grows with alpha^n, so whether a layer closes it is decided on a
+certified interval for alpha^n (`eagerness.pow_decide`); the exact terms are
+computed only for the result.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import eagerness as eag
-from . import lang, reach, semantics
+from . import lang, quantitative, reach, semantics
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_LAYERS = 20_000
@@ -146,65 +150,69 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     if eager is None:
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
 
-    kappa = cost.max_cost
     alpha = eager.alpha
     n_threshold = eager.n_threshold
-    c_error = Fraction(kappa) / (1 - alpha) ** 2
-    p_error = Fraction(1) / (1 - alpha)
-    cost_apprx = Fraction(0)
-    prob_apprx = Fraction(0)
-    frontier = {(init, 0): Fraction(1)}
+    base_c = Fraction(cost.max_cost) / (1 - alpha) ** 2
+    base_p = 1 / (1 - alpha)
+    # Masses are integers over the shared denominator `den`; cost_num and
+    # prob_num are CostApprx and ProbApprx over it.
+    den = 1
+    cost_num = prob_num = 0
+    frontier = {(init, 0): 1}
     n = 0
     max_size = semantics.size(init)
 
+    def done(m):
+        """Do the error terms at layer m close the gap below epsilon? The gap
+        grows with alpha^m, so a certified interval decides nearly always."""
+        cost_apprx, prob_apprx = Fraction(cost_num, den), Fraction(prob_num, den)
+        return eag.pow_decide(alpha, m, lambda t: _gap_below(
+            cost_apprx, base_c * t, prob_apprx, base_p * t, epsilon))
+
+    def result(m, aborted):
+        cost_apprx, prob_apprx = Fraction(cost_num, den), Fraction(prob_num, den)
+        t = alpha ** m
+        c_error, p_error = base_c * t, base_p * t
+        live = sum(phi for (c, _), phi in frontier.items() if oracle.can_reach(c, label))
+        upper = None if prob_apprx == 0 else (cost_apprx + c_error) / prob_apprx
+        return CostResult(cost_apprx / (prob_apprx + p_error), upper, cost_apprx, prob_apprx,
+                          c_error, p_error, m, epsilon, n_threshold, aborted,
+                          Fraction(live, den), max_size)
+
     while True:
         n += 1
-        new = {}
-        for (c, psi), phi in sorted(frontier.items()):
+        expand = []
+        for (c, psi), phi in frontier.items():
             if label in c.labels:
-                cost_apprx += psi * phi
-                prob_apprx += phi
+                cost_num += psi * phi
+                prob_num += phi
                 continue
-            for succ, q in oracle.distribution(c).items():
+            row_den, weights = oracle.row(c)
+            entries = []
+            for succ, w in weights:
                 # A process step changes the label of the moving process and
                 # no other (no jump may target its own label), so the step
                 # costs the label that changed; a disabled step costs 0.
                 moved = [a for a, b in zip(c.labels, succ.labels) if a != b]
-                key = (succ, psi + (cost[moved[0]] if moved else 0))
-                add = phi * q
-                prev = new.get(key)
-                new[key] = add if prev is None else prev + add
-        # By construction c_error = kappa*alpha^n/(1-alpha)^2 and
-        # p_error = alpha^n/(1-alpha); tests check the closed forms.
-        c_error *= alpha
-        p_error *= alpha
-        frontier = new
+                entries.append(((succ, psi + (cost[moved[0]] if moved else 0)), w))
+            expand.append((phi, row_den, entries))
+        den, (cost_num, prob_num), frontier = quantitative.advance(
+            den, (cost_num, prob_num), expand)
         max_size = max(max_size, max((semantics.size(c) for c, _ in frontier), default=0))
 
-        if (n >= n_threshold and p_error > 0 and prob_apprx > 0
-                and _gap_below(cost_apprx, c_error, prob_apprx, p_error, epsilon)):
-            return _result(prog, oracle, label, cost_apprx, prob_apprx, c_error,
-                           p_error, n, epsilon, n_threshold, False, frontier, max_size)
+        if n >= n_threshold and prob_num > 0 and done(n):
+            return result(n, False)
 
         if not frontier:
             # All mass was absorbed at the target (entries never vanish
             # otherwise), so CostApprx/ProbApprx are final and only the error
             # terms keep decaying: jump to the first terminating layer.
-            if prob_apprx != 1:
-                raise AssertionError(f"frontier empty with absorbed mass {prob_apprx} != 1")
-            kap = Fraction(kappa)
-            base_c = kap / (1 - alpha) ** 2
-            base_p = Fraction(1) / (1 - alpha)
-
-            def done(m):
-                return _gap_below(cost_apprx, base_c * alpha ** m, prob_apprx,
-                                  base_p * alpha ** m, epsilon)
-
+            if prob_num != den:
+                raise AssertionError(
+                    f"frontier empty with absorbed mass {Fraction(prob_num, den)} != 1")
             start = max(n + 1, n_threshold)
             if start > max_layers or not done(max_layers):
                 n = max_layers
-                c_error = base_c * alpha ** n
-                p_error = base_p * alpha ** n
             else:
                 lo, final = start, max_layers
                 if done(start):
@@ -216,23 +224,10 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
                             final = mid
                         else:
                             lo = mid
-                return _result(prog, oracle, label, cost_apprx, prob_apprx,
-                               base_c * alpha ** final, base_p * alpha ** final,
-                               final, epsilon, n_threshold, False, frontier, max_size)
+                return result(final, False)
 
         if len(frontier) > max_frontier or n >= max_layers:
-            partial = _result(prog, oracle, label, cost_apprx, prob_apprx, c_error,
-                              p_error, n, epsilon, n_threshold, True, frontier, max_size)
             raise BudgetExceededError(
                 f"expected_avg_cost: budget exhausted at layer {n} "
-                f"(frontier {len(frontier)}, threshold n~={n_threshold})", partial)
+                f"(frontier {len(frontier)}, threshold n~={n_threshold})", result(n, True))
 
-
-def _result(prog, oracle, label, cost_apprx, prob_apprx, c_error, p_error, n,
-            epsilon, n_threshold, aborted, frontier, max_size):
-    live = sum((phi for (c, _), phi in frontier.items() if oracle.can_reach(c, label)),
-               Fraction(0))
-    value = cost_apprx / (prob_apprx + p_error)
-    upper = None if prob_apprx == 0 else (cost_apprx + c_error) / prob_apprx
-    return CostResult(value, upper, cost_apprx, prob_apprx, c_error, p_error,
-                      n, epsilon, n_threshold, aborted, live, max_size)

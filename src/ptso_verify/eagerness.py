@@ -84,7 +84,7 @@ def nth_root_bounds(y, n, rel_bits=48):
     f = Fraction(seed)
     lo = f * (1 - slack)
     for _ in range(12):
-        if lo <= 0 or lo ** n <= y:
+        if lo <= 0 or pow_decide(lo, n, lambda p: p <= y):
             break
         slack *= 4
         lo = f * (1 - slack)
@@ -93,7 +93,7 @@ def nth_root_bounds(y, n, rel_bits=48):
     slack = Fraction(1, 1 << rel_bits)
     hi = f * (1 + slack)
     for _ in range(12):
-        if hi ** n >= y:
+        if pow_decide(hi, n, lambda p: p >= y):
             break
         slack *= 4
         hi = f * (1 + slack)
@@ -140,6 +140,18 @@ def iv_pow(lo, hi, n, bits=128):
             blo = round_down(blo * blo, bits)
             bhi = round_up(bhi * bhi, bits)
     return rlo, rhi
+
+
+def pow_decide(x, n, pred):
+    """pred(x**n) for x >= 0 and a predicate monotone in its argument.
+
+    Decided on iv_pow's certified interval when pred agrees at both ends, so
+    the exact power, which can run to millions of bits, is computed only
+    when the interval straddles pred's switching point.
+    """
+    lo, hi = iv_pow(x, x, n)
+    got = pred(lo)
+    return got if got == pred(hi) else pred(x ** n)
 
 
 def least_n(pred, n_min=1, hint=None):

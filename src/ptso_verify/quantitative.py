@@ -1,14 +1,18 @@
 """Epsilon-precise reachability and repeated-reachability probabilities.
 
-Breadth-first mass propagation with exact rationals: path mass reaching the
-target is banked in PosApprx, mass provably unable to reach it in NegApprx,
-and the loop stops once PosApprx + NegApprx >= 1 - epsilon. Frontier entries
-of equal depth and configuration are merged, which preserves the two
-accumulators and keeps the frontier polynomial.
+Breadth-first mass propagation, exact: path mass reaching the target is
+banked in PosApprx, mass provably unable to reach it in NegApprx, and the
+loop stops once PosApprx + NegApprx >= 1 - epsilon. Frontier entries of equal
+depth and configuration are merged, which preserves the two accumulators and
+keeps the frontier polynomial. Masses are integers over one denominator per
+layer: each layer scales by the lcm of the expanded rows' denominators
+(`ReachOracle.row`) and divides out the common gcd, so conservation is the
+integer identity PosApprx + NegApprx + frontier = 1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,41 +52,63 @@ class QuantResult:
         }
 
 
+def advance(den, banked, expand):
+    """One BFS layer of mass propagation on integers.
+
+    Masses are integers over the shared denominator `den`: `banked` holds
+    the accumulators, `expand` the entries that move on as
+    (mass, row_den, ((key, weight), ...)), each weight over row_den. Returns
+    (den, banked, frontier) over the next shared denominator: scaled by the
+    lcm of the row denominators, then divided by the gcd of every figure.
+    """
+    scale = math.lcm(*(row_den for _, row_den, _ in expand))
+    new = {}
+    for mass, row_den, entries in expand:
+        mass *= scale // row_den
+        for key, w in entries:
+            prev = new.get(key)
+            new[key] = mass * w if prev is None else prev + mass * w
+    den *= scale
+    banked = [b * scale for b in banked]
+    g = math.gcd(den, *banked, *new.values())
+    return den // g, [b // g for b in banked], {key: mass // g for key, mass in new.items()}
+
+
 def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
          max_iterations, pruned):
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    one = Fraction(1)
-    pos = Fraction(0)
-    neg = Fraction(0)
-    frontier = {init: one}
+    en, ed = epsilon.numerator, epsilon.denominator
+    den = 1
+    pos = neg = 0
+    frontier = {init: 1}
     iterations = 0
     max_size = semantics.size(init)
-    while pos + neg < one - epsilon:
+
+    def result():
+        return QuantResult(analysis, Fraction(pos, den), Fraction(neg, den), epsilon,
+                           iterations, Fraction(den - pos - neg, den), max_size,
+                           oracle.config.final_bound, pruned)
+
+    while (pos + neg) * ed < den * (ed - en):
         if iterations >= max_iterations:
-            partial = QuantResult(analysis, pos, neg, epsilon, iterations,
-                                  one - pos - neg, max_size,
-                                  oracle.config.final_bound, pruned)
             raise BudgetExceededError(
-                f"{analysis}: no convergence within {max_iterations} iterations", partial)
-        new = {}
-        for c, mass in sorted(frontier.items()):
+                f"{analysis}: no convergence within {max_iterations} iterations", result())
+        expand = []
+        for c, mass in frontier.items():
             if pos_test(c):
                 pos += mass
             elif neg_test(c):
                 neg += mass
             else:
-                for succ, p in sorted(oracle.distribution(c).items()):
-                    prev = new.get(succ)
-                    new[succ] = mass * p if prev is None else prev + mass * p
-        frontier = new
+                expand.append((mass, *oracle.row(c)))
+        den, (pos, neg), frontier = advance(den, (pos, neg), expand)
         iterations += 1
         max_size = max(max_size, max(map(semantics.size, frontier), default=0))
-        if pos + neg + sum(frontier.values()) != 1:
+        if pos + neg + sum(frontier.values()) != den:
             raise AssertionError(f"{analysis}: mass not conserved at layer {iterations}")
-    return QuantResult(analysis, pos, neg, epsilon, iterations,
-                       one - pos - neg, max_size, oracle.config.final_bound, pruned)
+    return result()
 
 
 def quant_reach(prog, init, label, epsilon, oracle=None,

@@ -10,7 +10,9 @@ default, with the bound stamped on the answer) or Unknown under strict mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import markov, semantics
 from .errors import OracleUnknownError
@@ -74,7 +76,6 @@ class Exploration:
     succs: dict                    # config -> tuple of successor configs
     parent: dict                   # BFS tree: config -> (pred, moving process or None)
     pruned_at: set                 # configs with a successor pruned by the bound
-    max_size_seen: int
     _preds: dict = field(default=None, repr=False)
     _sccs: list = field(default=None, repr=False)
     _reaching: dict = field(default_factory=dict, repr=False)
@@ -201,8 +202,8 @@ def _tarjan(nodes, succs):
 class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
-    One oracle serves one analysis at a time; the successor and distribution
-    caches are shared by every query against the same program. Every
+    One oracle serves one analysis at a time; the successor and transition
+    row caches are shared by every query against the same program. Every
     analysis asks it, and only it, whether a configuration can reach a label
     and whether a pruned exploration makes an answer Unknown.
     """
@@ -212,7 +213,7 @@ class ReachOracle:
         self.config = config or OracleConfig()
         self.policy = policy
         self._succs = {}
-        self._dists = {}
+        self._rows = {}
         self._explorations = {}
         self._home = {}            # config -> a final-bound exploration holding it
 
@@ -225,12 +226,23 @@ class ReachOracle:
             self._succs[c] = got
         return got
 
-    def distribution(self, c):
-        got = self._dists.get(c)
+    def row(self, c):
+        """The step distribution at c as integer weights over one
+        denominator: (den, ((succ, weight), ...)) with weight/den the exact
+        probability of succ; the mass-propagation loops run on these."""
+        got = self._rows.get(c)
         if got is None:
-            got = markov.step_distribution(self.prog, c, self.policy)
-            self._dists[c] = got
+            dist = markov.step_distribution(self.prog, c, self.policy)
+            den = math.lcm(*(p.denominator for p in dist.values()))
+            got = (den, tuple((succ, p.numerator * (den // p.denominator))
+                              for succ, p in dist.items()))
+            self._rows[c] = got
         return got
+
+    def distribution(self, c):
+        """The step distribution at c as exact Fractions, a view of row(c)."""
+        den, weights = self.row(c)
+        return {succ: Fraction(w, den) for succ, w in weights}
 
     # -- bounded exploration --
 
@@ -244,15 +256,13 @@ class ReachOracle:
         succs = {}
         parent = {}
         pruned_at = set()
-        max_size = semantics.size(root)
         queue = [root]
         while queue:
             next_queue = []
             for c in queue:
                 kept = []
                 for succ, proc in sorted(self.successors(c).items()):
-                    sz = semantics.size(succ)
-                    if sz > bound:
+                    if semantics.size(succ) > bound:
                         pruned_at.add(c)
                         continue
                     kept.append(succ)
@@ -260,11 +270,9 @@ class ReachOracle:
                         nodes.add(succ)
                         parent[succ] = (c, proc)
                         next_queue.append(succ)
-                        if sz > max_size:
-                            max_size = sz
                 succs[c] = tuple(kept)
             queue = next_queue
-        got = Exploration(root, bound, nodes, succs, parent, pruned_at, max_size)
+        got = Exploration(root, bound, nodes, succs, parent, pruned_at)
         self._explorations[key] = got
         if bound == self.config.final_bound:
             # A node's forward cone does not depend on the root it was

@@ -119,6 +119,15 @@ def test_cost_budget_exit_4(tmp_path):
     assert doc["live_frontier_mass"] == "0/1"
 
 
+def test_cost_costs_file_unreadable_exit_2(tmp_path):
+    # a missing file and a directory: a usage error, not a false verdict
+    for costs in (tmp_path / "missing.json", tmp_path):
+        r = run_cli("cost", prog("race_flag"), "--label", "W1", "--costs", str(costs))
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and str(costs) in r.stderr
+        assert r.stdout == ""
+
+
 def test_cost_deterministic_program(tmp_path):
     src = tmp_path / "det.ptso"
     src.write_text("domain 2\nvars x\nproc P weight 1\nregs a\n"

@@ -176,6 +176,20 @@ def test_error_terms_decay(det):
     assert res.c_error < F(1, 10)
 
 
+@pytest.mark.parametrize("epsilon", [F(1, 10), F(1, 1000), F(1, 10**9)])
+def test_threshold_search_matches_exact_predicate(det, monkeypatch, epsilon):
+    # the stop test and the empty-frontier threshold search decide alpha**m
+    # on a certified interval; the exact power gives the same layer and terms
+    p, init, oracle = det
+    cf = CostFunction.uniform(p)
+    fast = expected_avg_cost(p, init, "GOAL", cf, epsilon, oracle)
+    monkeypatch.setattr(eagerness, "pow_decide", lambda x, n, pred: pred(x ** n))
+    exact = expected_avg_cost(p, init, "GOAL", cf, epsilon, oracle)
+    assert (fast.n, fast.c_error, fast.p_error) == (exact.n, exact.c_error, exact.p_error)
+    assert fast.n > fast.n_threshold
+    assert fast.to_json() == exact.to_json()
+
+
 def test_unreachable_label_rejected():
     p = load_corpus("dead_label")
     init = semantics.initial_config(p)

@@ -2,13 +2,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import load_corpus
 from ptso_verify import lang, markov, reach, semantics
 from ptso_verify.eagerness import (GamblerParams, compute_eagerness, compute_mu,
                                    gambler_first_passage, gambler_tail_bound,
-                                   gamma_bounds, iv_pow, least_n, nth_root_bounds,
+                                   gamma_bounds, iv_pow, least_n, nth_root_bounds, pow_decide,
                                    round_down, round_up, sqrt_bounds, srun_rate)
 
 F = Fraction
@@ -149,6 +149,47 @@ def test_iv_pow_contains_exact():
     for n in (0, 1, 7, 100, 12345):
         plo, phi = iv_pow(lo, hi, n)
         assert plo <= F(2, 3) ** n <= phi
+
+
+def _decide(x, n, pred):
+    """pow_decide(x, n, pred), and whether it fell back to the exact power
+    (pred is then asked a third time)."""
+    calls = []
+    got = pow_decide(x, n, lambda p: calls.append(p) or pred(p))
+    return got, len(calls) == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2**20, 2**40), st.integers(1, 2**40), st.integers(7, 600),
+       st.sampled_from([-1, 0, 1]))
+def test_pow_decide_sign_at_ties_and_neighbours(a, b, n, delta):
+    # y is x**n itself or one unit from it in its last place at 128+ bits,
+    # inside iv_pow's interval, so the exact power decides
+    x = F(a, b)
+    exact = x ** n
+    assume(exact.numerator.bit_length() >= 128)
+    y = F(exact.numerator + delta, exact.denominator)
+    above, above_exact = _decide(x, n, lambda p: p > y)
+    below, below_exact = _decide(x, n, lambda p: p < y)
+    assert above - below == (exact > y) - (exact < y)
+    if delta == 0:
+        assert above_exact and below_exact
+
+
+def test_pow_decide_neighbours_fall_back_to_exact():
+    x, n = F(3, 5), 200
+    exact = x ** n
+    for delta in (-1, 0, 1):
+        y = F(exact.numerator + delta, exact.denominator)
+        for pred, want in ((lambda p: p <= y, delta >= 0), (lambda p: p >= y, delta <= 0)):
+            assert _decide(x, n, pred) == (want, True)
+
+
+def test_pow_decide_far_from_threshold_skips_exact_power():
+    # (2/3)**81600 has 130k-bit terms; the interval alone decides
+    x, n = F(2, 3), 81600
+    assert _decide(x, n, lambda p: p < F(1, 2)) == (True, False)
+    assert _decide(x, n, lambda p: p < F(1, 2**200000)) == (False, False)
 
 
 def test_least_n():

@@ -1,7 +1,8 @@
 """Package-wide invariants: checks hold under `python -O`, which strips
 `assert` statements (the package raises explicitly instead); only `reach`
-decides whether a reachability answer is Unknown; every analysis rejects an
-unknown target label."""
+decides whether a reachability answer is Unknown; only `reach` builds step
+distributions, so every analysis reads its one row cache; every analysis
+rejects an unknown target label."""
 
 import ast
 import os
@@ -67,6 +68,14 @@ def test_unknown_answers_decided_in_reach_only():
                       and _name(node.value) == "config")
             if made or strict:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_step_distributions_built_in_reach_only():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "ptso_verify").glob("*.py")) if path.name != "reach.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _name(node.func) == "step_distribution"]
     assert found == []
 
 

@@ -1,9 +1,12 @@
+import collections
+from fractions import Fraction
+
 import pytest
 
 import exhaustive
-from conftest import load_corpus
-from ptso_verify import lang, markov, reach, semantics
-from ptso_verify.errors import OracleUnknownError
+from conftest import corpus_names, load_corpus
+from ptso_verify import cost, lang, markov, quantitative, reach, semantics
+from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
 SINGLE_TERM = "domain 2\nvars x\nproc P weight 1\nregs a\n0: term\n"
 
@@ -224,3 +227,39 @@ def test_can_reach_matches_reaches_label(name, labels, config):
             kinds.add(want)
     if config == reach.OracleConfig(bound=1, strict=True):
         assert kinds == {True, False, "unknown"}
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_row_is_step_distribution_over_one_denominator(name):
+    p = load_corpus(name)
+    config = reach.OracleConfig(bound=4 if name == "writer_reader" else 8)
+    oracle = reach.ReachOracle(p, config)
+    for c in sorted(oracle.explore(semantics.initial_config(p)).nodes):
+        den, weights = oracle.row(c)
+        assert all(type(w) is int and w > 0 for _, w in weights)
+        assert sum(w for _, w in weights) == den
+        dist = markov.step_distribution(p, c)
+        assert {succ: Fraction(w, den) for succ, w in weights} == dist
+        assert len(weights) == len(dist)
+        assert oracle.distribution(c) == dist
+
+
+def test_analyses_share_one_row_per_configuration(monkeypatch):
+    calls = collections.Counter()
+    original = markov.step_distribution
+
+    def counting(prog, c, policy=markov.DEFAULT_POLICY):
+        calls[c] += 1
+        return original(prog, c, policy)
+
+    monkeypatch.setattr(markov, "step_distribution", counting)
+    p = load_corpus("race_costs")
+    init = semantics.initial_config(p)
+    oracle = reach.ReachOracle(p)
+    quantitative.quant_reach(p, init, "HI", Fraction(1, 10**6), oracle)
+    after_quant = len(calls)
+    with pytest.raises(BudgetExceededError):
+        cost.expected_avg_cost(p, init, "HI", cost.CostFunction.uniform(p),
+                               Fraction(1, 10), oracle, max_layers=50)
+    assert len(calls) > after_quant > 0
+    assert set(calls.values()) == {1}
