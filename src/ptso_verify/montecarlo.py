@@ -7,16 +7,35 @@ words by sequential letter sampling with exact word counts (the probability
 of each word is 1/W where W counts the feasible words). Per-run streams are
 derived from (master seed, run index), so results are reproducible and
 independent of any parallel split.
+
+`RunSampler` keeps two step tables per configuration, filled on first use
+and holding integer ids into lists. The process-choice table holds the
+enabled processes, their cumulative weights and the mid-configuration id per
+choice. The update-letter table holds cumulative thresholds (1 for the stop,
+then W(lens - e_p) per nonempty buffer p in process order, summing to
+W(lens)) and the child id per letter. A step draws exactly what the
+letter-by-letter definition draws: `randrange(total weight)` when a process
+is enabled, then `randrange(W(lens))` at every intermediate configuration,
+including the final stop draw. `estimate_reach` and `estimate_cond_cost` end
+a run early in an absorbing configuration (no enabled process, every buffer
+empty), whose only successor is itself; `sample_run` records every step.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import sqrt
 
 from . import semantics
+
+
+# The step tables are caches: past this many configurations (about 0.9 kB
+# each) they are dropped and refilled, so memory stays bounded on programs
+# whose runs keep visiting new configurations.
+TABLE_LIMIT = 1 << 16
 
 
 def _per_run_seed(seed, idx):
@@ -24,22 +43,27 @@ def _per_run_seed(seed, idx):
 
 
 class RunSampler:
-    """Per-program sampling caches; one instance serves many runs."""
+    """Per-program step tables; one instance serves many runs."""
 
     def __init__(self, prog):
         self.prog = prog
-        self._proc_cache = {}
         self._w_memo = {}
+        self._clear()
 
-    def _enabled_entry(self, c):
-        key = (c.labels, tuple(bool(b) for b in c.bufs))
-        ent = self._proc_cache.get(key)
-        if ent is None:
-            enabled = semantics.enabled_indices(self.prog, c)
-            cum = list(itertools.accumulate(self.prog.processes[pi].weight for pi in enabled))
-            ent = (enabled, cum, cum[-1] if cum else 0)
-            self._proc_cache[key] = ent
-        return ent
+    def _clear(self):
+        self._ids = {}          # Config -> id
+        self._configs = []      # id -> Config
+        self._choices = []      # id -> (enabled, cum weights, total, mid ids) or None
+        self._letters = []      # id -> (cum thresholds, letters, child ids) or None
+
+    def _id(self, c):
+        got = self._ids.get(c)
+        if got is None:
+            got = self._ids[c] = len(self._configs)
+            self._configs.append(c)
+            self._choices.append(None)
+            self._letters.append(None)
+        return got
 
     def total_words(self, caps):
         """Number of feasible update words for per-process pop capacities."""
@@ -50,47 +74,61 @@ class RunSampler:
             self._w_memo[key] = got
         return got
 
-    def _sample_word(self, caps, rng):
-        """A uniform draw over all feasible update words: each step stops with
-        probability 1/W(caps) and otherwise starts with letter p with
-        probability W(caps - e_p)/W(caps)."""
-        caps = list(caps)
-        word = []
-        while True:
-            r = rng.randrange(self.total_words(tuple(caps)))
-            if r == 0:
-                return word
-            r -= 1
-            for pi, cap in enumerate(caps):
-                if not cap:
-                    continue
+    def _fill_choices(self, cid):
+        c = self._configs[cid]
+        enabled = semantics.enabled_indices(self.prog, c)
+        cum = list(itertools.accumulate(self.prog.processes[pi].weight for pi in enabled))
+        mids = [self._id(semantics.process_step(self.prog, c, pi)) for pi in enabled]
+        got = self._choices[cid] = (enabled, cum, cum[-1] if cum else 0, mids)
+        return got
+
+    def _fill_letters(self, cid):
+        """Index 0 is the stop (threshold 1, no letter, stay at cid); index
+        k > 0 pops letters[k] with probability W(lens - e_p)/W(lens)."""
+        c = self._configs[cid]
+        caps = [len(b) for b in c.bufs]
+        cum, letters, children = [1], [None], [cid]
+        for pi, cap in enumerate(caps):
+            if cap:
                 caps[pi] -= 1
-                w = self.total_words(tuple(caps))
-                if r < w:
-                    word.append(pi)
-                    break
+                cum.append(cum[-1] + self.total_words(caps))
                 caps[pi] += 1
-                r -= w
-            else:
-                raise AssertionError("word sampling fell off the capacity table")
+                letters.append(pi)
+                children.append(self._id(semantics.apply_schedule(self.prog, c, (pi,))))
+        if cum[-1] != self.total_words(caps):
+            raise AssertionError(f"letter thresholds sum to {cum[-1]}, not W{tuple(caps)}")
+        got = self._letters[cid] = (cum, letters, children)
+        return got
 
     def step(self, c, rng):
         """One full chain step. Returns (process index or None, update word
         as process indices, successor configuration)."""
-        enabled, cum, total = self._enabled_entry(c)
-        if total == 0:
-            pi, mid = None, c
+        if len(self._configs) >= TABLE_LIMIT:
+            self._clear()
+        cid = self._id(c)
+        enabled, cum, total, mids = self._choices[cid] or self._fill_choices(cid)
+        if total:
+            k = bisect_right(cum, rng.randrange(total))
+            pi, node = enabled[k], mids[k]
         else:
-            r = rng.randrange(total)
-            k = 0
-            while cum[k] <= r:
-                k += 1
-            pi = enabled[k]
-            mid = semantics.process_step(self.prog, c, pi)
-        word = tuple(self._sample_word([len(b) for b in mid.bufs], rng))
-        if not word:
-            return pi, (), mid
-        return pi, word, semantics.apply_schedule(self.prog, mid, word)
+            pi, node = None, cid
+        word = []
+        tables = self._letters
+        while True:
+            cum, letters, children = tables[node] or self._fill_letters(node)
+            k = bisect_right(cum, rng.randrange(cum[-1]))
+            if not k:
+                return pi, tuple(word), self._configs[node]
+            word.append(letters[k])
+            node = children[k]
+
+    def absorbing(self, c):
+        """Whether c is its own only successor: no process is enabled and
+        every buffer is empty."""
+        if any(c.bufs):
+            return False
+        cid = self._id(c)
+        return not (self._choices[cid] or self._fill_choices(cid))[2]
 
 
 @dataclass
@@ -172,11 +210,17 @@ class ReachEstimate:
         }
 
 
+def _check_budget(runs, horizon):
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+
+
 def estimate_reach(prog, init, label, runs, horizon, seed):
     """Fraction of sampled runs reaching `label` within `horizon` steps."""
     prog.check_label(label)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_budget(runs, horizon)
     sampler = RunSampler(prog)
     hits = 0
     for idx in range(runs):
@@ -189,6 +233,8 @@ def estimate_reach(prog, init, label, runs, horizon, seed):
             _, _, c = sampler.step(c, rng)
             if label in c.labels:
                 hits += 1
+                break
+            if sampler.absorbing(c):
                 break
     return ReachEstimate(hits / runs, wilson_interval(hits, runs), hits,
                          runs, horizon, runs - hits, seed)
@@ -218,8 +264,7 @@ class CondCostEstimate:
 def estimate_cond_cost(prog, init, label, cost, runs, horizon, seed):
     """Sample mean of cost-to-first-hit over runs that reach `label`."""
     prog.check_label(label)
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    _check_budget(runs, horizon)
     sampler = RunSampler(prog)
     samples = []
     for idx in range(runs):
@@ -236,6 +281,8 @@ def estimate_cond_cost(prog, init, label, cost, runs, horizon, seed):
             c = succ
             if label in c.labels:
                 samples.append(acc)
+                break
+            if sampler.absorbing(c):
                 break
     if not samples:
         raise ValueError("no sampled run reached the label within the horizon")

@@ -86,6 +86,17 @@ def test_simulate_reproducible():
     assert doc["runs"] == 3000 and 0 < doc["fraction"] < 1
 
 
+def test_simulate_negative_horizon_exit_2():
+    base = ("simulate", prog("race_flag"), "--label", "W1", "--runs", "10")
+    r = run_cli(*base, "--horizon", "-5")
+    assert r.returncode == 2 and not r.stdout
+    assert "horizon must be >= 0" in r.stderr
+    r0 = run_cli(*base, "--horizon", "0")
+    assert r0.returncode == 0, r0.stderr
+    doc = json.loads(r0.stdout)
+    assert doc["horizon"] == 0 and doc["hits"] == 0 and doc["censored"] == 10
+
+
 def test_strict_unknown_exit_3():
     r = run_cli("never-reach", prog("loop_all"), "--label", "PT",
                 "--strict", "--bound", "2")

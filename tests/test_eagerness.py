@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import load_corpus
 from ptso_verify import lang, markov, reach, semantics
@@ -162,6 +162,7 @@ def _decide(x, n, pred):
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2**20, 2**40), st.integers(1, 2**40), st.integers(7, 600),
        st.sampled_from([-1, 0, 1]))
+@example(a=2**20, b=1, n=7, delta=0)
 def test_pow_decide_sign_at_ties_and_neighbours(a, b, n, delta):
     # y is x**n itself or one unit from it in its last place at 128+ bits,
     # inside iv_pow's interval, so the exact power decides
@@ -173,7 +174,10 @@ def test_pow_decide_sign_at_ties_and_neighbours(a, b, n, delta):
     below, below_exact = _decide(x, n, lambda p: p < y)
     assert above - below == (exact > y) - (exact < y)
     if delta == 0:
-        assert above_exact and below_exact
+        # a point interval is the exact power itself (x a power of two, as
+        # in a=2**20, b=1); any other interval straddles the tie
+        lo, hi = iv_pow(x, x, n)
+        assert lo == hi == exact or (above_exact and below_exact)
 
 
 def test_pow_decide_neighbours_fall_back_to_exact():

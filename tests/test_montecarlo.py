@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exhaustive
-from conftest import load_corpus, make_config
-from ptso_verify import lang, markov, semantics
+from conftest import corpus_names, load_corpus, make_config
+from letter_sampler import LetterSampler
+from ptso_verify import lang, markov, montecarlo, semantics
 from ptso_verify.cost import CostFunction
 from ptso_verify.montecarlo import (RunSampler, estimate_cond_cost, estimate_reach,
                                     sample_run, sample_step, wilson_interval)
@@ -85,14 +87,18 @@ B2: term
 
 
 def test_schedule_distribution_uniform():
-    # empirical word frequencies from caps (1,1): words e, A, B, AB, BA each 1/5
+    # empirical word frequencies from caps (1,1) with no process enabled:
+    # words e, P, Q, PQ, QP each 1/5
     p = load_corpus("race_flag")
+    c = make_config(p, labels={"P": "P2", "Q": "J"},
+                    bufs={"P": [("x", 1)], "Q": [("x", 0)]})
     sampler = RunSampler(p)
     rng = random.Random(9)
     n = 50_000
     counts = {}
     for _ in range(n):
-        word = tuple(sampler._sample_word([1, 1], rng))
+        pi, word, _ = sampler.step(c, rng)
+        assert pi is None
         counts[word] = counts.get(word, 0) + 1
     assert set(counts) == {(), (0,), (1,), (0, 1), (1, 0)}
     sigma = math.sqrt(0.2 * 0.8 / n)
@@ -185,3 +191,94 @@ def test_seed_streams_independent_of_order():
     alone = sample_run(p, init, (5 << 64) + 7, 30, label="W1")
     batch = [sample_run(p, init, (5 << 64) + i, 30, label="W1") for i in range(10)]
     assert batch[7] == alone
+
+
+def _heavy_writer_reader(prog):
+    # acceptance criterion 9's size-6 drift start
+    return make_config(prog, labels={"L": "L2", "R": "R3"},
+                       regs={"lv": 1, "rv": 2, "one": 1},
+                       bufs={"L": [("x", 1)] * 4, "R": [("x", 2)] * 2})
+
+
+STARTS = [(name, semantics.initial_config) for name in corpus_names()]
+STARTS.append(("writer_reader", _heavy_writer_reader))
+
+
+@pytest.mark.parametrize("name,start", STARTS, ids=[n for n, _ in STARTS[:-1]] + ["heavy"])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64))
+def test_step_tables_match_letter_sampler(name, start, seed):
+    # the tables draw the same randrange sequence as the letter-by-letter
+    # reference, so both walks agree step for step and leave the same rng state
+    p = load_corpus(name)
+    tables, ref = RunSampler(p), LetterSampler(p)
+    rng_t, rng_r = random.Random(seed), random.Random(seed)
+    c_t = c_r = start(p)
+    for i in range(200):
+        got_t, got_r = tables.step(c_t, rng_t), ref.step(c_r, rng_r)
+        assert got_t == got_r, (name, seed, i)
+        assert rng_t.getstate() == rng_r.getstate(), (name, seed, i)
+        c_t, c_r = got_t[2], got_r[2]
+
+
+def test_step_tables_refill_past_limit(monkeypatch):
+    monkeypatch.setattr(montecarlo, "TABLE_LIMIT", 8)
+    p = load_corpus("writer_reader")
+    tables, ref = RunSampler(p), LetterSampler(p)
+    rng_t, rng_r = random.Random(5), random.Random(5)
+    c = _heavy_writer_reader(p)
+    for _ in range(300):
+        got = tables.step(c, rng_t)
+        assert got == ref.step(c, rng_r)
+        assert len(tables._configs) < 16     # 77 configurations without the refill
+        c = got[2]
+    assert rng_t.getstate() == rng_r.getstate()
+
+
+class _FullHorizonSampler(LetterSampler):
+    """The reference step without the absorbing stop: every run walks the
+    whole horizon."""
+
+    def absorbing(self, c):
+        return False
+
+
+@pytest.mark.parametrize("name,label", [("race_retry", "WIN"), ("race_flag", "W1")])
+def test_absorbing_stop_keeps_estimates(monkeypatch, name, label):
+    p = load_corpus(name)
+    init = semantics.initial_config(p)
+    cf = CostFunction.uniform(p)
+    runs, horizon = 150, 200
+    calls = [0]
+    table_step = RunSampler.step
+
+    def counted(self, c, rng):
+        calls[0] += 1
+        return table_step(self, c, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(RunSampler, "step", counted)
+        reach = estimate_reach(p, init, label, runs, horizon, 4)
+        reach_calls = calls[0]
+        cost = estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
+    with monkeypatch.context() as m:
+        m.setattr(montecarlo, "RunSampler", _FullHorizonSampler)
+        assert reach == estimate_reach(p, init, label, runs, horizon, 4)
+        assert cost == estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
+    assert 0 < reach.hits < runs
+    if name == "race_retry":
+        assert reach_calls < runs * horizon
+        assert calls[0] - reach_calls < runs * horizon
+
+
+def test_sample_run_records_every_step_from_absorbing_start():
+    p = load_corpus("race_flag")
+    done = make_config(p, labels={"P": "P2", "Q": "J"})
+    sampler = RunSampler(p)
+    assert sampler.absorbing(done)
+    assert not sampler.absorbing(semantics.initial_config(p))
+    assert not sampler.absorbing(make_config(p, labels={"P": "P2", "Q": "J"},
+                                             bufs={"P": [("x", 1)]}))
+    run = sample_run(p, done, seed=3, horizon=40, label="W1", sampler=sampler)
+    assert run.steps == [(None, (), done)] * 40
+    assert run.first_hit is None
