@@ -267,27 +267,25 @@ class EagernessParams:
         }
 
 
-def _small_reach_set(prog, label, oracle, source):
-    """A: small configurations reachable from `source` that can reach `label`."""
-    ex = oracle.checked(source, "A-set")
+def _small_reach_set(ex, label):
+    """A: small configurations of the exploration `ex` that can reach `label`."""
     return sorted(c for c in ex.reaching(label) if semantics.size(c) <= SMALL_SIZE)
 
 
-def _witness_bfs(oracle, start, label, bound):
-    """Shortest path from `start` to a label-bearing configuration that never
-    revisits `start`; BFS over the bounded system, deterministic order."""
-    parent = {}
-    seen = {start}
+def _witness_bfs(succs, hit, start):
+    """Shortest path of ids from `start` to a `hit` id that never revisits
+    `start`: BFS over `succs` (id -> sorted successor ids of the bounded
+    system), each layer expanded in id order."""
+    parent = {start: start}
     layer = [start]
     while layer:
         nxt = []
         for c in sorted(layer):
-            for succ in sorted(oracle.successors(c)):
-                if succ in seen or semantics.size(succ) > bound:
+            for succ in succs[c]:
+                if succ in parent:
                     continue
-                seen.add(succ)
                 parent[succ] = c
-                if label in succ.labels:
+                if hit[succ]:
                     path = [succ]
                     while path[-1] != start:
                         path.append(parent[path[-1]])
@@ -306,18 +304,27 @@ def compute_mu(prog, label, oracle=None, source=None):
     that never revisits c. Configurations already bearing the label need no
     witness (they cannot occur strictly before a first hit) and are skipped.
     Returns (mu, per-configuration map).
+
+    The witness searches run over the final-bound exploration from `source`,
+    whose nodes are numbered once in sorted order: its successor tuples are
+    already bound-filtered and sorted, and sorting ids sorts configurations,
+    so each search visits configurations in the same order as over `Config`s.
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
-    a_set = _small_reach_set(prog, label, oracle, source)
+    ex = oracle.checked(source, "A-set")
+    a_set = _small_reach_set(ex, label)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from any small configuration")
-    bound = oracle.config.final_bound
+    nodes = sorted(ex.nodes)
+    ids = {c: i for i, c in enumerate(nodes)}
+    succs = [tuple(ids[s] for s in ex.succs[c]) for c in nodes]
+    hit = [label in c.labels for c in nodes]
     per = {}
     for c in a_set:
         if label in c.labels:
             continue
-        path = _witness_bfs(oracle, c, label, bound)
+        path = [nodes[i] for i in _witness_bfs(succs, hit, ids[c])]
         prob = Fraction(1)
         for a, b in zip(path, path[1:]):
             prob *= oracle.distribution(a)[b]
@@ -337,8 +344,6 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     """Compute the full eagerness certificate for runs from `source`."""
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if oracle.policy is not markov.DEFAULT_POLICY:
-        raise ValueError("eagerness constants are specific to the default scheduling/update policy")
     source = semantics.initial_config(prog) if source is None else source
 
     gamma = gamma_bounds()
@@ -347,7 +352,7 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     if alpha_s[1] >= 1:
         raise ValueError(f"beta={beta} gives S-run rate >= 1; use a larger beta (150 suffices)")
 
-    a_set = _small_reach_set(prog, label, oracle, source)
+    a_set = _small_reach_set(oracle.checked(source, "A-set"), label)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from {source}")
     mu, per = compute_mu(prog, label, oracle, source)

@@ -1,74 +1,77 @@
-"""PTSO probability layer: scheduler and update distributions composed into
-one-step transition distributions, all in exact rational arithmetic."""
+"""PTSO probability layer: the one-step transition row of the chain, built
+from the scheduler weights and the update-word counts in integers, and its
+exact rational views."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import semantics
 
 
-class Policy:
-    """Probabilistic policy hook. Defaults: weight-proportional scheduling
-    over enabled processes and the uniform distribution over feasible update
-    words. Subclasses may override either; faithfulness (every enabled
-    process gets nonzero mass) is required."""
+def step_row(prog, c):
+    """One full (process; update) step of the chain as integer weights over
+    one denominator: (den, ((succ, weight), ...)) with weight/den the exact
+    probability of succ, den the least common denominator, successors in
+    first-reached order (process by index, then update-word enumeration).
 
-    def sched_distribution(self, prog, c):
-        enabled = semantics.enabled_indices(prog, c)
-        if not enabled:
-            return {}
-        total = sum(prog.processes[pi].weight for pi in enabled)
-        return {pi: Fraction(prog.processes[pi].weight, total) for pi in enabled}
+    The process at index pi is scheduled with probability w_pi / W (W the
+    total weight of the enabled processes) and each update word from its
+    intermediate configuration with probability 1 / T_pi, so over the common
+    denominator W * lcm(T) the path through pi to succ weighs
+    w_pi * count * lcm(T) / T_pi; one gcd then reduces the row. With no
+    process enabled the update step runs alone, as a process of weight 1.
+    """
+    steps = [(prog.processes[pi].weight,
+              semantics.update_successors(prog, semantics.process_step(prog, c, pi)))
+             for pi in semantics.enabled_indices(prog, c)]
+    if not steps:
+        steps = [(1, semantics.update_successors(prog, c))]
+    words = math.lcm(*(total for _, (_, total) in steps))
+    acc = {}
+    for w, (counts, total) in steps:
+        scale = w * (words // total)
+        for succ, n in counts.items():
+            acc[succ] = acc.get(succ, 0) + n * scale
+    return _checked(sum(w for w, _ in steps) * words, acc)
 
-    def update_distribution(self, prog, c):
-        counts, total = semantics.update_successors(prog, c)
-        return {succ: Fraction(n, total) for succ, n in counts.items()}
+
+def _checked(den, acc):
+    """The reduced row over `den`; raises unless the weights are positive
+    and sum to `den` (the row is stochastic)."""
+    if sum(acc.values()) != den:
+        raise ValueError("distribution does not sum to 1")
+    if not all(n > 0 for n in acc.values()):
+        raise ValueError("distribution has nonpositive mass")
+    g = math.gcd(den, *acc.values())
+    return den // g, tuple((succ, n // g) for succ, n in acc.items())
 
 
-DEFAULT_POLICY = Policy()
+def step_distribution(prog, c, row=None):
+    """One full step of the chain as exact Fractions: the view of `row`,
+    step_row(prog, c) unless given."""
+    den, weights = step_row(prog, c) if row is None else row
+    return {succ: Fraction(w, den) for succ, w in weights}
 
 
-def sched_distribution(prog, c, policy=DEFAULT_POLICY):
+def sched_distribution(prog, c):
     """Process-scheduling distribution at c, keyed by process name.
 
     Empty when c is disabled; the full step is then the identity process
     transition followed by an update step.
     """
-    return {prog.processes[pi].name: w
-            for pi, w in policy.sched_distribution(prog, c).items()}
+    enabled = semantics.enabled_indices(prog, c)
+    total = sum(prog.processes[pi].weight for pi in enabled)
+    return {prog.processes[pi].name: Fraction(prog.processes[pi].weight, total)
+            for pi in enabled}
 
 
-def update_distribution(prog, c, policy=DEFAULT_POLICY):
-    dist = policy.update_distribution(prog, c)
-    _check(dist)
-    return dist
-
-
-def step_distribution(prog, c, policy=DEFAULT_POLICY):
-    """One full (process; update) step of the chain: exact, row-stochastic."""
-    sched = policy.sched_distribution(prog, c)
-    dist = {}
-    if not sched:
-        dist = dict(policy.update_distribution(prog, c))
-    else:
-        for pi, w in sched.items():
-            mid = semantics.process_step(prog, c, pi)
-            for succ, q in policy.update_distribution(prog, mid).items():
-                prob = w * q
-                if succ in dist:
-                    dist[succ] += prob
-                else:
-                    dist[succ] = prob
-    _check(dist)
-    return dist
-
-
-def _check(dist):
-    if sum(dist.values()) != 1:
-        raise ValueError("distribution does not sum to 1")
-    if not all(p > 0 for p in dist.values()):
-        raise ValueError("distribution has nonpositive mass")
+def update_distribution(prog, c):
+    """The update step at c: uniform over the feasible update words."""
+    counts, total = semantics.update_successors(prog, c)
+    den, weights = _checked(total, counts)
+    return {succ: Fraction(n, den) for succ, n in weights}
 
 
 def frac_str(x):
@@ -78,20 +81,63 @@ def frac_str(x):
 
 
 _SMALL = 10 ** 600   # below the interpreter's smallest int-to-str digit limit
+_BITLIM = 128        # below this many bits Decimal(n) converts directly
 
 
 def _int_str(n):
     """Decimal digits of an int of any size. Certified error terms carry
     alpha^n with thousands of digits, beyond the interpreter's int-to-str
-    limit; split by a power of ten instead of raising that process-wide
-    limit."""
+    limit, which is process-wide and stays as it is: large ints are rendered
+    through `decimal` instead."""
     if -_SMALL < n < _SMALL:
         return str(n)
     if n < 0:
         return "-" + _int_str(-n)
-    k = n.bit_length() * 3 // 20          # about half the digits
-    hi, lo = divmod(n, 10 ** k)
-    return _int_str(hi) + _int_str(lo).zfill(k)
+    return str(_int_to_decimal(n))
+
+
+def _int_to_decimal(n):
+    """An exact decimal.Decimal equal to the int n >= 0, in time below
+    quadratic.
+
+    Splits n by bits (shifts only) and recombines the halves in decimal,
+    whose large multiplications are fast: hi * 2**w + lo, with the powers of
+    two memoized. This is the algorithm of CPython 3.12's
+    `_pylong.int_to_decimal`; `decimal` is imported only here.
+    """
+    import decimal
+
+    D = decimal.Decimal
+    pow2 = {}
+
+    def w2pow(w):
+        got = pow2.get(w)
+        if got is None:
+            if w <= _BITLIM:
+                got = D(2) ** w
+            elif w - 1 in pow2:
+                got = pow2[w - 1] + pow2[w - 1]
+            else:
+                half = w >> 1
+                # the smaller half first, so an odd w's larger half is one doubling away
+                got = w2pow(half) * w2pow(w - half)
+            pow2[w] = got
+        return got
+
+    def inner(n, w):
+        if w <= _BITLIM:
+            return D(n)
+        half = w >> 1
+        hi = n >> half
+        lo = n - (hi << half)
+        return inner(lo, half) + inner(hi, w - half) * w2pow(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = 1
+        return inner(n, n.bit_length())
 
 
 def parse_frac(text):

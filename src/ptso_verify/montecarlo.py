@@ -139,9 +139,10 @@ class RunSample:
     total_cost: int | None
 
 
-def sample_step(prog, c, rng, sampler=None):
-    """One chain step with name-keyed results: (choice, schedule, configuration)."""
-    sampler = sampler or RunSampler(prog)
+def sample_step(prog, c, rng, sampler):
+    """One chain step with name-keyed results: (choice, schedule, configuration).
+    `sampler` is a RunSampler of `prog`, shared across a run's steps so its
+    step tables are filled once per configuration."""
     pi, word, succ = sampler.step(c, rng)
     name = None if pi is None else prog.processes[pi].name
     sched = tuple(prog.processes[w].name for w in word)
@@ -155,6 +156,8 @@ def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
     `label` (0 for the start configuration); total_cost sums instruction
     costs up to the first hit when a cost function is given.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     sampler = sampler or RunSampler(prog)
     rng = random.Random(seed)
     c = init

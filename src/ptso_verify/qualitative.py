@@ -63,7 +63,7 @@ def qual_reach(prog, init, label, oracle=None):
 
     transformed = lang.remove_label(prog, label)
     fresh = (set(transformed.labels()) - set(prog.labels())).pop()
-    sub = reach.ReachOracle(transformed, oracle.config, oracle.policy)
+    sub = reach.ReachOracle(transformed, oracle.config)
     ex = sub.checked(init, "plain-configuration scan")
     candidates = [c for c in sorted(ex.nodes)
                   if semantics.is_plain(c) and fresh not in c.labels]

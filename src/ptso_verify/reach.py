@@ -10,9 +10,7 @@ default, with the bound stamped on the answer) or Unknown under strict mode.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import markov, semantics
 from .errors import OracleUnknownError
@@ -208,10 +206,9 @@ class ReachOracle:
     and whether a pruned exploration makes an answer Unknown.
     """
 
-    def __init__(self, prog, config=None, policy=markov.DEFAULT_POLICY):
+    def __init__(self, prog, config=None):
         self.prog = prog
         self.config = config or OracleConfig()
-        self.policy = policy
         self._succs = {}
         self._rows = {}
         self._explorations = {}
@@ -228,21 +225,17 @@ class ReachOracle:
 
     def row(self, c):
         """The step distribution at c as integer weights over one
-        denominator: (den, ((succ, weight), ...)) with weight/den the exact
-        probability of succ; the mass-propagation loops run on these."""
+        denominator, markov.step_row(prog, c): (den, ((succ, weight), ...))
+        with weight/den the exact probability of succ; the mass-propagation
+        loops run on these."""
         got = self._rows.get(c)
         if got is None:
-            dist = markov.step_distribution(self.prog, c, self.policy)
-            den = math.lcm(*(p.denominator for p in dist.values()))
-            got = (den, tuple((succ, p.numerator * (den // p.denominator))
-                              for succ, p in dist.items()))
-            self._rows[c] = got
+            got = self._rows[c] = markov.step_row(self.prog, c)
         return got
 
     def distribution(self, c):
         """The step distribution at c as exact Fractions, a view of row(c)."""
-        den, weights = self.row(c)
-        return {succ: Fraction(w, den) for succ, w in weights}
+        return markov.step_distribution(self.prog, c, self.row(c))
 
     # -- bounded exploration --
 

@@ -8,9 +8,28 @@ the frontier-based analyses it validates.
 import itertools
 from fractions import Fraction
 
-from ptso_verify import markov, semantics
+from ptso_verify import semantics
 
 MAX_STATES = 10_000
+
+
+def step_distribution(prog, c):
+    """One full (process; update) step at c, composed here in Fractions from
+    the process and update steps: process pi with probability weight/total
+    over the enabled processes, then each update word from its intermediate
+    configuration with probability 1/words. Successors in first-reached
+    order; no process enabled means the update step alone."""
+    enabled = semantics.enabled_indices(prog, c)
+    total = sum(prog.processes[pi].weight for pi in enabled)
+    moves = [(Fraction(prog.processes[pi].weight, total), semantics.process_step(prog, c, pi))
+             for pi in enabled] or [(Fraction(1), c)]
+    dist = {}
+    for p_sched, mid in moves:
+        counts, words = semantics.update_successors(prog, mid)
+        for succ, n in counts.items():
+            dist[succ] = dist.get(succ, 0) + p_sched * Fraction(n, words)
+    assert sum(dist.values()) == 1
+    return dist
 
 
 def build_chain(prog, init, max_states=MAX_STATES):
@@ -23,7 +42,7 @@ def build_chain(prog, init, max_states=MAX_STATES):
         nxt = []
         for c in todo:
             row = {}
-            for succ, p in markov.step_distribution(prog, c).items():
+            for succ, p in step_distribution(prog, c).items():
                 j = index.get(succ)
                 if j is None:
                     if len(states) >= max_states:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import load_corpus
-from ptso_verify import lang, markov, reach, semantics
+import witness_reference
+from conftest import corpus_names, load_corpus
+from ptso_verify import lang, reach, semantics
 from ptso_verify.eagerness import (GamblerParams, compute_eagerness, compute_mu,
                                    gambler_first_passage, gambler_tail_bound,
                                    gamma_bounds, iv_pow, least_n, nth_root_bounds, pow_decide,
@@ -235,6 +236,27 @@ def test_compute_mu_race_matches_witness_replay():
     assert mu == min(per.values())
 
 
+@pytest.mark.parametrize("name", corpus_names())
+def test_compute_mu_matches_config_ordered_witness_bfs(name):
+    # every label of every corpus program from the initial configuration at
+    # bound 4, and writer_reader's WIN at the default bound 8
+    p = load_corpus(name)
+    init = semantics.initial_config(p)
+    cases = [(label, reach.OracleConfig(bound=4)) for label in p.labels()]
+    if name == "writer_reader":
+        cases.append(("WIN", reach.OracleConfig()))
+    checked = 0
+    for label, config in cases:
+        want = witness_reference.compute_mu(reach.ReachOracle(p, config), label, init)
+        if want is None:
+            with pytest.raises(ValueError, match="not reachable"):
+                compute_mu(p, label, reach.ReachOracle(p, config), init)
+            continue
+        assert compute_mu(p, label, reach.ReachOracle(p, config), init) == want
+        checked += 1
+    assert checked > 0
+
+
 def test_compute_mu_unreachable_label():
     p = load_corpus("dead_label")
     with pytest.raises(ValueError, match="not reachable"):
@@ -273,13 +295,6 @@ def test_compute_eagerness_beta_too_small():
     p = lang.parse_program(DET)
     with pytest.raises(ValueError, match="larger beta"):
         compute_eagerness(p, "GOAL", beta=2)
-
-
-def test_compute_eagerness_rejects_custom_policy():
-    p = lang.parse_program(DET)
-    oracle = reach.ReachOracle(p, policy=markov.Policy())
-    with pytest.raises(ValueError, match="default"):
-        compute_eagerness(p, "GOAL", oracle)
 
 
 def test_eagerness_json():

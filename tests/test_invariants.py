@@ -1,7 +1,7 @@
 """Package-wide invariants: checks hold under `python -O`, which strips
 `assert` statements (the package raises explicitly instead); only `reach`
 decides whether a reachability answer is Unknown; only `reach` builds step
-distributions, so every analysis reads its one row cache; every analysis
+rows, so every analysis reads its one row cache; every analysis
 rejects an unknown target label."""
 
 import ast
@@ -18,30 +18,42 @@ from ptso_verify import cost, eagerness, lang, montecarlo, qualitative, quantita
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-HALF_MASS_POLICY = """
-from fractions import Fraction
+DOCTORED_COUNTS = """
 from ptso_verify import lang, markov, semantics
 
-class HalfMass(markov.Policy):
-    def update_distribution(self, prog, c):
-        return {succ: q / 2 for succ, q in super().update_distribution(prog, c).items()}
+original = semantics.update_successors
+
+def doctored(shift):
+    # move one word count off the first successor: to nowhere (the row no
+    # longer sums to its denominator) or onto the second (a zero weight)
+    def update_successors(prog, c):
+        counts, total = original(prog, c)
+        counts = dict(counts)
+        first, second = list(counts)[:2]
+        counts[first] -= 1
+        counts[second] += shift
+        return counts, total
+    return update_successors
 
 prog = lang.parse_program("domain 2\\nvars x\\nproc P weight 1\\nregs a\\nA0: x := a\\nA1: term\\n")
-try:
-    markov.step_distribution(prog, semantics.initial_config(prog), HalfMass())
-except ValueError as exc:
-    print("raised:", exc)
-else:
-    print("accepted")
+for shift in (0, 1):
+    semantics.update_successors = doctored(shift)
+    try:
+        markov.step_row(prog, semantics.initial_config(prog))
+    except ValueError as exc:
+        print("raised:", exc)
+    else:
+        print("accepted")
 """
 
 
 def test_step_distribution_checks_survive_optimize():
-    out = subprocess.run([sys.executable, "-O", "-c", HALF_MASS_POLICY],
+    out = subprocess.run([sys.executable, "-O", "-c", DOCTORED_COUNTS],
                          capture_output=True, text=True, timeout=60,
                          env={**os.environ, "PYTHONPATH": str(SRC)})
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised: distribution does not sum to 1"
+    assert out.stdout.splitlines() == ["raised: distribution does not sum to 1",
+                                       "raised: distribution has nonpositive mass"]
 
 
 def test_no_assert_statements_in_package():
@@ -72,10 +84,12 @@ def test_unknown_answers_decided_in_reach_only():
 
 
 def test_step_distributions_built_in_reach_only():
+    # markov.step_distribution builds a row itself only when not handed one
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted((SRC / "ptso_verify").glob("*.py")) if path.name != "reach.py"
+             for path in sorted((SRC / "ptso_verify").glob("*.py"))
+             if path.name not in ("reach.py", "markov.py")
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and _name(node.func) == "step_distribution"]
+             if isinstance(node, ast.Call) and _name(node.func) in ("step_row", "step_distribution")]
     assert found == []
 
 

@@ -1,7 +1,10 @@
+import random
+import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_corpus, make_config
 from ptso_verify import lang, markov, semantics
@@ -173,4 +176,41 @@ def test_frac_str_huge_keeps_int_digit_limit():
     limit = sys.get_int_max_str_digits()
     assert markov.frac_str(Fraction(num)) == f"{digits}/1"
     assert markov.frac_str(Fraction(-1, num)) == f"-1/{digits}"
+    assert sys.get_int_max_str_digits() == limit
+
+
+# str() with the int-to-str digit limit lifted, in a child process so this
+# process's limit never moves; the int travels in hex, which has no limit
+LIFTED_STR = ("import sys; sys.set_int_max_str_digits(0); "
+              "sys.stdout.write(str(int(sys.stdin.read(), 16)))")
+
+
+def _lifted_str(n):
+    out = subprocess.run([sys.executable, "-c", LIFTED_STR], input=hex(n),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return out.stdout
+
+
+def _with_digits(digits, seed):
+    low = 10 ** (digits - 1)
+    return low + random.Random(seed).randrange(9 * low)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.builds(_with_digits, st.integers(590, 400_000), st.integers(0, 2**32)),
+       negative=st.booleans())
+@example(n=10 ** 600 - 1, negative=False)
+@example(n=10 ** 600, negative=True)
+@example(n=10 ** 600 + 1, negative=False)
+@example(n=10 ** 600 + 1, negative=True)
+@example(n=_with_digits(400_000, 1), negative=True)
+def test_int_str_matches_lifted_str(n, negative):
+    digits = _lifted_str(n)
+    limit = sys.get_int_max_str_digits()
+    if negative:
+        assert markov._int_str(-n) == "-" + digits
+        assert markov.frac_str(Fraction(-1, n)) == "-1/" + digits
+    else:
+        assert markov._int_str(n) == digits
+        assert markov.frac_str(Fraction(1, n)) == "1/" + digits
     assert sys.get_int_max_str_digits() == limit

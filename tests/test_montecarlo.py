@@ -41,11 +41,12 @@ def test_sample_step_disabled():
     p = load_corpus("race_flag")
     done = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1)]})
     rng = random.Random(0)
-    choice, sched, succ = sample_step(p, done, rng)
+    sampler = RunSampler(p)
+    choice, sched, succ = sample_step(p, done, rng, sampler)
     assert choice is None
     # buffer eventually drains through update steps alone
     for _ in range(50):
-        _, _, done = sample_step(p, done, rng)
+        _, _, done = sample_step(p, done, rng, sampler)
     assert semantics.is_plain(done)
 
 
@@ -53,8 +54,9 @@ def test_sample_step_plain_nonwriting_schedule_empty():
     p = lang.parse_program(NO_WRITE)
     c = semantics.initial_config(p)
     rng = random.Random(1)
+    sampler = RunSampler(p)
     for _ in range(3):
-        choice, sched, c = sample_step(p, c, rng)
+        choice, sched, c = sample_step(p, c, rng, sampler)
         assert sched == ()  # nothing buffered, nothing to pop
 
 
@@ -282,3 +284,11 @@ def test_sample_run_records_every_step_from_absorbing_start():
     run = sample_run(p, done, seed=3, horizon=40, label="W1", sampler=sampler)
     assert run.steps == [(None, (), done)] * 40
     assert run.first_hit is None
+
+
+def test_sample_run_rejects_negative_horizon():
+    p = load_corpus("race_flag")
+    init = semantics.initial_config(p)
+    with pytest.raises(ValueError, match="horizon must be >= 0"):
+        sample_run(p, init, 1, -5, label="W1")
+    assert sample_run(p, init, 1, 0, label="W1").steps == []

@@ -1,4 +1,5 @@
 import collections
+import math
 from fractions import Fraction
 
 import pytest
@@ -231,28 +232,31 @@ def test_can_reach_matches_reaches_label(name, labels, config):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_row_is_step_distribution_over_one_denominator(name):
+    # differential: the integer row against the tests' own Fraction
+    # composition of the step (exhaustive.step_distribution)
     p = load_corpus(name)
-    config = reach.OracleConfig(bound=4 if name == "writer_reader" else 8)
-    oracle = reach.ReachOracle(p, config)
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=4 if name == "writer_reader" else 8))
     for c in sorted(oracle.explore(semantics.initial_config(p)).nodes):
         den, weights = oracle.row(c)
         assert all(type(w) is int and w > 0 for _, w in weights)
         assert sum(w for _, w in weights) == den
-        dist = markov.step_distribution(p, c)
+        dist = exhaustive.step_distribution(p, c)
+        assert den == math.lcm(*(q.denominator for q in dist.values()))
+        assert [succ for succ, _ in weights] == list(dist)
         assert {succ: Fraction(w, den) for succ, w in weights} == dist
-        assert len(weights) == len(dist)
         assert oracle.distribution(c) == dist
+        assert markov.step_distribution(p, c) == dist
 
 
 def test_analyses_share_one_row_per_configuration(monkeypatch):
     calls = collections.Counter()
-    original = markov.step_distribution
+    original = markov.step_row
 
-    def counting(prog, c, policy=markov.DEFAULT_POLICY):
+    def counting(prog, c):
         calls[c] += 1
-        return original(prog, c, policy)
+        return original(prog, c)
 
-    monkeypatch.setattr(markov, "step_distribution", counting)
+    monkeypatch.setattr(markov, "step_row", counting)
     p = load_corpus("race_costs")
     init = semantics.initial_config(p)
     oracle = reach.ReachOracle(p)
