@@ -141,9 +141,12 @@ def _int_to_decimal(n):
 
 
 def parse_frac(text):
-    """Parse "num/den" or a decimal literal into an exact Fraction."""
+    """Parse "num/den" or a decimal literal into an exact Fraction; a
+    malformed text or a zero denominator raises ValueError."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(text)

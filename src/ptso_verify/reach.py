@@ -249,20 +249,27 @@ class ReachOracle:
         succs = {}
         parent = {}
         pruned_at = set()
+        # Every node was sized when first kept, except a root over the bound
+        # (an --init start), whose edges back to it are still pruned.
+        root_over = semantics.size(root) > bound
         queue = [root]
         while queue:
             next_queue = []
             for c in queue:
                 kept = []
                 for succ, proc in sorted(self.successors(c).items()):
-                    if semantics.size(succ) > bound:
+                    if succ in nodes:
+                        if root_over and succ == root:
+                            pruned_at.add(c)
+                            continue
+                    elif semantics.size(succ) > bound:
                         pruned_at.add(c)
                         continue
-                    kept.append(succ)
-                    if succ not in nodes:
+                    else:
                         nodes.add(succ)
                         parent[succ] = (c, proc)
                         next_queue.append(succ)
+                    kept.append(succ)
                 succs[c] = tuple(kept)
             queue = next_queue
         got = Exploration(root, bound, nodes, succs, parent, pruned_at)

@@ -10,8 +10,7 @@ process names, executed front to back.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import NamedTuple
 
 from . import lang
@@ -151,92 +150,82 @@ def apply_schedule(prog, c, word):
     return Config(c.labels, c.regs, bufs, tuple(mem))
 
 
-def _interleavings(ks):
-    """Distinct words with ks[p] letters p, lexicographically."""
-    counts = list(ks)
-    n = sum(ks)
-    word = []
-
-    def rec():
-        if len(word) == n:
-            yield tuple(word)
-            return
-        for p, k in enumerate(counts):
-            if k:
-                counts[p] -= 1
-                word.append(p)
-                yield from rec()
-                word.pop()
-                counts[p] += 1
-
-    yield from rec()
-
-
 def update_word_counts_by_length(buffer_lengths):
     """Number of feasible update words of each length, for given buffer sizes.
 
-    Exact, via the exponential generating function of per-buffer suffix
-    choices: words of length L = L! * [x^L] prod_i sum_{j<=len_i} x^j/j!.
+    Words of length L are the multinomials L! / prod(k_i!) summed over the
+    suffix-length vectors k with sum L, built one buffer at a time: a word
+    over the earlier buffers of length t and k letters of the next
+    interleave in C(t + k, k) ways.
     """
-    poly = [Fraction(1)]
+    counts = {0: 1}
     for ln in buffer_lengths:
-        factor = [Fraction(1, factorial(j)) for j in range(ln + 1)]
-        out = [Fraction(0)] * (len(poly) + ln)
-        for i, a in enumerate(poly):
-            if a:
-                for j, b in enumerate(factor):
-                    out[i + j] += a * b
-        poly = out
-    counts = {}
-    for ln, coeff in enumerate(poly):
-        val = coeff * factorial(ln)
-        if val:
-            if val.denominator != 1:
-                raise AssertionError(f"non-integer word count {val} for length {ln}")
-            counts[ln] = val.numerator
+        out = {}
+        for t, a in counts.items():
+            for k in range(ln + 1):
+                out[t + k] = out.get(t + k, 0) + a * comb(t + k, k)
+        counts = out
     return counts
 
 
-def _enumerate_updates(prog, bufs, mem):
-    """Walk every feasible update word from (bufs, mem): suffix-length tuples
-    in product order, then distinct interleavings lexicographically.
+def _count_updates(prog, bufs, mem):
+    """Count the feasible update words from (bufs, mem) on the lattice of
+    pop-count vectors j <= lens, without walking the words.
+
+    A state (j, m) carries [number of words reaching it, lexicographically
+    first such word]; popping process p's next-oldest message (x, v) moves
+    it to (j + e_p, m[x := v]). Each level is visited in first-word order
+    and the letters in process order, so a state is first met through its
+    first word, and the next level comes out in first-word order too.
 
     Returns (row, total): row maps each successor (bufs, mem) to
-    [number of words reaching it, first such word as process indices].
+    [number of words reaching it, first such word as process indices], in
+    product order of the suffix-length vectors, then by first word.
     """
     vix = prog.tables["var_index"]
-    nprocs = len(bufs)
+    lens = [len(b) for b in bufs]
+    # Oldest-first pop streams per process, as (variable index, value).
+    streams = [[(vix[x], v) for x, v in reversed(b)] for b in bufs]
+    procs = range(len(bufs))
+    j0 = (0,) * len(bufs)
+    level = {(j0, mem): [1, ()]}
+    by_j = {j0: [(mem, level[(j0, mem)])]}     # j -> [(m, entry)], first-word order
+    total = 1
+    for _ in range(sum(lens)):
+        nxt = {}
+        for (j, m), (n, word) in level.items():
+            for p in procs:
+                k = j[p]
+                if k == lens[p]:
+                    continue
+                xi, v = streams[p][k]
+                key = (j[:p] + (k + 1,) + j[p + 1:],
+                       m if m[xi] == v else m[:xi] + (v,) + m[xi + 1:])
+                entry = nxt.get(key)
+                if entry is None:
+                    nxt[key] = [n, word + (p,)]
+                else:
+                    entry[0] += n
+        for (j, m), entry in nxt.items():
+            by_j.setdefault(j, []).append((m, entry))
+            total += entry[0]
+        level = nxt
     row = {}
-    total = 0
-    # Oldest-first pop streams per process.
-    streams = [tuple(reversed(b)) for b in bufs]
-    for ks in itertools.product(*[range(len(b) + 1) for b in bufs]):
+    for ks in itertools.product(*[range(n + 1) for n in lens]):
         succ_bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(bufs, ks))
-        for word in _interleavings(ks):
-            total += 1
-            m = list(mem)
-            taken = [0] * nprocs
-            for pi in word:
-                x, v = streams[pi][taken[pi]]
-                taken[pi] += 1
-                m[vix[x]] = v
-            key = (succ_bufs, tuple(m))
-            entry = row.get(key)
-            if entry is None:
-                row[key] = [1, word]
-            else:
-                entry[0] += 1
+        for m, entry in by_j[ks]:
+            row[(succ_bufs, m)] = entry
     return row, total
 
 
 def _update_row(prog, c):
-    """The update step from c, enumerated once per (bufs, mem) pair and kept
+    """The update step from c, counted once per (bufs, mem) pair and kept
     on the program: labels and registers never affect it."""
     memo = prog.tables["update_rows"]
     key = (c.bufs, c.mem)
     got = memo.get(key)
     if got is None:
-        got = memo[key] = _enumerate_updates(prog, c.bufs, c.mem)
+        got = memo[key] = _count_updates(prog, c.bufs, c.mem)
     return got
 
 
@@ -248,13 +237,15 @@ def update_successors(prog, c):
     words.
     """
     row, total = _update_row(prog, c)
-    counts = {Config(c.labels, c.regs, bufs, mem): n for (bufs, mem), (n, _) in row.items()}
+    # tuple.__new__ skips Config's keyword-handling constructor.
+    new, head = tuple.__new__, (c.labels, c.regs)
+    counts = {new(Config, head + key): entry[0] for key, entry in row.items()}
     return counts, total
 
 
 def witness_schedule(prog, mid, succ):
-    """The first update word, in enumeration order, taking `mid` to its
-    update successor `succ`, as process names."""
+    """The lexicographically first update word taking `mid` to its update
+    successor `succ`, as process names."""
     row, _ = _update_row(prog, mid)
     return tuple(prog.processes[pi].name for pi in row[(succ.bufs, succ.mem)][1])
 
@@ -287,24 +278,49 @@ def config_to_json(prog, c):
 
 
 def config_from_json(prog, obj):
+    """Inverse of config_to_json. `labels` must name every process; missing
+    registers, memory and buffers are 0 and empty. A malformed document
+    raises ValueError."""
     tables = prog.tables
+    if not isinstance(obj, dict) or "labels" not in obj:
+        raise ValueError("configuration must be a JSON object with a 'labels' object")
+    sec = {k: obj.get(k, {}) for k in ("labels", "regs", "bufs", "mem")}
+    for k, v in sec.items():
+        if not isinstance(v, dict):
+            raise ValueError(f"configuration {k!r} must be a JSON object")
+    names = [p.name for p in prog.processes]
+    for k in ("labels", "bufs"):
+        for name in sec[k]:
+            if name not in names:
+                raise ValueError(f"unknown process {name!r} in {k!r}")
     labels = []
-    for pi, p in enumerate(prog.processes):
-        lbl = obj["labels"][p.name]
-        if tables["label_pos"].get(lbl, (None,))[0] != pi:
-            raise ValueError(f"label {lbl!r} does not belong to process {p.name!r}")
+    for pi, name in enumerate(names):
+        if name not in sec["labels"]:
+            raise ValueError(f"no label for process {name!r}")
+        lbl = sec["labels"][name]
+        if not isinstance(lbl, str) or tables["label_pos"].get(lbl, (None,))[0] != pi:
+            raise ValueError(f"label {lbl!r} does not belong to process {name!r}")
         labels.append(lbl)
     regs = [0] * len(tables["reg_index"])
-    for r, v in obj.get("regs", {}).items():
+    for r, v in sec["regs"].items():
+        if r not in tables["reg_index"]:
+            raise ValueError(f"unknown register {r!r}")
         regs[tables["reg_index"][r]] = _check_value(prog, v)
     mem = [0] * len(prog.vars)
-    for x, v in obj.get("mem", {}).items():
+    for x, v in sec["mem"].items():
+        if x not in tables["var_index"]:
+            raise ValueError(f"unknown variable {x!r} in memory")
         mem[tables["var_index"][x]] = _check_value(prog, v)
     bufs = []
-    for p in prog.processes:
-        entries = obj.get("bufs", {}).get(p.name, [])
+    for name in names:
+        entries = sec["bufs"].get(name, [])
+        if not isinstance(entries, list):
+            raise ValueError(f"buffer of process {name!r} must be a JSON array")
         buf = []
-        for x, v in entries:
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)):
+                raise ValueError(f"buffer entry {entry!r} is not a [variable, value] pair")
+            x, v = entry
             if x not in tables["var_index"]:
                 raise ValueError(f"unknown variable {x!r} in buffer")
             buf.append((x, _check_value(prog, v)))
@@ -313,6 +329,6 @@ def config_from_json(prog, obj):
 
 
 def _check_value(prog, v):
-    if not isinstance(v, int) or not 0 <= v < prog.domain_size:
+    if type(v) is not int or not 0 <= v < prog.domain_size:    # JSON true is no value
         raise ValueError(f"value {v!r} outside domain 0..{prog.domain_size - 1}")
     return v

@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 
@@ -177,3 +179,34 @@ def test_iterative_bound_flag():
     r = run_cli("never-reach", prog("dead_label"), "--label", "DEAD",
                 "--bound", "2", "--bound-max", "16")
     assert r.returncode == 0 and json.loads(r.stdout)["verdict"] is True
+
+
+def test_epsilon_zero_denominator_exit_2():
+    for command in ("quant-reach", "cost"):
+        r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", "1/0")
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("error: ") and "zero denominator" in r.stderr
+        assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+RACE_FLAG_INIT = {"labels": {"P": "P2", "Q": "W1"},
+                  "regs": {"w": 1, "one": 1, "a": 1, "z": 0},
+                  "bufs": {}, "mem": {"x": 1}}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({k: v for k, v in RACE_FLAG_INIT.items() if k != "labels"}, "'labels'"),
+    ({**RACE_FLAG_INIT, "labels": {"P": "P2"}}, "no label for process 'Q'"),
+    ([RACE_FLAG_INIT], "must be a JSON object"),
+    ({**RACE_FLAG_INIT, "regs": {"nope": 1}}, "unknown register 'nope'"),
+    ({**RACE_FLAG_INIT, "mem": {"nope": 1}}, "unknown variable 'nope'"),
+    ({**RACE_FLAG_INIT, "bufs": {"Z": [["x", 1]]}}, "unknown process 'Z'"),
+    ({**RACE_FLAG_INIT, "regs": {"w": True}}, "value True outside domain"),
+])
+def test_init_malformed_exit_2(tmp_path, doc, message):
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps(doc))
+    r = run_cli("qual-reach", prog("race_flag"), "--label", "W1", "--init", str(init))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr

@@ -137,6 +137,9 @@ def test_left_biasedness_all_size5_shapes():
 def test_parse_frac():
     assert markov.parse_frac("1/100") == F(1, 100)
     assert markov.parse_frac("0.25") == F(1, 4)
+    for bad in ("1/0", " 3/-0 ", "x/2", "1/2/3"):
+        with pytest.raises(ValueError):
+            markov.parse_frac(bad)
     assert markov.frac_str(F(5, 16)) == "5/16"
 
 

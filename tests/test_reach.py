@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import exhaustive
-from conftest import corpus_names, load_corpus
+from conftest import corpus_names, load_corpus, make_config
 from ptso_verify import cost, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
@@ -163,6 +163,21 @@ def test_monotone_in_bound():
         yes_bounds.append(oracle.reaches_label(init, "WIN").is_yes)
     assert yes_bounds == sorted(yes_bounds)  # once yes, stays yes
     assert yes_bounds[-1]
+
+
+def test_over_bound_root_prunes_its_self_edge():
+    # an --init start may hold more messages than the bound: its empty-word
+    # self-edge goes back to an over-bound configuration and is pruned, while
+    # the successors that pop one or both messages are kept
+    p = load_corpus("race_flag")
+    root = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1), ("x", 0)]})
+    assert semantics.size(root) == 2
+    ex = reach.ReachOracle(p).explore(root, bound=1)
+    assert ex.pruned_at == {root}
+    assert root not in ex.succs[root]
+    assert sorted(semantics.size(s) for s in ex.succs[root]) == [0, 1]
+    assert all(semantics.size(c) <= 1 for c in ex.nodes - {root})
+    assert len(ex.nodes) == 3
 
 
 def test_iterative_mode_schedule():

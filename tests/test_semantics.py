@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_config
 from ptso_verify import lang, semantics
+from update_reference import enumerate_updates
 
 TWO_WRITERS = """
 domain 3
@@ -252,17 +253,78 @@ def test_update_counts_property(bufp, bufq):
         assert semantics.size(succ) <= semantics.size(c)
 
 
+THREE_PROCS = """
+domain 3
+vars x y
+proc P weight 1
+regs a
+P0: term
+proc Q weight 1
+regs b
+Q0: term
+proc R weight 1
+regs c
+R0: term
+"""
+
+MESSAGES = st.tuples(st.sampled_from(["x", "y"]), st.integers(0, 2))
+
+
+@st.composite
+def update_rows(draw):
+    """Buffers of 2-3 processes, at most 10 messages together, and a memory;
+    small domains give repeated values and writes of the current value."""
+    nprocs = draw(st.integers(2, 3))
+    total = draw(st.integers(0, 10))
+    owners = draw(st.lists(st.integers(0, nprocs - 1), min_size=total, max_size=total))
+    msgs = draw(st.lists(MESSAGES, min_size=total, max_size=total))
+    bufs = [[] for _ in range(nprocs)]
+    for pi, msg in zip(owners, msgs):
+        bufs[pi].append(msg)
+    mem = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    return tuple(tuple(b) for b in bufs), mem
+
+
+@settings(max_examples=100, deadline=None)
+@given(update_rows())
+def test_count_updates_matches_word_enumeration(case):
+    """The lattice count equals the word-by-word reference: same successors
+    in the same order, same counts, same first words, same total."""
+    bufs, mem = case
+    prog = lang.parse_program(THREE_PROCS)
+    row, total = semantics._count_updates(prog, bufs, mem)
+    ref_row, ref_total = enumerate_updates(prog, bufs, mem)
+    assert list(row.items()) == list(ref_row.items())
+    assert total == ref_total
+    assert total == sum(semantics.update_word_counts_by_length([len(b) for b in bufs]).values())
+
+
+def test_count_updates_does_not_enumerate():
+    # 3 buffers x 7 messages: over a billion words, counted on 512 pop-count
+    # vectors; a word-by-word walk would not finish
+    prog = lang.parse_program(THREE_PROCS)
+    bufs = (tuple(("x", v % 3) for v in range(7)),
+            tuple(("y", v % 2) for v in range(7)),
+            tuple(("x" if v % 2 else "y", (v + 1) % 3) for v in range(7)))
+    row, total = semantics._count_updates(prog, bufs, (0, 0))
+    assert total == sum(semantics.update_word_counts_by_length((7, 7, 7)).values())
+    assert total > 10**9
+    assert sum(n for n, _ in row.values()) == total
+    assert {k[0] for k in row} == {tuple(b[: len(b) - k] for b, k in zip(bufs, ks))
+                                   for ks in itertools.product(range(8), repeat=3)}
+
+
 def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     """explore, then distribution on every explored configuration: update
-    words are enumerated once per distinct (bufs, mem) pair, and the oracle
+    words are counted once per distinct (bufs, mem) pair, and the oracle
     caches keep the moving process only, never a schedule."""
     from conftest import load_corpus
     from ptso_verify import reach
 
     prog = load_corpus("writer_reader")
     enumerated = []
-    real = semantics._enumerate_updates
-    monkeypatch.setattr(semantics, "_enumerate_updates",
+    real = semantics._count_updates
+    monkeypatch.setattr(semantics, "_count_updates",
                         lambda p, bufs, mem: enumerated.append((bufs, mem)) or real(p, bufs, mem))
     pairs = set()
     real_succ = semantics.update_successors
