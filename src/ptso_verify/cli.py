@@ -89,9 +89,7 @@ def _load(args):
             init = semantics.config_from_json(prog, json.load(fh))
     else:
         init = semantics.initial_config(prog)
-    mode = "iterative" if args.bound_max else "bounded"
-    oc = reach.OracleConfig(mode=mode, bound=args.bound,
-                            bound_max=args.bound_max, strict=args.strict)
+    oc = reach.OracleConfig(bound=args.bound, bound_max=args.bound_max, strict=args.strict)
     return prog, init, reach.ReachOracle(prog, oc)
 
 

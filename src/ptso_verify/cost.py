@@ -214,17 +214,7 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
             if start > max_layers or not done(max_layers):
                 n = max_layers
             else:
-                lo, final = start, max_layers
-                if done(start):
-                    final = start
-                else:
-                    while final - lo > 1:
-                        mid = (lo + final) // 2
-                        if done(mid):
-                            final = mid
-                        else:
-                            lo = mid
-                return result(final, False)
+                return result(eag.least_n(done, start), False)
 
         if len(frontier) > max_frontier or n >= max_layers:
             raise BudgetExceededError(

@@ -115,14 +115,8 @@ def round_down(x, bits=128):
 
 
 def round_up(x, bits=128):
-    if x == 0:
-        return x
-    n, d = x.numerator, x.denominator
-    shift = bits - (n.bit_length() - d.bit_length())
-    if shift >= 0:
-        return Fraction(-((-(n << shift)) // d), 1 << shift)
-    s = -shift
-    return Fraction((-((-n) // (d << s))) << s)
+    """Smallest multiple of a power of two above x with ~bits of precision."""
+    return -round_down(-x, bits)
 
 
 def iv_pow(lo, hi, n, bits=128):

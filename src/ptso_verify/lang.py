@@ -159,17 +159,14 @@ def _build_tables(prog):
         for ii, instr in enumerate(proc.instrs):
             label_pos[instr.label] = (pi, ii)
     reg_index = {}
-    reg_owner = {}
-    for pi, proc in enumerate(prog.processes):
+    for proc in prog.processes:
         for r in proc.regs:
             reg_index[r] = len(reg_index)
-            reg_owner[r] = pi
     var_index = {x: i for i, x in enumerate(prog.vars)}
     proc_index = {p.name: i for i, p in enumerate(prog.processes)}
     return {
         "label_pos": label_pos,
         "reg_index": reg_index,
-        "reg_owner": reg_owner,
         "var_index": var_index,
         "proc_index": proc_index,
         "update_rows": {},    # semantics: (bufs, mem) -> update-step row

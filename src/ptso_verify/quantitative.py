@@ -77,8 +77,8 @@ def advance(den, banked, expand):
 def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
          max_iterations, pruned):
     epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie strictly between 0 and 1")
     en, ed = epsilon.numerator, epsilon.denominator
     den = 1
     pos = neg = 0
@@ -145,9 +145,11 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
             return c in reach_bad
         got = escape_memo.get(c)
         if got is None:
-            sub = oracle.explore(c)
-            got = bool(sub.nodes & bad)
-            escape_memo[c] = got
+            # the roots leave c out only when it is over the bound: not plain,
+            # so not in bad
+            got = escape_memo[c] = any(s in reach_bad if s in ex.nodes
+                                       else bool(oracle.explore(s).nodes & bad)
+                                       for s in oracle.cone_roots(c))
         return got
 
     return _run(prog, init, label, epsilon, oracle,

@@ -18,22 +18,18 @@ from .errors import OracleUnknownError
 
 @dataclass(frozen=True)
 class OracleConfig:
-    mode: str = "bounded"          # "bounded" | "iterative"
-    bound: int = 8                 # K, or K0 in iterative mode
-    bound_max: int | None = None   # K_max (iterative mode)
+    bound: int = 8                 # K, or K0 when iterative
+    bound_max: int | None = None   # K_max; set, it makes the oracle iterative
     strict: bool = False           # False: AssumeNo; True: ReportUnknown
 
     def __post_init__(self):
-        if self.mode not in ("bounded", "iterative"):
-            raise ValueError(f"unknown oracle mode {self.mode!r}")
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.mode == "iterative":
-            if self.bound_max is None or self.bound_max < self.bound:
-                raise ValueError("iterative mode needs bound <= bound_max")
+        if self.bound_max is not None and self.bound_max < self.bound:
+            raise ValueError("iterative mode needs bound <= bound_max")
 
     def schedule(self):
-        if self.mode == "bounded":
+        if self.bound_max is None:
             return [self.bound]
         out = []
         k = self.bound
@@ -200,8 +196,8 @@ def _tarjan(nodes, succs):
 class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
-    One oracle serves one analysis at a time; the successor and transition
-    row caches are shared by every query against the same program. Every
+    One oracle serves one analysis at a time; its transition rows and
+    explorations are shared by every query against the same program. Every
     analysis asks it, and only it, whether a configuration can reach a label
     and whether a pruned exploration makes an answer Unknown.
     """
@@ -209,19 +205,14 @@ class ReachOracle:
     def __init__(self, prog, config=None):
         self.prog = prog
         self.config = config or OracleConfig()
-        self._succs = {}
         self._rows = {}
         self._explorations = {}
         self._home = {}            # config -> a final-bound exploration holding it
 
-    # -- cached one-step structure --
+    # -- one-step structure --
 
     def successors(self, c):
-        got = self._succs.get(c)
-        if got is None:
-            got = semantics.step_successors(self.prog, c)
-            self._succs[c] = got
-        return got
+        return semantics.step_successors(self.prog, c)
 
     def row(self, c):
         """The step distribution at c as integer weights over one
@@ -292,6 +283,16 @@ class ReachOracle:
 
     # -- reachability of a label --
 
+    def cone_roots(self, c):
+        """The configurations whose final-bound cones make up c's: c itself,
+        unless c is over the bound and no exploration holds it. explore(c)
+        would then prune every edge back to c, so c's cone is c plus the
+        cones of its successors within the bound, and those are the roots."""
+        bound = self.config.final_bound
+        if c in self._home or semantics.size(c) <= bound:
+            return [c]
+        return [s for s in self.successors(c) if semantics.size(s) <= bound]
+
     def can_reach(self, c, label):
         """require(reaches_label(c, label)) without a witness path.
 
@@ -300,13 +301,24 @@ class ReachOracle:
         changes only the bound stamp and the path of reaches_label.
         """
         ex = self._home.get(c)
-        if ex is None:
+        if ex is None and semantics.size(c) <= self.config.final_bound:
             ex = self.explore(c)
-        if c in ex.reaching(label):
+        if ex is None:
+            # c is over the bound and no exploration holds it: decided from
+            # its cone roots without exploring it. Its empty update word
+            # leaves a successor over the bound, so a No is always pruned.
+            # (Loops, not generators: a closure here would slow every call.)
+            if label in c.labels:
+                return True
+            for s in self.cone_roots(c):
+                if s in (self._home.get(s) or self.explore(s)).reaching(label):
+                    return True
+        elif c in ex.reaching(label):
             return True
-        if self.config.strict and ex.cone_pruned(c):
+        if self.config.strict and (ex is None or ex.cone_pruned(c)):
             raise OracleUnknownError(
-                f"reachability of {label!r} unknown at bound {ex.bound}; rerun with a larger --bound")
+                f"reachability of {label!r} unknown at bound {self.config.final_bound}; "
+                "rerun with a larger --bound")
         return False
 
     def reaches_label(self, c, label):

@@ -181,12 +181,36 @@ def test_iterative_bound_flag():
     assert r.returncode == 0 and json.loads(r.stdout)["verdict"] is True
 
 
+@pytest.mark.parametrize("bound_max", ["0", "1"])
+def test_bound_max_below_bound_exit_2(bound_max):
+    r = run_cli("never-reach", prog("dead_label"), "--label", "DEAD",
+                "--bound", "2", "--bound-max", bound_max)
+    assert r.returncode == 2 and "bound <= bound_max" in r.stderr
+
+
 def test_epsilon_zero_denominator_exit_2():
     for command in ("quant-reach", "cost"):
         r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", "1/0")
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and "zero denominator" in r.stderr
         assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["quant-reach", "quant-rep-reach"])
+@pytest.mark.parametrize("epsilon", ["1", "2"])
+def test_vacuous_epsilon_exit_2(command, epsilon):
+    # a bracket of width 1 or more says nothing about a probability
+    r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", epsilon)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "between 0 and 1" in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+def test_cost_accepts_epsilon_above_1():
+    # cost's epsilon is in cost units, not a probability
+    r = run_cli("cost", prog("once_then_term"), "--label", "P2", "--epsilon", "2")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["epsilon"] == "2/1"
 
 
 RACE_FLAG_INIT = {"labels": {"P": "P2", "Q": "W1"},

@@ -181,11 +181,11 @@ def test_over_bound_root_prunes_its_self_edge():
 
 
 def test_iterative_mode_schedule():
-    oc = reach.OracleConfig(mode="iterative", bound=2, bound_max=12)
+    oc = reach.OracleConfig(bound=2, bound_max=12)
     assert oc.schedule() == [2, 4, 8, 12]
     assert reach.OracleConfig(bound=5).schedule() == [5]
     with pytest.raises(ValueError):
-        reach.OracleConfig(mode="iterative", bound=9, bound_max=4)
+        reach.OracleConfig(bound=9, bound_max=4)
     with pytest.raises(ValueError):
         reach.OracleConfig(bound=0)
 
@@ -218,21 +218,24 @@ def _outcome(ask):
     ("loop_all", ["PT", "P1"], reach.OracleConfig(bound=2, strict=True)),
     ("writer_reader", ["WIN"], reach.OracleConfig(bound=2, strict=True)),
     ("race_retry", None,
-     reach.OracleConfig(mode="iterative", bound=1, bound_max=2, strict=True)),
+     reach.OracleConfig(bound=1, bound_max=2, strict=True)),
     ("loop_all", ["PT", "P1"],
-     reach.OracleConfig(mode="iterative", bound=1, bound_max=2, strict=True)),
+     reach.OracleConfig(bound=1, bound_max=2, strict=True)),
 ])
 def test_can_reach_matches_reaches_label(name, labels, config):
-    """can_reach equals require(reaches_label) on every explored node and
-    every one-step successor, including those beyond the bound, whether or
-    not reaches_label explored at smaller bounds first on the same oracle."""
+    """can_reach equals require(reaches_label) on every explored node, every
+    one-step successor, including those beyond the bound, and every
+    successor of those, which may itself be beyond the bound or unexplored,
+    whether or not reaches_label explored at smaller bounds first on the
+    same oracle."""
     p = load_corpus(name)
     labels = labels or sorted(p.labels())
     fast = reach.ReachOracle(p, config)
     slow = reach.ReachOracle(p, config)
     ex = fast.explore(semantics.initial_config(p))
-    configs = set(ex.nodes)
-    for c in ex.nodes:
+    over = {s for c in ex.nodes for s in fast.distribution(c)} - ex.nodes
+    configs = set(ex.nodes) | over
+    for c in over:
         configs.update(fast.distribution(c))
     kinds = set()
     for c in sorted(configs):
@@ -243,6 +246,123 @@ def test_can_reach_matches_reaches_label(name, labels, config):
             kinds.add(want)
     if config == reach.OracleConfig(bound=1, strict=True):
         assert kinds == {True, False, "unknown"}
+
+
+def test_over_bound_frontier_needs_no_exploration():
+    """Configurations over the bound that no exploration holds are decided
+    from their successors: each query ends with the one exploration of its
+    start configuration, where exploring each such configuration made 322,
+    176 and 23."""
+    p = load_corpus("writer_reader")
+    init = semantics.initial_config(p)
+    oracle = reach.ReachOracle(p)
+    with pytest.raises(BudgetExceededError):
+        quantitative.quant_reach(p, init, "WIN", Fraction(1, 10), oracle, max_iterations=30)
+    assert len(oracle._explorations) == 1
+    oracle = reach.ReachOracle(p)
+    with pytest.raises(BudgetExceededError):
+        cost.expected_avg_cost(p, init, "WIN", cost.CostFunction.uniform(p),
+                               Fraction(1, 10), oracle, max_layers=30)
+    assert len(oracle._explorations) == 1
+    p = load_corpus("loop_all")
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=2))
+    quantitative.quant_rep_reach(p, semantics.initial_config(p), "P0", Fraction(1, 100),
+                                 oracle, max_iterations=40)
+    assert len(oracle._explorations) == 1
+
+
+# A and B each buffer two writes and then read what the other wrote first;
+# B also reads q, which C sets. B loops at BAD if it read q = 1, or if both
+# reads saw 0; otherwise it loops at G. Both reads see 0 only if two writes
+# sit in the buffers at once, so at bound 1 the start exploration holds no
+# such configuration, and an escape whose B has read x = 0 and q = 0 leads
+# to BAD only through successors within the bound outside that exploration.
+ESCAPES = """
+domain 2
+vars x y z w q d e
+proc A weight 1
+regs one ra
+A0: one := 1
+A1: x := one
+A2: y := one
+A3: ra := z
+A4: if ra then A6
+A5: d := one
+A6: e := one
+A7: term
+proc B weight 1
+regs two c rb re rd
+B0: two := 1
+B1: z := two
+B2: w := two
+B3: rb := x
+B4: c := q
+B5: if c then BAD
+B6: if rb then G
+B7: re := e
+B8: if re then B10
+B9: if two then B7
+B10: rd := d
+B11: if rd then BAD
+G: two := 1
+G1: if two then G
+BAD: c := 0
+BAD1: rb := 0
+BAD2: re := 0
+BAD3: rd := 0
+BAD4: if two then BAD
+BT: term
+proc C weight 1
+regs three
+C0: three := 1
+C1: q := three
+C2: term
+"""
+
+
+@pytest.mark.parametrize("prog,label,bound,max_iterations,escapes,outside", [
+    (load_corpus("loop_all"), "P0", 2, 40, {True}, False),
+    (lang.parse_program(ESCAPES), "G", 1, 10, {True, False}, True),
+])
+def test_rep_reach_escapes_match_exploring_each_escape(prog, label, bound, max_iterations,
+                                                       escapes, outside):
+    """quant_rep_reach decides an escape over the bound from its successors;
+    the reference explores the escape itself and looks for a bad B-plain
+    configuration among the nodes. `escapes` are the reference's verdicts,
+    and `outside` says whether a successor within the bound lay outside the
+    start exploration, so that quant_rep_reach explored it."""
+    init = semantics.initial_config(prog)
+    config = reach.OracleConfig(bound=bound)
+
+    def outcome(run):
+        try:
+            return run()
+        except BudgetExceededError as exc:
+            return exc.partial
+
+    fast = reach.ReachOracle(prog, config)
+    got = outcome(lambda: quantitative.quant_rep_reach(
+        prog, init, label, Fraction(1, 100), fast, max_iterations=max_iterations))
+    oracle = reach.ReachOracle(prog, config)
+    ex = oracle.explore(init)
+    bad = {c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label)}
+    reach_bad = ex.backward_set(bad)
+    seen = set()
+
+    def reaches_bad(c):
+        if c in ex.nodes:
+            return c in reach_bad
+        got = bool(oracle.explore(c).nodes & bad)
+        seen.add(got)
+        return got
+
+    want = outcome(lambda: quantitative._run(
+        prog, init, label, Fraction(1, 100), oracle,
+        pos_test=lambda c: not reaches_bad(c), neg_test=lambda c: not oracle.can_reach(c, label),
+        analysis="quant_rep_reach", max_iterations=max_iterations, pruned=ex.pruned))
+    assert seen == escapes
+    assert (len(fast._explorations) > 1) == outside
+    assert got == want
 
 
 @pytest.mark.parametrize("name", corpus_names())
