@@ -31,15 +31,17 @@ def _emit(doc, summary):
     sys.stderr.write(summary + "\n")
 
 
-def _add_common(sub, epsilon=False, label=True):
+def _add_common(sub, epsilon=False, label=True, oracle=True):
     sub.add_argument("program", help="program file (.ptso)")
     if label:
         sub.add_argument("--label", required=True, help="target instruction label")
-    sub.add_argument("--bound", type=int, default=8, help="buffer-size cap of the reachability oracle (default 8)")
-    sub.add_argument("--bound-max", type=int, default=None,
-                     help="enable iterative deepening up to this cap")
-    sub.add_argument("--strict", action="store_true",
-                     help="report Unknown instead of assuming No when the bound prunes")
+    if oracle:
+        sub.add_argument("--bound", type=int, default=8,
+                         help="buffer-size cap of the reachability oracle (default 8)")
+        sub.add_argument("--bound-max", type=int, default=None,
+                         help="enable iterative deepening up to this cap")
+        sub.add_argument("--strict", action="store_true",
+                         help="report Unknown instead of assuming No when the bound prunes")
     sub.add_argument("--init", default=None, metavar="FILE",
                      help="JSON file with a start configuration (canonical rendering)")
     if epsilon:
@@ -52,7 +54,8 @@ def build_parser():
                                  description="Probabilistic TSO model checker")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    _add_common(sp.add_parser("parse", help="parse and validate a program"), label=False)
+    _add_common(sp.add_parser("parse", help="parse and validate a program"),
+                label=False, oracle=False)
     for name in ("qual-reach", "qual-rep-reach", "never-reach", "never-rep-reach"):
         _add_common(sp.add_parser(name))
     for name in ("quant-reach", "quant-rep-reach"):
@@ -70,7 +73,7 @@ def build_parser():
     sub.add_argument("--max-frontier", type=int, default=cost_mod.DEFAULT_MAX_FRONTIER)
 
     sub = sp.add_parser("simulate", help="Monte Carlo reachability estimate")
-    _add_common(sub)
+    _add_common(sub, oracle=False)
     sub.add_argument("--runs", type=int, default=10000)
     sub.add_argument("--horizon", type=int, default=500)
     sub.add_argument("--seed", type=int, default=0)
@@ -84,11 +87,13 @@ def build_parser():
 def _load(args):
     with open(args.program, encoding="utf-8") as fh:
         prog = lang.parse_program(fh.read())
-    if getattr(args, "init", None):
+    if args.init:
         with open(args.init, encoding="utf-8") as fh:
             init = semantics.config_from_json(prog, json.load(fh))
     else:
         init = semantics.initial_config(prog)
+    if "bound" not in args:     # parse and simulate ask no oracle
+        return prog, init, None
     oc = reach.OracleConfig(bound=args.bound, bound_max=args.bound_max, strict=args.strict)
     return prog, init, reach.ReachOracle(prog, oc)
 

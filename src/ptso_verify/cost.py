@@ -17,34 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import eagerness as eag
-from . import lang, quantitative, reach, semantics
+from . import quantitative, reach, semantics
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_LAYERS = 20_000
 DEFAULT_MAX_FRONTIER = 200_000
 
+# Keyed by the lower-cased statement class name.
 DEFAULT_KIND_COSTS = {
     "write": 3, "read": 2, "assign": 1, "cas": 5, "if": 1, "term": 1, "goto": 1,
 }
-
-
-def _stmt_kind(stmt):
-    match stmt:
-        case lang.Write():
-            return "write"
-        case lang.Read():
-            return "read"
-        case lang.Assign():
-            return "assign"
-        case lang.Cas():
-            return "cas"
-        case lang.If():
-            return "if"
-        case lang.Term():
-            return "term"
-        case lang.Goto():
-            return "goto"
-    raise AssertionError(stmt)
 
 
 @dataclass(frozen=True)
@@ -68,7 +50,7 @@ class CostFunction:
     @staticmethod
     def by_kind(prog, table=None):
         table = DEFAULT_KIND_COSTS if table is None else table
-        return CostFunction({lbl: table[_stmt_kind(prog.stmt_at(lbl))]
+        return CostFunction({lbl: table[type(prog.stmt_at(lbl)).__name__.lower()]
                              for lbl in prog.labels()})
 
     def __getitem__(self, label):

@@ -30,7 +30,6 @@ SMALL_SIZE = 4          # small configuration: total buffered messages <= 4
 Q_STAR = Fraction(2, 3)
 P_STAR = Fraction(1, 3)
 DEFAULT_BETA = 150
-MIN_THRESHOLD = 300     # the S-run bound needs n >= 2*beta = 300
 
 
 # --- certified rational bounds for irrational values ---
@@ -309,7 +308,7 @@ def compute_mu(prog, label, oracle=None, source=None):
     ex = oracle.checked(source, "A-set")
     a_set = _small_reach_set(ex, label)
     if not a_set:
-        raise ValueError(f"label {label!r} is not reachable from any small configuration")
+        raise ValueError(f"label {label!r} is not reachable from the start configuration")
     nodes = sorted(ex.nodes)
     ids = {c: i for i, c in enumerate(nodes)}
     succs = [tuple(ids[s] for s in ex.succs[c]) for c in nodes]
@@ -346,10 +345,8 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     if alpha_s[1] >= 1:
         raise ValueError(f"beta={beta} gives S-run rate >= 1; use a larger beta (150 suffices)")
 
-    a_set = _small_reach_set(oracle.checked(source, "A-set"), label)
-    if not a_set:
-        raise ValueError(f"label {label!r} is not reachable from {source}")
     mu, per = compute_mu(prog, label, oracle, source)
+    a_set = _small_reach_set(oracle.checked(source, "A-set"), label)
     size_a = len(a_set)
 
     if not per:
@@ -391,7 +388,8 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     def tcheck(n):
         return iv_pow(ra, ra, n)[0] >= lim
 
-    n_threshold = least_n(tcheck, max(n_d, MIN_THRESHOLD, n_hat), hint)
+    # The S-run bound holds only for n >= 2*beta.
+    n_threshold = least_n(tcheck, max(n_d, 2 * beta, n_hat), hint)
 
     params = EagernessParams(Q_STAR, P_STAR, gamma, beta, alpha_s, tuple(a_set),
                              mu, alpha_d, n_d, alpha_hat, n_hat, alpha, n_threshold)

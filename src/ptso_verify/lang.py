@@ -319,6 +319,7 @@ def parse_program(text):
     if not var_toks:
         raise ProgramError("`vars` declares no variables", lineno)
     variables = tuple(_check_name(v, "variable name", lineno) for v in var_toks)
+    var_set = set(variables)
     pos += 1
 
     processes = []
@@ -342,22 +343,18 @@ def parse_program(text):
         instrs = []
         while pos < len(lines):
             lineno, line = lines[pos]
-            head = line.split()[0]
-            if head in ("proc",):
+            if line.split()[0] == "proc":
                 break
-            instrs.append(_parse_instr(line, lineno, variables, regs))
+            instrs.append(_parse_instr(line, lineno, var_set))
             pos += 1
         processes.append(ProcessDef(name, weight, regs, tuple(instrs)))
 
-    try:
-        prog = Program(domain, variables, tuple(processes))
-    except ProgramError:
-        raise
+    prog = Program(domain, variables, tuple(processes))
     _validate_surface(prog)
     return prog
 
 
-def _parse_instr(line, lineno, variables, regs):
+def _parse_instr(line, lineno, var_set):
     m = re.match(r"([A-Za-z_0-9]+)\s*:\s*(.+)\Z", line)
     if not m:
         raise ProgramError(f"expected `LABEL: stmt`, got {line!r}", lineno)
@@ -366,19 +363,17 @@ def _parse_instr(line, lineno, variables, regs):
         raise ProgramError(f"invalid label {label!r}", lineno)
     if label in _KEYWORDS:
         raise ProgramError(f"label {label!r} is a reserved word", lineno)
-    return Instruction(label, _parse_stmt(body, lineno, set(variables), set(regs)))
+    return Instruction(label, _parse_stmt(body, lineno, var_set))
 
 
-def _parse_stmt(body, lineno, var_set, reg_set):
+def _parse_stmt(body, lineno, var_set):
+    """The statement's shape; its operands are checked by `_validate_structure`."""
     if body == "term":
         return Term()
 
     m = re.match(r"if\s+(\w+)\s+then\s+(\w+)\Z", body)
     if m:
-        reg, target = m.groups()
-        if reg not in reg_set:
-            raise ProgramError(f"undeclared register {reg!r} in `if`", lineno)
-        return If(reg, target)
+        return If(*m.groups())
 
     m = re.match(r"(\w+)\s*:=\s*(.+)\Z", body)
     if not m:
@@ -387,44 +382,27 @@ def _parse_stmt(body, lineno, var_set, reg_set):
 
     cas = re.match(r"CAS\s*\(\s*(\w+)\s*,\s*(\w+)\s*,\s*(\w+)\s*\)\Z", rhs)
     if cas:
-        var, rc, rn = cas.groups()
-        _require_reg(lhs, reg_set, lineno)
-        if var not in var_set:
-            raise ProgramError(f"undeclared variable {var!r} in CAS", lineno)
-        _require_reg(rc, reg_set, lineno)
-        _require_reg(rn, reg_set, lineno)
-        return Cas(lhs, var, rc, rn)
+        return Cas(lhs, *cas.groups())
 
     binop = re.match(r"(\w+)\s*(\+|==)\s*(\w+)\Z", rhs)
     if binop:
         a, op, b = binop.groups()
-        _require_reg(lhs, reg_set, lineno)
-        _require_reg(a, reg_set, lineno)
-        _require_reg(b, reg_set, lineno)
         return Assign(lhs, Add(a, b) if op == "+" else Eq(a, b))
 
     if _NAT_RE.match(rhs):
         if lhs in var_set:
             raise ProgramError(f"cannot assign a constant to shared variable {lhs!r}; write through a register", lineno)
-        _require_reg(lhs, reg_set, lineno)
         return Assign(lhs, Const(int(rhs)))
 
     if not re.match(r"\w+\Z", rhs):
         raise ProgramError(f"cannot parse right-hand side {rhs!r}", lineno)
 
+    # The variable set alone tells `x := r`, `r := x` and `r := s` apart.
     if lhs in var_set:
-        _require_reg(rhs, reg_set, lineno)
         return Write(lhs, rhs)
-    _require_reg(lhs, reg_set, lineno)
     if rhs in var_set:
         return Read(lhs, rhs)
-    _require_reg(rhs, reg_set, lineno)
     return Assign(lhs, Reg(rhs))
-
-
-def _require_reg(tok, reg_set, lineno):
-    if tok not in reg_set:
-        raise ProgramError(f"undeclared register {tok!r}", lineno)
 
 
 # --- Printing ---

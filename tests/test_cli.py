@@ -188,6 +188,24 @@ def test_bound_max_below_bound_exit_2(bound_max):
     assert r.returncode == 2 and "bound <= bound_max" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", prog("race_flag"), "--label", "W1", "--runs", "10", "--strict"),
+    ("simulate", prog("race_flag"), "--label", "W1", "--runs", "10", "--bound-max", "64"),
+    ("parse", prog("race_flag"), "--bound", "3"),
+])
+def test_oracle_flags_only_where_an_oracle_is_built(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+
+
+@pytest.mark.parametrize("command", ["eagerness", "cost"])
+def test_unreachable_label_named_exit_2(command):
+    r = run_cli(command, prog("dead_label"), "--label", "DEAD")
+    assert r.returncode == 2, r.stderr
+    assert "label 'DEAD' is not reachable from the start configuration" in r.stderr
+    assert "Config(" not in r.stderr and r.stdout == ""
+
+
 def test_epsilon_zero_denominator_exit_2():
     for command in ("quant-reach", "cost"):
         r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", "1/0")

@@ -42,6 +42,18 @@ def test_cost_function_validation():
     assert cf["S0"] == cost_mod.DEFAULT_KIND_COSTS["assign"]
     assert cf["GOAL"] == cost_mod.DEFAULT_KIND_COSTS["term"]
     assert CostFunction.uniform(p).max_cost == 1
+    # every statement kind, the goto of a removed label included
+    p = lang.parse_program(
+        "domain 4\nvars x\nproc P weight 1\nregs a b\n"
+        "W: x := a\nR: a := x\nA: b := 1\nC: b := CAS(x, a, b)\nI: if b then W\nT: term\n")
+    p = lang.remove_label(p, "A")       # A becomes a goto
+    table = {"write": 3, "read": 5, "assign": 7, "cas": 11, "if": 13, "term": 17, "goto": 19}
+    cf = CostFunction.by_kind(p, table)
+    fresh = (set(p.labels()) - {"W", "R", "A", "C", "I", "T"}).pop()
+    assert cf.costs == {"W": 3, "R": 5, "A": 19, "C": 11, "I": 13, "T": 17, fresh: 17}
+    p = lang.parse_program("vars x\nproc P weight 1\nregs a\nA: a := a + a\nE: a := a == a\n"
+                           "S: a := a\nT: term\n")
+    assert set(CostFunction.by_kind(p, table).costs.values()) == {7, 17}
 
 
 def test_deterministic_three_steps(det):

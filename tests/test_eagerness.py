@@ -263,6 +263,18 @@ def test_compute_mu_unreachable_label():
         compute_mu(p, "DEAD")
 
 
+def test_compute_eagerness_threshold_floor_follows_beta():
+    # the S-run bound needs n >= 2*beta; P0 is in the start configuration,
+    # so no other term raises the threshold above that floor
+    eager = compute_eagerness(load_corpus("race_flag"), "P0", beta=1000)
+    assert eager.n_threshold >= 2000
+
+
+def test_compute_eagerness_unreachable_label_named():
+    with pytest.raises(ValueError, match="label 'DEAD' is not reachable from the start configuration"):
+        compute_eagerness(load_corpus("dead_label"), "DEAD")
+
+
 def test_compute_eagerness_deterministic():
     p = lang.parse_program(DET)
     eager = compute_eagerness(p, "GOAL")

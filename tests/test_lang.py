@@ -80,6 +80,12 @@ def test_register_collision_across_processes():
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: term\n1: x := a\n2: term\n", "exactly one"),
     ("domain 1\nvars x\nproc P weight 1\nregs a\n0: term\n", "domain size"),
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: x := 1\n1: term\n", "constant to shared variable"),
+    ("domain 2\nvars x\nproc P weight 1\nregs a\n0: if b then 1\n1: term\n",
+     "label '0': undeclared register 'b'"),
+    ("domain 2\nvars x\nproc P weight 1\nregs a\n0: a := CAS(y, a, a)\n1: term\n",
+     "label '0': undeclared variable 'y'"),
+    ("domain 2\nvars x\nproc P weight 1\nregs a\n0: a := CAS(x, b, a)\n1: term\n",
+     "label '0': undeclared register 'b'"),
 ])
 def test_rejects(bad, msg):
     with pytest.raises(ProgramError, match=msg):
@@ -221,7 +227,8 @@ def test_print_parse_round_trip(prog):
 
 @given(programs(), st.data())
 def test_mutated_programs_rejected(prog, data):
-    # duplicating a label or stealing a foreign register must be rejected
+    # duplicating a label, stealing a foreign register or naming an
+    # undeclared one must be rejected; operand errors name the label
     text = lang.print_program(prog)
     labels = sorted(prog.labels())
     lbl = data.draw(st.sampled_from(labels))
@@ -229,8 +236,11 @@ def test_mutated_programs_rejected(prog, data):
     with pytest.raises(ProgramError):
         lang.parse_program(dup)
     foreign = text + "proc Zz weight 1\nregs zz\nzl0: x0 := r0_0\nzl1: term\n"
-    with pytest.raises(ProgramError):
+    with pytest.raises(ProgramError, match="label 'zl0': foreign register 'r0_0'"):
         lang.parse_program(foreign)
+    undeclared = text + "proc Zz weight 1\nregs zz\nzl0: zz := zq\nzl1: term\n"
+    with pytest.raises(ProgramError, match="label 'zl0': undeclared register 'zq'"):
+        lang.parse_program(undeclared)
 
 
 @given(programs(), st.data())
