@@ -31,15 +31,12 @@ def _emit(doc, summary):
     sys.stderr.write(summary + "\n")
 
 
-def _add_common(sub, epsilon=False, label=True, oracle=True):
+def _add_common(sub, epsilon=False, oracle=True):
     sub.add_argument("program", help="program file (.ptso)")
-    if label:
-        sub.add_argument("--label", required=True, help="target instruction label")
+    sub.add_argument("--label", required=True, help="target instruction label")
     if oracle:
         sub.add_argument("--bound", type=int, default=8,
                          help="buffer-size cap of the reachability oracle (default 8)")
-        sub.add_argument("--bound-max", type=int, default=None,
-                         help="enable iterative deepening up to this cap")
         sub.add_argument("--strict", action="store_true",
                          help="report Unknown instead of assuming No when the bound prunes")
     sub.add_argument("--init", default=None, metavar="FILE",
@@ -54,10 +51,14 @@ def build_parser():
                                  description="Probabilistic TSO model checker")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    _add_common(sp.add_parser("parse", help="parse and validate a program"),
-                label=False, oracle=False)
+    sp.add_parser("parse", help="parse and validate a program").add_argument(
+        "program", help="program file (.ptso)")
     for name in ("qual-reach", "qual-rep-reach", "never-reach", "never-rep-reach"):
-        _add_common(sp.add_parser(name))
+        sub = sp.add_parser(name)
+        _add_common(sub)
+        if name == "never-reach":
+            sub.add_argument("--bound-max", type=int, default=None,
+                             help="deepen a pruned No: --bound doubled up to this cap")
     for name in ("quant-reach", "quant-rep-reach"):
         sub = sp.add_parser(name)
         _add_common(sub, epsilon=True)
@@ -87,14 +88,14 @@ def build_parser():
 def _load(args):
     with open(args.program, encoding="utf-8") as fh:
         prog = lang.parse_program(fh.read())
-    if args.init:
+    if getattr(args, "init", None):
         with open(args.init, encoding="utf-8") as fh:
             init = semantics.config_from_json(prog, json.load(fh))
     else:
         init = semantics.initial_config(prog)
     if "bound" not in args:     # parse and simulate ask no oracle
         return prog, init, None
-    oc = reach.OracleConfig(bound=args.bound, bound_max=args.bound_max, strict=args.strict)
+    oc = reach.OracleConfig(bound=args.bound, strict=args.strict)
     return prog, init, reach.ReachOracle(prog, oc)
 
 
@@ -130,7 +131,8 @@ def main(argv=None):
             return EXIT_OK
 
         if args.command in _QUAL:
-            res = _QUAL[args.command](prog, init, args.label, oracle)
+            deepen = {"bound_max": args.bound_max} if "bound_max" in args else {}
+            res = _QUAL[args.command](prog, init, args.label, oracle, **deepen)
             _emit(res.to_json(), f"{res.analysis}({args.label}) = {res.verdict}")
             return EXIT_OK if res.verdict else EXIT_FALSE
 
@@ -145,6 +147,7 @@ def main(argv=None):
 
         if args.command == "cost":
             eps = markov.parse_frac(args.epsilon)
+            cost_mod.check_budget(args.max_layers, args.max_frontier)
             if args.costs:
                 with open(args.costs, encoding="utf-8") as fh:
                     cost = cost_mod.CostFunction.validate(prog, json.load(fh))

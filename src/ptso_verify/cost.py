@@ -35,11 +35,16 @@ class CostFunction:
 
     @staticmethod
     def validate(prog, costs):
+        if not isinstance(costs, dict):
+            raise ValueError("cost function must be a JSON object mapping labels to costs")
+        unknown = set(costs) - set(prog.labels())
+        if unknown:
+            raise ValueError(f"cost function names unknown labels: {sorted(unknown)}")
         missing = set(prog.labels()) - set(costs)
         if missing:
             raise ValueError(f"cost function misses labels: {sorted(missing)}")
         for lbl, v in costs.items():
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:
                 raise ValueError(f"cost of label {lbl!r} must be a positive integer, got {v!r}")
         return CostFunction(dict(costs))
 
@@ -116,6 +121,11 @@ def _gap_below(cost_apprx, c_error, prob_apprx, p_error, epsilon):
     return ed * (an * pd * bd * qn - bn * qd * ad * pn) < en * (ad * pn * bd * qn)
 
 
+def check_budget(max_layers, max_frontier):
+    if max_layers < 0 or max_frontier < 0:
+        raise ValueError("max_layers and max_frontier must be >= 0")
+
+
 def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
                       max_layers=DEFAULT_MAX_LAYERS, max_frontier=DEFAULT_MAX_FRONTIER):
     """Approximate the conditional expected cost of reaching `label` from the
@@ -123,6 +133,7 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    check_budget(max_layers, max_frontier)
     if not semantics.is_plain(init):
         raise ValueError("the start configuration must be plain")
     prog.check_label(label)

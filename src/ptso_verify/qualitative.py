@@ -59,7 +59,7 @@ def qual_reach(prog, init, label, oracle=None):
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     if label in init.labels:
-        return QualResult("qual_reach", True, None, oracle.config.final_bound, False)
+        return QualResult("qual_reach", True, None, oracle.config.bound, False)
 
     transformed = lang.remove_label(prog, label)
     fresh = (set(transformed.labels()) - set(prog.labels())).pop()
@@ -79,14 +79,17 @@ def qual_rep_reach(prog, init, label, oracle=None):
     return _scan("qual_rep_reach", prog, ex, label, candidates, False)
 
 
-def never_qual_reach(prog, init, label, oracle=None):
-    """Almost-never reachability: probability 0 iff the label is unreachable."""
-    prog.check_label(label)
+def never_qual_reach(prog, init, label, oracle=None, bound_max=None):
+    """Almost-never reachability: probability 0 iff the label is unreachable.
+    With `bound_max`, a pruned No deepens the bound up to it (see
+    `ReachOracle.reaches_label`)."""
     oracle = oracle or reach.ReachOracle(prog)
-    answer = oracle.reaches_label(init, label)
-    verdict = not oracle.require(answer)
-    witness = None if verdict else {"path_to_label": answer.path}
-    return QualResult("never_qual_reach", verdict, witness, answer.bound, answer.pruned)
+    if bound_max is not None and bound_max < oracle.config.bound:
+        raise ValueError("iterative mode needs bound <= bound_max")
+    prog.check_label(label)
+    answer = oracle.reaches_label(init, label, bound_max)
+    witness = {"path_to_label": answer.path} if answer.is_yes else None
+    return QualResult("never_qual_reach", not answer.is_yes, witness, answer.bound, answer.pruned)
 
 
 def never_qual_rep_reach(prog, init, label, oracle=None):

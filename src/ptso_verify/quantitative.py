@@ -79,6 +79,8 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    if max_iterations < 0:
+        raise ValueError("max_iterations must be >= 0")
     en, ed = epsilon.numerator, epsilon.denominator
     den = 1
     pos = neg = 0
@@ -89,7 +91,7 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
     def result():
         return QuantResult(analysis, Fraction(pos, den), Fraction(neg, den), epsilon,
                            iterations, Fraction(den - pos - neg, den), max_size,
-                           oracle.config.final_bound, pruned)
+                           oracle.config.bound, pruned)
 
     while (pos + neg) * ed < den * (ed - en):
         if iterations >= max_iterations:

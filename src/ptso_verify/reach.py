@@ -10,7 +10,7 @@ default, with the bound stamped on the answer) or Unknown under strict mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import markov, semantics
 from .errors import OracleUnknownError
@@ -18,46 +18,23 @@ from .errors import OracleUnknownError
 
 @dataclass(frozen=True)
 class OracleConfig:
-    bound: int = 8                 # K, or K0 when iterative
-    bound_max: int | None = None   # K_max; set, it makes the oracle iterative
+    bound: int = 8                 # K
     strict: bool = False           # False: AssumeNo; True: ReportUnknown
 
     def __post_init__(self):
         if self.bound < 1:
             raise ValueError("bound must be >= 1")
-        if self.bound_max is not None and self.bound_max < self.bound:
-            raise ValueError("iterative mode needs bound <= bound_max")
-
-    def schedule(self):
-        if self.bound_max is None:
-            return [self.bound]
-        out = []
-        k = self.bound
-        while k < self.bound_max:
-            out.append(k)
-            k *= 2
-        out.append(self.bound_max)
-        return out
-
-    @property
-    def final_bound(self):
-        return self.schedule()[-1]
 
 
 @dataclass
 class ReachAnswer:
-    kind: str                      # "yes" | "no" | "unknown"
-    path: list | None = None       # yes: [{"proc", "schedule", "config"}...]
-    bound: int = 0
-    pruned: bool = False
+    path: list | None              # yes: [{"proc", "schedule", "config"}...]; no: None
+    bound: int
+    pruned: bool
 
     @property
     def is_yes(self):
-        return self.kind == "yes"
-
-    @property
-    def is_no(self):
-        return self.kind == "no"
+        return self.path is not None
 
 
 @dataclass
@@ -206,8 +183,8 @@ class ReachOracle:
         self.prog = prog
         self.config = config or OracleConfig()
         self._rows = {}
-        self._explorations = {}
-        self._home = {}            # config -> a final-bound exploration holding it
+        self._explorations = {}    # root -> its exploration
+        self._home = {}            # config -> an exploration holding it
 
     # -- one-step structure --
 
@@ -230,12 +207,11 @@ class ReachOracle:
 
     # -- bounded exploration --
 
-    def explore(self, root, bound=None):
-        bound = self.config.final_bound if bound is None else bound
-        key = (root, bound)
-        got = self._explorations.get(key)
+    def explore(self, root):
+        got = self._explorations.get(root)
         if got is not None:
             return got
+        bound = self.config.bound
         nodes = {root}
         succs = {}
         parent = {}
@@ -264,12 +240,11 @@ class ReachOracle:
                 succs[c] = tuple(kept)
             queue = next_queue
         got = Exploration(root, bound, nodes, succs, parent, pruned_at)
-        self._explorations[key] = got
-        if bound == self.config.final_bound:
-            # A node's forward cone does not depend on the root it was
-            # reached from, so any exploration holding it answers for it.
-            for c in nodes:
-                self._home.setdefault(c, got)
+        self._explorations[root] = got
+        # A node's forward cone does not depend on the root it was reached
+        # from, so any exploration holding it answers for it.
+        for c in nodes:
+            self._home.setdefault(c, got)
         return got
 
     def checked(self, root, what):
@@ -284,24 +259,20 @@ class ReachOracle:
     # -- reachability of a label --
 
     def cone_roots(self, c):
-        """The configurations whose final-bound cones make up c's: c itself,
+        """The configurations whose bounded cones make up c's: c itself,
         unless c is over the bound and no exploration holds it. explore(c)
         would then prune every edge back to c, so c's cone is c plus the
         cones of its successors within the bound, and those are the roots."""
-        bound = self.config.final_bound
+        bound = self.config.bound
         if c in self._home or semantics.size(c) <= bound:
             return [c]
         return [s for s in self.successors(c) if semantics.size(s) <= bound]
 
     def can_reach(self, c, label):
-        """require(reaches_label(c, label)) without a witness path.
-
-        Decided at the final bound: exploration is monotone in the bound and
-        an unpruned exploration is the full closure, so an iterative schedule
-        changes only the bound stamp and the path of reaches_label.
-        """
+        """reaches_label(c, label).is_yes without a witness path; in strict
+        mode a No that rests on a pruned cone raises OracleUnknownError."""
         ex = self._home.get(c)
-        if ex is None and semantics.size(c) <= self.config.final_bound:
+        if ex is None and semantics.size(c) <= self.config.bound:
             ex = self.explore(c)
         if ex is None:
             # c is over the bound and no exploration holds it: decided from
@@ -317,38 +288,32 @@ class ReachOracle:
             return True
         if self.config.strict and (ex is None or ex.cone_pruned(c)):
             raise OracleUnknownError(
-                f"reachability of {label!r} unknown at bound {self.config.final_bound}; "
+                f"reachability of {label!r} unknown at bound {self.config.bound}; "
                 "rerun with a larger --bound")
         return False
 
-    def reaches_label(self, c, label):
+    def reaches_label(self, c, label, bound_max=None):
         """Is a configuration containing `label` reachable from c? A yes
         carries a replayable witness path; the answer is stamped with the
-        bound of the exploration that decided it."""
-        for bound in self.config.schedule():
-            ex = self.explore(c, bound)
-            hit = None
-            if label in c.labels:
-                hit = c
-            else:
-                for node in sorted(ex.nodes):
-                    if label in node.labels:
-                        hit = node
-                        break
-            if hit is not None:
-                return ReachAnswer("yes", path=ex.path_to(self.prog, hit),
-                                   bound=bound, pruned=ex.pruned)
-            if not ex.pruned:
-                return ReachAnswer("no", bound=bound, pruned=False)
-        return ReachAnswer("unknown" if self.config.strict else "no",
-                           bound=ex.bound, pruned=True)
+        bound of the exploration that decided it.
 
-    def require(self, answer):
-        """Collapse to a boolean, aborting on Unknown (strict mode)."""
-        if answer.kind == "unknown":
+        Iterative deepening: a pruned No below `bound_max` is asked again of
+        an oracle at twice the bound, capped at `bound_max` (bounds b, 2b,
+        4b, ..., bound_max). In strict mode a pruned No at the last bound
+        raises OracleUnknownError.
+        """
+        ex = self.explore(c)
+        hit = c if label in c.labels else next(
+            (node for node in sorted(ex.nodes) if label in node.labels), None)
+        if hit is not None:
+            return ReachAnswer(ex.path_to(self.prog, hit), ex.bound, ex.pruned)
+        if ex.pruned and bound_max is not None and ex.bound < bound_max:
+            deeper = replace(self.config, bound=min(2 * ex.bound, bound_max))
+            return ReachOracle(self.prog, deeper).reaches_label(c, label, bound_max)
+        if ex.pruned and self.config.strict:
             raise OracleUnknownError(
-                f"reachability unknown at bound {answer.bound}; rerun with a larger --bound")
-        return answer.is_yes
+                f"reachability unknown at bound {ex.bound}; rerun with a larger --bound")
+        return ReachAnswer(None, ex.bound, ex.pruned)
 
     # -- plain and B-plain enumeration --
 

@@ -192,10 +192,53 @@ def test_bound_max_below_bound_exit_2(bound_max):
     ("simulate", prog("race_flag"), "--label", "W1", "--runs", "10", "--strict"),
     ("simulate", prog("race_flag"), "--label", "W1", "--runs", "10", "--bound-max", "64"),
     ("parse", prog("race_flag"), "--bound", "3"),
+    # only never-reach deepens
+    ("qual-reach", prog("race_flag"), "--label", "W1", "--bound-max", "12"),
+    ("cost", prog("race_flag"), "--label", "W1", "--bound-max", "4"),
+    # parse reads no start configuration
+    ("parse", prog("race_flag"), "--init", "init.json"),
 ])
 def test_oracle_flags_only_where_an_oracle_is_built(argv):
     r = run_cli(*argv)
     assert r.returncode == 2 and "unrecognized arguments" in r.stderr
+
+
+ONCE_COSTS = {"P0": 1, "WIN": 1, "P2": 1}
+
+
+@pytest.mark.parametrize("doc,message", [
+    (list(ONCE_COSTS), "must be a JSON object"),
+    (5, "must be a JSON object"),
+    (None, "must be a JSON object"),
+    ({**ONCE_COSTS, "P0": True}, "cost of label 'P0' must be a positive integer, got True"),
+    ({**ONCE_COSTS, "NOPE": 2}, "unknown labels: ['NOPE']"),
+    ({"P0": 1, "WIN": 1}, "misses labels: ['P2']"),
+    ({**ONCE_COSTS, "P2": 0}, "must be a positive integer"),
+])
+def test_costs_malformed_exit_2(tmp_path, doc, message):
+    costs = tmp_path / "c.json"
+    costs.write_text(json.dumps(doc))
+    r = run_cli("cost", prog("once_then_term"), "--label", "P2", "--costs", str(costs))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("quant-reach", prog("race_flag"), "--label", "W1", "--max-iterations", "-3"),
+     "max_iterations must be >= 0"),
+    (("quant-rep-reach", prog("two_sccs"), "--label", "A1", "--max-iterations", "-1"),
+     "max_iterations must be >= 0"),
+    (("cost", prog("race_flag"), "--label", "W1", "--max-layers", "-1"),
+     "max_layers and max_frontier must be >= 0"),
+    (("cost", prog("race_flag"), "--label", "W1", "--max-frontier", "-1"),
+     "max_layers and max_frontier must be >= 0"),
+])
+def test_negative_budget_exit_2(argv, message):
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and message in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("command", ["eagerness", "cost"])

@@ -164,6 +164,15 @@ def test_frontier_budget_abort():
                           max_frontier=2, max_layers=50)
 
 
+def test_negative_budget_rejected():
+    # a negative budget used to run one layer and exit through the budget
+    p = load_corpus("race_retry")
+    init = semantics.initial_config(p)
+    for budget in ({"max_layers": -1}, {"max_frontier": -1}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            expected_avg_cost(p, init, "WIN", CostFunction.uniform(p), F(1, 100), **budget)
+
+
 def test_termination_bounds_vs_solver(det):
     # at termination (n >= n~): CostApprx <= E <= CostApprx + CError and
     # ProbApprx <= P(reach) <= ProbApprx + PError, with E and P(reach) from

@@ -44,6 +44,15 @@ GOLDEN = [
      "762d2fc697d43faba90d0b1fe28dd8599acf89499b25e553554e48b4e7cdaaf7"),
     ("never-rep-reach", "writer_reader", ["--label", "WIN"], 1,
      "6adff70076d67343b8708d5dcc0f698c7189b45bfcfb209595f42da4c961e375"),
+    # never-reach deepening: bounds 2, 4, 8, 12; 3, 6, 10 (strict Unknown);
+    # 1, 2, 4, 8, 14 (witness found below the last bound)
+    ("never-reach", "loop_all", ["--label", "PT", "--bound", "2", "--bound-max", "12"], 0,
+     "8ea2da70dc00199b04fa5a924571d019d3baa849956ba249c45f1b94f2ed6fea"),
+    ("never-reach", "loop_all",
+     ["--label", "PT", "--bound", "3", "--bound-max", "10", "--strict"], 3,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("never-reach", "writer_reader", ["--label", "WIN", "--bound", "1", "--bound-max", "14"], 1,
+     "4f3f4ab476674906332eb3886884d2dcf0c02325565bcae8aaa87206a1d859cc"),
 ]
 
 

@@ -124,3 +124,14 @@ def test_monotone_accumulators():
         assert res.value >= prev_pos and res.neg >= prev_neg
         assert res.value + res.neg <= 1
         prev_pos, prev_neg = res.value, res.neg
+
+
+@pytest.mark.parametrize("fn", [quantitative.quant_reach, quantitative.quant_rep_reach])
+def test_negative_max_iterations_rejected(fn):
+    # it used to report "no convergence within -3 iterations"
+    p = load_corpus("race_flag")
+    with pytest.raises(ValueError, match="max_iterations must be >= 0"):
+        fn(p, semantics.initial_config(p), "W1", EPS, max_iterations=-3)
+    with pytest.raises(BudgetExceededError) as err:
+        fn(p, semantics.initial_config(p), "W1", EPS, max_iterations=0)
+    assert err.value.partial.iterations == 0

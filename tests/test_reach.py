@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ def test_reaches_label_dead_guard():
     p = lang.parse_program(GUARDED)
     oracle = reach.ReachOracle(p)
     ans = oracle.reaches_label(semantics.initial_config(p), "DEAD")
-    assert ans.is_no and not ans.pruned  # exact: no writes, nothing pruned
+    assert not ans.is_yes and not ans.pruned  # exact: no writes, nothing pruned
 
 
 def test_witness_path_replays():
@@ -172,7 +173,7 @@ def test_over_bound_root_prunes_its_self_edge():
     p = load_corpus("race_flag")
     root = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1), ("x", 0)]})
     assert semantics.size(root) == 2
-    ex = reach.ReachOracle(p).explore(root, bound=1)
+    ex = reach.ReachOracle(p, reach.OracleConfig(bound=1)).explore(root)
     assert ex.pruned_at == {root}
     assert root not in ex.succs[root]
     assert sorted(semantics.size(s) for s in ex.succs[root]) == [0, 1]
@@ -180,12 +181,26 @@ def test_over_bound_root_prunes_its_self_edge():
     assert len(ex.nodes) == 3
 
 
-def test_iterative_mode_schedule():
-    oc = reach.OracleConfig(bound=2, bound_max=12)
-    assert oc.schedule() == [2, 4, 8, 12]
-    assert reach.OracleConfig(bound=5).schedule() == [5]
-    with pytest.raises(ValueError):
-        reach.OracleConfig(bound=9, bound_max=4)
+def test_iterative_mode_schedule(monkeypatch):
+    """A pruned No below bound_max is asked again at twice the bound, capped
+    at bound_max; the answer carries the last bound."""
+    p = load_corpus("loop_all")
+    init = semantics.initial_config(p)
+    bounds = []
+    explore = reach.ReachOracle.explore
+
+    def spy(self, root):
+        bounds.append(self.config.bound)
+        return explore(self, root)
+
+    monkeypatch.setattr(reach.ReachOracle, "explore", spy)
+    for start, bound_max, schedule in [(2, 12, [2, 4, 8, 12]), (3, 10, [3, 6, 10]),
+                                       (5, 12, [5, 10, 12]), (4, 4, [4]), (4, None, [4])]:
+        bounds.clear()
+        ans = reach.ReachOracle(p, reach.OracleConfig(bound=start)).reaches_label(
+            init, "PT", bound_max)
+        assert bounds == schedule
+        assert not ans.is_yes and ans.pruned and ans.bound == schedule[-1]
     with pytest.raises(ValueError):
         reach.OracleConfig(bound=0)
 
@@ -195,13 +210,13 @@ def test_strict_mode_unknown():
     init = semantics.initial_config(p)
     # PT is dead code; with writers looping, exploration always prunes
     strict = reach.ReachOracle(p, reach.OracleConfig(bound=3, strict=True))
-    ans = strict.reaches_label(init, "PT")
-    assert ans.kind == "unknown"
-    with pytest.raises(OracleUnknownError):
-        strict.require(ans)
+    with pytest.raises(OracleUnknownError, match="unknown at bound 3"):
+        strict.reaches_label(init, "PT")
+    with pytest.raises(OracleUnknownError, match="unknown at bound 6"):
+        strict.reaches_label(init, "PT", bound_max=6)
     lax = reach.ReachOracle(p, reach.OracleConfig(bound=3))
     ans2 = lax.reaches_label(init, "PT")
-    assert ans2.is_no and ans2.pruned and ans2.bound == 3
+    assert not ans2.is_yes and ans2.pruned and ans2.bound == 3
 
 
 def _outcome(ask):
@@ -212,26 +227,27 @@ def _outcome(ask):
 
 
 @pytest.mark.parametrize("name,labels,config", [
-    ("race_retry", None, reach.OracleConfig(bound=1)),
-    ("race_retry", None, reach.OracleConfig(bound=1, strict=True)),
-    ("loop_all", ["PT", "P1"], reach.OracleConfig(bound=2)),
-    ("loop_all", ["PT", "P1"], reach.OracleConfig(bound=2, strict=True)),
-    ("writer_reader", ["WIN"], reach.OracleConfig(bound=2, strict=True)),
-    ("race_retry", None,
-     reach.OracleConfig(bound=1, bound_max=2, strict=True)),
-    ("loop_all", ["PT", "P1"],
-     reach.OracleConfig(bound=1, bound_max=2, strict=True)),
+    ("race_retry", None, (reach.OracleConfig(bound=1), 1)),
+    ("race_retry", None, (reach.OracleConfig(bound=1, strict=True), 1)),
+    ("loop_all", ["PT", "P1"], (reach.OracleConfig(bound=2), 2)),
+    ("loop_all", ["PT", "P1"], (reach.OracleConfig(bound=2, strict=True), 2)),
+    ("writer_reader", ["WIN"], (reach.OracleConfig(bound=2, strict=True), 2)),
+    ("race_retry", None, (reach.OracleConfig(bound=2, strict=True), 1)),
+    ("loop_all", ["PT", "P1"], (reach.OracleConfig(bound=2, strict=True), 1)),
 ])
 def test_can_reach_matches_reaches_label(name, labels, config):
-    """can_reach equals require(reaches_label) on every explored node, every
-    one-step successor, including those beyond the bound, and every
-    successor of those, which may itself be beyond the bound or unexplored,
-    whether or not reaches_label explored at smaller bounds first on the
-    same oracle."""
+    """can_reach equals reaches_label(c, label, bound_max).is_yes on every
+    explored node, every one-step successor, including those beyond the
+    bound, and every successor of those, which may itself be beyond the
+    bound or unexplored. `config` is (the can_reach oracle's config, the
+    bound reaches_label starts from): from a smaller start it deepens up to
+    the config's bound, which answers alike because exploration is monotone
+    in the bound."""
+    config, start = config
     p = load_corpus(name)
     labels = labels or sorted(p.labels())
     fast = reach.ReachOracle(p, config)
-    slow = reach.ReachOracle(p, config)
+    slow = reach.ReachOracle(p, dataclasses.replace(config, bound=start))
     ex = fast.explore(semantics.initial_config(p))
     over = {s for c in ex.nodes for s in fast.distribution(c)} - ex.nodes
     configs = set(ex.nodes) | over
@@ -240,9 +256,12 @@ def test_can_reach_matches_reaches_label(name, labels, config):
     kinds = set()
     for c in sorted(configs):
         for label in labels:
-            want = _outcome(lambda: slow.require(slow.reaches_label(c, label)))
+            want = _outcome(lambda: slow.reaches_label(c, label, config.bound).is_yes)
             assert _outcome(lambda: fast.can_reach(c, label)) == want, (c, label)
-            assert _outcome(lambda: slow.can_reach(c, label)) == want, (c, label)
+            # deepening asks fresh oracles: the slow one still answers at its own bound
+            here = want if start == config.bound else _outcome(
+                lambda: slow.reaches_label(c, label).is_yes)
+            assert _outcome(lambda: slow.can_reach(c, label)) == here, (c, label)
             kinds.add(want)
     if config == reach.OracleConfig(bound=1, strict=True):
         assert kinds == {True, False, "unknown"}

@@ -49,7 +49,7 @@ def compute_mu(oracle, label, source):
     for c in a_set:
         if label in c.labels:
             continue
-        path = witness_bfs(oracle, c, label, oracle.config.final_bound)
+        path = witness_bfs(oracle, c, label, oracle.config.bound)
         prob = Fraction(1)
         for a, b in zip(path, path[1:]):
             prob *= oracle.distribution(a)[b]
