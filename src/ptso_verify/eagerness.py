@@ -31,18 +31,23 @@ Q_STAR = Fraction(2, 3)
 P_STAR = Fraction(1, 3)
 DEFAULT_BETA = 150
 
+SQRT_BITS = 96          # sqrt_bounds: hi - lo = 1/(den * 2^SQRT_BITS)
+ROOT_REL_BITS = 48      # nth_root_bounds: first relative slack 2^-ROOT_REL_BITS
+POW_BITS = 128          # iv_pow: bits kept by each outward rounding
+COARSE_BITS = 48        # _coarse_upper: bits of the grid rates are rounded up to
+
 
 # --- certified rational bounds for irrational values ---
 
-def sqrt_bounds(x, bits=96):
-    """lo <= sqrt(x) <= hi with hi - lo = 1/(den*2^bits)."""
+def sqrt_bounds(x):
+    """lo <= sqrt(x) <= hi with hi - lo = 1/(den*2^SQRT_BITS)."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of negative")
     if x == 0:
         return Fraction(0), Fraction(0)
     n, d = x.numerator, x.denominator
-    scale = 1 << bits
+    scale = 1 << SQRT_BITS
     t = math.isqrt(n * d * scale * scale)
     return Fraction(t, d * scale), Fraction(t + 1, d * scale)
 
@@ -65,7 +70,7 @@ def _bernoulli_root_bounds(y, n):
     return lo, hi
 
 
-def nth_root_bounds(y, n, rel_bits=48):
+def nth_root_bounds(y, n):
     """Certified lo <= y**(1/n) <= hi for y > 0, n >= 1."""
     y = Fraction(y)
     if y <= 0:
@@ -79,7 +84,7 @@ def nth_root_bounds(y, n, rel_bits=48):
         seed = 0.0
     if not (seed > 0 and math.isfinite(seed)):
         return bern_lo, bern_hi
-    slack = Fraction(1, 1 << rel_bits)
+    slack = Fraction(1, 1 << ROOT_REL_BITS)
     f = Fraction(seed)
     lo = f * (1 - slack)
     for _ in range(12):
@@ -89,7 +94,7 @@ def nth_root_bounds(y, n, rel_bits=48):
         lo = f * (1 - slack)
     else:
         lo = bern_lo
-    slack = Fraction(1, 1 << rel_bits)
+    slack = Fraction(1, 1 << ROOT_REL_BITS)
     hi = f * (1 + slack)
     for _ in range(12):
         if pow_decide(hi, n, lambda p: p >= y):
@@ -101,7 +106,7 @@ def nth_root_bounds(y, n, rel_bits=48):
     return max(lo, bern_lo), min(hi, bern_hi)
 
 
-def round_down(x, bits=128):
+def round_down(x, bits=POW_BITS):
     """Largest multiple of a power of two below x with ~bits of precision."""
     if x == 0:
         return x
@@ -113,12 +118,12 @@ def round_down(x, bits=128):
     return Fraction((n // (d << s)) << s)
 
 
-def round_up(x, bits=128):
+def round_up(x, bits=POW_BITS):
     """Smallest multiple of a power of two above x with ~bits of precision."""
     return -round_down(-x, bits)
 
 
-def iv_pow(lo, hi, n, bits=128):
+def iv_pow(lo, hi, n):
     """[lo, hi]^n for 0 <= lo <= hi, with outward relative rounding."""
     if not (0 <= lo <= hi and n >= 0):
         raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
@@ -126,12 +131,12 @@ def iv_pow(lo, hi, n, bits=128):
     blo, bhi = lo, hi
     while n:
         if n & 1:
-            rlo = round_down(rlo * blo, bits)
-            rhi = round_up(rhi * bhi, bits)
+            rlo = round_down(rlo * blo)
+            rhi = round_up(rhi * bhi)
         n >>= 1
         if n:
-            blo = round_down(blo * blo, bits)
-            bhi = round_up(bhi * bhi, bits)
+            blo = round_down(blo * blo)
+            bhi = round_up(bhi * bhi)
     return rlo, rhi
 
 
@@ -201,9 +206,9 @@ def gambler_tail_bound(g, n):
     return base / sp_hi, base / sp_lo
 
 
-def gamma_bounds(bits=96):
+def gamma_bounds():
     """The gravity rate gamma = 2*sqrt(q*, p* product) = 2*sqrt(2)/3."""
-    lo, hi = sqrt_bounds(Fraction(2), bits)
+    lo, hi = sqrt_bounds(Fraction(2))
     return 2 * lo / 3, 2 * hi / 3
 
 
@@ -326,10 +331,10 @@ def compute_mu(prog, label, oracle=None, source=None):
     return mu, per
 
 
-def _coarse_upper(x, bits=48):
+def _coarse_upper(x):
     """Round a certified upper bound in (0,1) up to a small-denominator grid,
     keeping it below 1; coarse rates keep the cost loop's exact powers cheap."""
-    r = round_up(x, bits)
+    r = round_up(x, COARSE_BITS)
     return r if r < 1 else x
 
 

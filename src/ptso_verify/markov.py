@@ -1,6 +1,6 @@
 """PTSO probability layer: the one-step transition row of the chain, built
 from the scheduler weights and the update-word counts in integers, and its
-exact rational views."""
+exact rational view."""
 
 from __future__ import annotations
 
@@ -53,25 +53,6 @@ def step_distribution(prog, c, row=None):
     step_row(prog, c) unless given."""
     den, weights = step_row(prog, c) if row is None else row
     return {succ: Fraction(w, den) for succ, w in weights}
-
-
-def sched_distribution(prog, c):
-    """Process-scheduling distribution at c, keyed by process name.
-
-    Empty when c is disabled; the full step is then the identity process
-    transition followed by an update step.
-    """
-    enabled = semantics.enabled_indices(prog, c)
-    total = sum(prog.processes[pi].weight for pi in enabled)
-    return {prog.processes[pi].name: Fraction(prog.processes[pi].weight, total)
-            for pi in enabled}
-
-
-def update_distribution(prog, c):
-    """The update step at c: uniform over the feasible update words."""
-    counts, total = semantics.update_successors(prog, c)
-    den, weights = _checked(total, counts)
-    return {succ: Fraction(n, den) for succ, n in weights}
 
 
 def frac_str(x):

@@ -137,25 +137,9 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     ex = oracle.explore(init)
-    bplain = oracle.bplain_configs(init)
-    bad = {c for c in bplain if not oracle.can_reach(c, label)}
-    reach_bad = ex.backward_set(bad)
-    escape_memo = {}
-
-    def reaches_bad(c):
-        if c in ex.nodes:
-            return c in reach_bad
-        got = escape_memo.get(c)
-        if got is None:
-            # the roots leave c out only when it is over the bound: not plain,
-            # so not in bad
-            got = escape_memo[c] = any(s in reach_bad if s in ex.nodes
-                                       else bool(oracle.explore(s).nodes & bad)
-                                       for s in oracle.cone_roots(c))
-        return got
-
+    bad = frozenset(c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label))
     return _run(prog, init, label, epsilon, oracle,
-                pos_test=lambda c: not reaches_bad(c),
+                pos_test=lambda c: not oracle.can_reach(c, bad),
                 neg_test=lambda c: not oracle.can_reach(c, label),
                 analysis="quant_rep_reach",
                 max_iterations=max_iterations, pruned=ex.pruned)

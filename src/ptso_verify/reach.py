@@ -46,11 +46,10 @@ class Exploration:
     nodes: set
     succs: dict                    # config -> tuple of successor configs
     parent: dict                   # BFS tree: config -> (pred, moving process or None)
-    pruned_at: set                 # configs with a successor pruned by the bound
+    pruned_at: frozenset           # configs with a successor pruned by the bound
     _preds: dict = field(default=None, repr=False)
     _sccs: list = field(default=None, repr=False)
     _reaching: dict = field(default_factory=dict, repr=False)
-    _pruned_cone: set = field(default=None, repr=False)
 
     @property
     def pruned(self):
@@ -79,19 +78,19 @@ class Exploration:
                     stack.append(p)
         return seen
 
-    def reaching(self, label):
-        """All explored configurations that can reach a `label`-bearing one."""
-        got = self._reaching.get(label)
+    def reaching(self, target):
+        """All explored configurations that can reach `target`: a label (a
+        configuration bearing it) or a frozenset of configurations."""
+        got = self._reaching.get(target)
         if got is None:
-            got = self.backward_set(c for c in self.nodes if label in c.labels)
-            self._reaching[label] = got
+            got = self._reaching[target] = self.backward_set(
+                target if isinstance(target, frozenset)
+                else (c for c in self.nodes if target in c.labels))
         return got
 
     def cone_pruned(self, c):
         """Did the bound prune a successor somewhere in `c`'s forward cone?"""
-        if self._pruned_cone is None:
-            self._pruned_cone = self.backward_set(self.pruned_at)
-        return c in self._pruned_cone
+        return c in self.reaching(self.pruned_at)
 
     def sccs(self):
         if self._sccs is None:
@@ -185,6 +184,7 @@ class ReachOracle:
         self._rows = {}
         self._explorations = {}    # root -> its exploration
         self._home = {}            # config -> an exploration holding it
+        self._cone_roots = {}      # config over the bound, held by none -> its roots
 
     # -- one-step structure --
 
@@ -239,7 +239,7 @@ class ReachOracle:
                     kept.append(succ)
                 succs[c] = tuple(kept)
             queue = next_queue
-        got = Exploration(root, bound, nodes, succs, parent, pruned_at)
+        got = Exploration(root, bound, nodes, succs, parent, frozenset(pruned_at))
         self._explorations[root] = got
         # A node's forward cone does not depend on the root it was reached
         # from, so any exploration holding it answers for it.
@@ -256,21 +256,25 @@ class ReachOracle:
                 f"{what} unknown: exploration pruned at bound {ex.bound}; rerun with a larger --bound")
         return ex
 
-    # -- reachability of a label --
+    # -- can-reach --
 
     def cone_roots(self, c):
-        """The configurations whose bounded cones make up c's: c itself,
-        unless c is over the bound and no exploration holds it. explore(c)
-        would then prune every edge back to c, so c's cone is c plus the
-        cones of its successors within the bound, and those are the roots."""
-        bound = self.config.bound
-        if c in self._home or semantics.size(c) <= bound:
-            return [c]
-        return [s for s in self.successors(c) if semantics.size(s) <= bound]
+        """The configurations whose bounded cones make up c's, for c over the
+        bound and held by no exploration: explore(c) would prune every edge
+        back to c, so c's cone is c plus the cones of its successors within
+        the bound, and those are the roots. Kept per configuration."""
+        got = self._cone_roots.get(c)
+        if got is None:
+            bound = self.config.bound
+            got = self._cone_roots[c] = tuple(
+                s for s in self.successors(c) if semantics.size(s) <= bound)
+        return got
 
-    def can_reach(self, c, label):
-        """reaches_label(c, label).is_yes without a witness path; in strict
-        mode a No that rests on a pruned cone raises OracleUnknownError."""
+    def can_reach(self, c, target):
+        """Can c reach `target`, a label or a frozenset of configurations?
+        For a label this is reaches_label(c, label).is_yes without a witness
+        path. In strict mode a No that rests on a pruned cone raises
+        OracleUnknownError."""
         ex = self._home.get(c)
         if ex is None and semantics.size(c) <= self.config.bound:
             ex = self.explore(c)
@@ -279,16 +283,17 @@ class ReachOracle:
             # its cone roots without exploring it. Its empty update word
             # leaves a successor over the bound, so a No is always pruned.
             # (Loops, not generators: a closure here would slow every call.)
-            if label in c.labels:
+            if (c in target) if isinstance(target, frozenset) else (target in c.labels):
                 return True
             for s in self.cone_roots(c):
-                if s in (self._home.get(s) or self.explore(s)).reaching(label):
+                if s in (self._home.get(s) or self.explore(s)).reaching(target):
                     return True
-        elif c in ex.reaching(label):
+        elif c in ex.reaching(target):
             return True
         if self.config.strict and (ex is None or ex.cone_pruned(c)):
+            what = "a configuration set" if isinstance(target, frozenset) else repr(target)
             raise OracleUnknownError(
-                f"reachability of {label!r} unknown at bound {self.config.bound}; "
+                f"reachability of {what} unknown at bound {self.config.bound}; "
                 "rerun with a larger --bound")
         return False
 

@@ -1,0 +1,103 @@
+"""Byte sweep of the command line: the exit code and the sha256 of stdout of
+every oracle subcommand over every label of the corpus programs.
+
+    python tests/digest_sweep.py --out FILE [--alarm SECONDS]
+    python tests/digest_sweep.py --compare A B
+
+--out runs each query in-process through `cli.main` of the checkout that
+holds this file and writes {argv: [exit code, stdout sha256]} as JSON. A
+query still running after --alarm seconds (default 20) is recorded as
+["alarm", null]. --compare lists the queries whose entries differ between
+two such files, and exits 1 if any do.
+
+The queries: qual-reach, qual-rep-reach, never-reach, never-rep-reach,
+quant-reach, quant-rep-reach, cost and eagerness, at --bound 1 and 3, each
+lax and --strict, with quant-* capped at 40 iterations and cost at 60
+layers; and never-reach with --bound-max 4 at the same bounds and modes.
+"""
+
+import argparse
+import collections
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pathlib
+import signal
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from ptso_verify import cli, lang  # noqa: E402
+
+SUBCOMMANDS = ("qual-reach", "qual-rep-reach", "never-reach", "never-rep-reach",
+               "quant-reach", "quant-rep-reach", "cost", "eagerness")
+CAPS = {"quant-reach": ["--max-iterations", "40"],
+        "quant-rep-reach": ["--max-iterations", "40"],
+        "cost": ["--max-layers", "60"]}
+
+
+class Alarm(BaseException):
+    """Raised by SIGALRM; a BaseException, so that cli.main does not catch it."""
+
+
+def queries():
+    for path in sorted((ROOT / "tests" / "corpus").glob("*.ptso")):
+        program = str(path.relative_to(ROOT))
+        for label in sorted(lang.parse_program(path.read_text()).labels()):
+            for bound in ("1", "3"):
+                for strict in ([], ["--strict"]):
+                    common = [program, "--label", label, "--bound", bound, *strict]
+                    for sub in SUBCOMMANDS:
+                        yield [sub, *common, *CAPS.get(sub, [])]
+                    yield ["never-reach", *common, "--bound-max", "4"]
+
+
+def run(argv, alarm):
+    out = io.StringIO()
+    signal.alarm(alarm)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+    except Alarm:
+        return ["alarm", None]
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.alarm(0)
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", metavar="FILE")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--alarm", type=int, default=20, metavar="SECONDS")
+    args = ap.parse_args(argv)
+
+    if args.compare:
+        a, b = (json.loads(pathlib.Path(f).read_text()) for f in args.compare)
+        differ = sorted(q for q in a.keys() | b.keys() if a.get(q) != b.get(q))
+        for q in differ:
+            print(f"{q}: {a.get(q)} != {b.get(q)}")
+        print(f"{len(differ)} of {len(a.keys() | b.keys())} queries differ")
+        return 1 if differ else 0
+
+    def on_alarm(signum, frame):
+        raise Alarm
+
+    signal.signal(signal.SIGALRM, on_alarm)
+    out = pathlib.Path(args.out).resolve()
+    os.chdir(ROOT)
+    got = {" ".join(q): run(q, args.alarm) for q in queries()}
+    out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+    codes = collections.Counter(code for code, _ in got.values())
+    print(f"{len(got)} queries; exit codes {dict(codes)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Package-wide invariants: checks hold under `python -O`, which strips
 `assert` statements (the package raises explicitly instead); only `reach`
 decides whether a reachability answer is Unknown; only `reach` builds step
-rows, so every analysis reads its one row cache; every analysis
-rejects an unknown target label."""
+rows, so every analysis reads its one row cache; only `reach` runs backward
+searches and the over-bound cone rule, so every analysis asks `can_reach`;
+every analysis rejects an unknown target label."""
 
 import ast
 import os
@@ -90,6 +91,15 @@ def test_step_distributions_built_in_reach_only():
              if path.name not in ("reach.py", "markov.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and _name(node.func) in ("step_row", "step_distribution")]
+    assert found == []
+
+
+def test_can_reach_decided_in_reach_only():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "ptso_verify").glob("*.py"))
+             if path.name != "reach.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _name(node.func) in ("cone_roots", "backward_set")]
     assert found == []
 
 

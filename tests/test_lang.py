@@ -186,7 +186,7 @@ def programs(draw):
     domain = draw(st.integers(2, 4))
     nvars = draw(st.integers(1, 2))
     variables = [f"x{i}" for i in range(nvars)]
-    nprocs = draw(st.integers(1, 2))
+    nprocs = draw(st.integers(1, 3))
     procs = []
     label_counter = 0
     for pi in range(nprocs):
@@ -196,10 +196,10 @@ def programs(draw):
         label_counter += n_instr + 1
         instrs = []
         for k in range(n_instr):
-            kind = draw(st.integers(0, 5))
+            kind = draw(st.integers(0, 7))
             reg = regs[draw(_names) % len(regs)]
             var = variables[draw(_names) % len(variables)]
-            if kind == 0:
+            if kind in (0, 7):
                 stmt = Write(var, reg)
             elif kind == 1:
                 stmt = lang.Read(reg, var)
@@ -210,7 +210,10 @@ def programs(draw):
             elif kind == 4:
                 stmt = Cas(reg, var, regs[0], regs[-1])
             else:
-                target = labels[draw(st.integers(0, n_instr))]
+                # kind 5 jumps anywhere, kind 6 back to an earlier label: loops
+                # that write (kinds 0 and 7) make the bounded explorations prune
+                last = k - 1 if kind == 6 and k > 0 else n_instr
+                target = labels[draw(st.integers(0, last))]
                 if target == labels[k]:
                     target = labels[k + 1]
                 stmt = If(reg, target)

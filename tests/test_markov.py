@@ -31,39 +31,54 @@ def prog():
     return lang.parse_program(WEIGHTED)
 
 
+def sched(prog, c):
+    """The scheduling distribution at c, keyed by process name: each enabled
+    process (semantics.enabled_indices) in proportion to its weight."""
+    enabled = semantics.enabled_indices(prog, c)
+    total = sum(prog.processes[pi].weight for pi in enabled)
+    return {prog.processes[pi].name: F(prog.processes[pi].weight, total) for pi in enabled}
+
+
+def update(prog, c):
+    """The update step at c, uniform over the feasible words: each
+    successor's word count over the total (semantics.update_successors)."""
+    counts, total = semantics.update_successors(prog, c)
+    return {succ: F(n, total) for succ, n in counts.items()}
+
+
 def test_sched_weights(prog):
     c = semantics.initial_config(prog)
-    assert markov.sched_distribution(prog, c) == {"P": F(1, 3), "Q": F(2, 3)}
+    assert sched(prog, c) == {"P": F(1, 3), "Q": F(2, 3)}
 
 
 def test_sched_blocked_cas(prog):
     c = make_config(prog, labels={"P": "P1"}, bufs={"P": [("x", 1)]})
-    assert markov.sched_distribution(prog, c) == {"Q": F(1)}
+    assert sched(prog, c) == {"Q": F(1)}
 
 
 def test_sched_all_disabled(prog):
     c = make_config(prog, labels={"P": "P2", "Q": "Q1"})
-    assert markov.sched_distribution(prog, c) == {}
+    assert sched(prog, c) == {}
     # the full step is then just an update step
     dist = markov.step_distribution(prog, c)
-    assert dist == markov.update_distribution(prog, c)
+    assert dist == update(prog, c)
 
 
 def test_update_distribution_flush(prog):
     c = make_config(prog, bufs={"P": [("x", 1), ("x", 0)], "Q": [("x", 1)]})
-    dist = markov.update_distribution(prog, c)
+    dist = update(prog, c)
     flush = sum(p for cc, p in dist.items() if semantics.is_plain(cc))
     assert flush == F(3, 9)
 
 
 def test_update_distribution_plain_point_mass(prog):
     c = semantics.initial_config(prog)
-    assert markov.update_distribution(prog, c) == {c: F(1)}
+    assert update(prog, c) == {c: F(1)}
 
 
 def test_update_single_buffer_five(prog):
     c = make_config(prog, bufs={"P": [("x", 1)] * 5})
-    dist = markov.update_distribution(prog, c)
+    dist = update(prog, c)
     by_size = {}
     for cc, p in dist.items():
         by_size[semantics.size(cc)] = by_size.get(semantics.size(cc), F(0)) + p
@@ -90,9 +105,9 @@ def test_faithfulness_and_ts_equality(prog):
     # scheduled with positive probability iff enabled; support of the step
     # distribution equals the transition relation
     c = make_config(prog, labels={"P": "P1"}, bufs={"P": [("x", 1)], "Q": [("x", 0)]})
-    sched = markov.sched_distribution(prog, c)
-    assert set(sched) == {prog.processes[pi].name for pi in semantics.enabled_indices(prog, c)}
-    assert all(p > 0 for p in sched.values())
+    scheduled = sched(prog, c)
+    assert set(scheduled) == {prog.processes[pi].name for pi in semantics.enabled_indices(prog, c)}
+    assert all(p > 0 for p in scheduled.values())
     dist = markov.step_distribution(prog, c)
     assert set(dist) == set(semantics.step_successors(prog, c))
 

@@ -4,9 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import exhaustive
 from conftest import corpus_names, load_corpus, make_config
+from test_lang import programs
 from ptso_verify import cost, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
@@ -219,6 +221,23 @@ def test_strict_mode_unknown():
     assert not ans2.is_yes and ans2.pruned and ans2.bound == 3
 
 
+def test_can_reach_set_target():
+    """A frozenset target is reached as its configurations are; a strict
+    Unknown for it does not print the set."""
+    p = load_corpus("loop_all")
+    init = semantics.initial_config(p)
+    lax = reach.ReachOracle(p, reach.OracleConfig(bound=2))
+    ex = lax.explore(init)
+    target = frozenset(c for c in ex.nodes if "P1" in c.labels)
+    assert all(lax.can_reach(c, target) == lax.can_reach(c, "P1") for c in ex.nodes)
+    strict = reach.ReachOracle(p, reach.OracleConfig(bound=2, strict=True))
+    over = next(s for c in sorted(ex.nodes) for s in sorted(lax.successors(c))
+                if semantics.size(s) > 2)
+    with pytest.raises(OracleUnknownError,
+                       match=r"^reachability of a configuration set unknown at bound 2;"):
+        strict.can_reach(over, frozenset())
+
+
 def _outcome(ask):
     try:
         return ask()
@@ -290,6 +309,25 @@ def test_over_bound_frontier_needs_no_exploration():
     assert len(oracle._explorations) == 1
 
 
+def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
+    """Explored configurations and over-bound ones decided from their cone
+    roots each ask for their successors once."""
+    calls = collections.Counter()
+    original = reach.ReachOracle.successors
+
+    def counting(self, c):
+        calls[c] += 1
+        return original(self, c)
+
+    monkeypatch.setattr(reach.ReachOracle, "successors", counting)
+    p = load_corpus("writer_reader")
+    with pytest.raises(BudgetExceededError):
+        quantitative.quant_reach(p, semantics.initial_config(p), "WIN", Fraction(1, 10),
+                                 max_iterations=30)
+    assert len(calls) > 1520        # the start exploration's nodes, and over-bound ones
+    assert set(calls.values()) == {1}
+
+
 # A and B each buffer two writes and then read what the other wrote first;
 # B also reads q, which C sets. B loops at BAD if it read q = 1, or if both
 # reads saw 0; otherwise it loops at G. Both reads see 0 only if two writes
@@ -339,29 +377,18 @@ C2: term
 """
 
 
-@pytest.mark.parametrize("prog,label,bound,max_iterations,escapes,outside", [
-    (load_corpus("loop_all"), "P0", 2, 40, {True}, False),
-    (lang.parse_program(ESCAPES), "G", 1, 10, {True, False}, True),
-])
-def test_rep_reach_escapes_match_exploring_each_escape(prog, label, bound, max_iterations,
-                                                       escapes, outside):
-    """quant_rep_reach decides an escape over the bound from its successors;
-    the reference explores the escape itself and looks for a bad B-plain
-    configuration among the nodes. `escapes` are the reference's verdicts,
-    and `outside` says whether a successor within the bound lay outside the
-    start exploration, so that quant_rep_reach explored it."""
-    init = semantics.initial_config(prog)
-    config = reach.OracleConfig(bound=bound)
+def _budgeted(run):
+    try:
+        return run()
+    except BudgetExceededError as exc:
+        return exc.partial
 
-    def outcome(run):
-        try:
-            return run()
-        except BudgetExceededError as exc:
-            return exc.partial
 
-    fast = reach.ReachOracle(prog, config)
-    got = outcome(lambda: quantitative.quant_rep_reach(
-        prog, init, label, Fraction(1, 100), fast, max_iterations=max_iterations))
+def _rep_reach_exploring_each_escape(prog, init, label, config, max_iterations):
+    """quant_rep_reach's run with the reference escape rule: an entry outside
+    the start exploration is explored itself, and it escapes when a bad
+    B-plain configuration lies among the nodes. Returns the outcome and the
+    set of escape verdicts."""
     oracle = reach.ReachOracle(prog, config)
     ex = oracle.explore(init)
     bad = {c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label)}
@@ -375,13 +402,68 @@ def test_rep_reach_escapes_match_exploring_each_escape(prog, label, bound, max_i
         seen.add(got)
         return got
 
-    want = outcome(lambda: quantitative._run(
+    got = _budgeted(lambda: quantitative._run(
         prog, init, label, Fraction(1, 100), oracle,
         pos_test=lambda c: not reaches_bad(c), neg_test=lambda c: not oracle.can_reach(c, label),
         analysis="quant_rep_reach", max_iterations=max_iterations, pruned=ex.pruned))
+    return got, seen
+
+
+@pytest.mark.parametrize("prog,label,bound,max_iterations,escapes,outside", [
+    (load_corpus("loop_all"), "P0", 2, 40, {True}, False),
+    (lang.parse_program(ESCAPES), "G", 1, 10, {True, False}, True),
+])
+def test_rep_reach_escapes_match_exploring_each_escape(prog, label, bound, max_iterations,
+                                                       escapes, outside):
+    """quant_rep_reach decides an escape over the bound from its successors;
+    the reference explores the escape itself and looks for a bad B-plain
+    configuration among the nodes. `escapes` are the reference's verdicts,
+    and `outside` says whether a successor within the bound lay outside the
+    start exploration, so that quant_rep_reach explored it."""
+    init = semantics.initial_config(prog)
+    config = reach.OracleConfig(bound=bound)
+    fast = reach.ReachOracle(prog, config)
+    got = _budgeted(lambda: quantitative.quant_rep_reach(
+        prog, init, label, Fraction(1, 100), fast, max_iterations=max_iterations))
+    want, seen = _rep_reach_exploring_each_escape(prog, init, label, config, max_iterations)
     assert seen == escapes
     assert (len(fast._explorations) > 1) == outside
     assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs(), st.integers(1, 2), st.data())
+def test_generated_programs_over_bound_answers(prog, bound, data):
+    """On generated programs, whose loops make the explorations prune,
+    quant_rep_reach equals the run with the reference escape rule, and every
+    configuration over the bound that it asks about gets from can_reach, in
+    the run's oracle and in a strict one, the answer reaches_label gives it
+    from a fresh oracle."""
+    label = data.draw(st.sampled_from(sorted(prog.labels())))
+    init = semantics.initial_config(prog)
+    config = reach.OracleConfig(bound=bound)
+    fast = reach.ReachOracle(prog, config)
+    asked = set()
+    can_reach = fast.can_reach
+
+    def recording(c, target):
+        if semantics.size(c) > bound:
+            asked.add(c)
+        return can_reach(c, target)
+
+    fast.can_reach = recording
+    got = _budgeted(lambda: quantitative.quant_rep_reach(
+        prog, init, label, Fraction(1, 100), fast, max_iterations=15))
+    want, _ = _rep_reach_exploring_each_escape(prog, init, label, config, 15)
+    assert got == want
+    strict = reach.OracleConfig(bound=bound, strict=True)
+    strict_oracle = reach.ReachOracle(prog, strict)
+    strict_oracle.explore(init)
+    for oracle_can_reach, config in ((can_reach, config), (strict_oracle.can_reach, strict)):
+        fresh = reach.ReachOracle(prog, config)
+        for c in sorted(asked):
+            assert (_outcome(lambda: oracle_can_reach(c, label))
+                    == _outcome(lambda: fresh.reaches_label(c, label).is_yes)), (c, config)
 
 
 @pytest.mark.parametrize("name", corpus_names())
