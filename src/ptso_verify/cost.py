@@ -1,7 +1,7 @@
 """Expected average cost to the first visit of a target label, with
 certified error tracking driven by the eagerness certificate.
 
-Breadth-first layers carry (configuration, accumulated cost) entries with
+Breadth-first layers carry (configuration id, accumulated cost) entries with
 exact path mass, held as integers over one denominator per layer (see
 `quantitative`). CostApprx/ProbApprx accumulate the mass absorbed at the
 target; CError/PError are the geometric tail bounds kappa*alpha^n/(1-alpha)^2
@@ -126,6 +126,23 @@ def check_budget(max_layers, max_frontier):
         raise ValueError("max_layers and max_frontier must be >= 0")
 
 
+def _step(oracle, cost, label, i):
+    """() if configuration i bears the label, else its row with the cost of
+    each step: (row_den, ((succ_id, cost, weight), ...))."""
+    c = oracle.configs[i]
+    if label in c.labels:
+        return ()
+    row_den, weights = oracle.row(i)
+    entries = []
+    for j, w in weights:
+        # A process step changes the label of the moving process and no
+        # other (no jump may target its own label), so the step costs the
+        # label that changed; a disabled step costs 0.
+        moved = [a for a, b in zip(c.labels, oracle.configs[j].labels) if a != b]
+        entries.append((j, cost[moved[0]] if moved else 0, w))
+    return row_den, tuple(entries)
+
+
 def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
                       max_layers=DEFAULT_MAX_LAYERS, max_frontier=DEFAULT_MAX_FRONTIER):
     """Approximate the conditional expected cost of reaching `label` from the
@@ -139,7 +156,8 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     if not oracle.can_reach(init, label):
-        raise ValueError(f"label {label!r} is unreachable; the conditional expected cost is undefined")
+        raise ValueError(f"label {label!r} is unreachable{reach.pruned_note(oracle.explore(init))}; "
+                         "the conditional expected cost is undefined")
     if eager is None:
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
 
@@ -151,9 +169,14 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     # prob_num are CostApprx and ProbApprx over it.
     den = 1
     cost_num = prob_num = 0
-    frontier = {(init, 0): 1}
+    sizes = oracle.sizes
+    start = oracle.intern(init)
+    frontier = {(start, 0): 1}     # (configuration id, accumulated cost) -> mass
     n = 0
-    max_size = semantics.size(init)
+    max_size = sizes[start]
+    # id -> () if its configuration bears the label, else its step as
+    # (row_den, ((succ_id, cost of the step, weight), ...)); built once per id.
+    steps = {}
 
     def done(m):
         """Do the error terms at layer m close the gap below epsilon? The gap
@@ -166,7 +189,8 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         cost_apprx, prob_apprx = Fraction(cost_num, den), Fraction(prob_num, den)
         t = alpha ** m
         c_error, p_error = base_c * t, base_p * t
-        live = sum(phi for (c, _), phi in frontier.items() if oracle.can_reach(c, label))
+        live = sum(phi for (i, _), phi in frontier.items()
+                   if oracle.can_reach(oracle.configs[i], label))
         upper = None if prob_apprx == 0 else (cost_apprx + c_error) / prob_apprx
         return CostResult(cost_apprx / (prob_apprx + p_error), upper, cost_apprx, prob_apprx,
                           c_error, p_error, m, epsilon, n_threshold, aborted,
@@ -175,23 +199,19 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     while True:
         n += 1
         expand = []
-        for (c, psi), phi in frontier.items():
-            if label in c.labels:
+        for (i, psi), phi in frontier.items():
+            step = steps.get(i)
+            if step is None:
+                step = steps[i] = _step(oracle, cost, label, i)
+            if not step:
                 cost_num += psi * phi
                 prob_num += phi
                 continue
-            row_den, weights = oracle.row(c)
-            entries = []
-            for succ, w in weights:
-                # A process step changes the label of the moving process and
-                # no other (no jump may target its own label), so the step
-                # costs the label that changed; a disabled step costs 0.
-                moved = [a for a, b in zip(c.labels, succ.labels) if a != b]
-                entries.append(((succ, psi + (cost[moved[0]] if moved else 0)), w))
-            expand.append((phi, row_den, entries))
+            row_den, entries = step
+            expand.append((phi, row_den, [((j, psi + d), w) for j, d, w in entries]))
         den, (cost_num, prob_num), frontier = quantitative.advance(
             den, (cost_num, prob_num), expand)
-        max_size = max(max_size, max((semantics.size(c) for c, _ in frontier), default=0))
+        max_size = max(max_size, max((sizes[i] for i, _ in frontier), default=0))
 
         if n >= n_threshold and prob_num > 0 and done(n):
             return result(n, False)

@@ -313,7 +313,8 @@ def compute_mu(prog, label, oracle=None, source=None):
     ex = oracle.checked(source, "A-set")
     a_set = _small_reach_set(ex, label)
     if not a_set:
-        raise ValueError(f"label {label!r} is not reachable from the start configuration")
+        raise ValueError(f"label {label!r} is not reachable from the start configuration"
+                         f"{reach.pruned_note(ex)}")
     nodes = sorted(ex.nodes)
     ids = {c: i for i, c in enumerate(nodes)}
     succs = [tuple(ids[s] for s in ex.succs[c]) for c in nodes]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import reach, semantics
+from . import reach
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -84,9 +84,14 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
     en, ed = epsilon.numerator, epsilon.denominator
     den = 1
     pos = neg = 0
-    frontier = {init: 1}
+    sizes = oracle.sizes
+    start = oracle.intern(init)
+    frontier = {start: 1}          # configuration id -> integer mass over den
     iterations = 0
-    max_size = semantics.size(init)
+    max_size = sizes[start]
+    # Both tests are functions of the configuration alone, so each id's fate
+    # is decided once: True banks positive, False negative, a row expands.
+    fate = {}
 
     def result():
         return QuantResult(analysis, Fraction(pos, den), Fraction(neg, den), epsilon,
@@ -98,16 +103,20 @@ def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
             raise BudgetExceededError(
                 f"{analysis}: no convergence within {max_iterations} iterations", result())
         expand = []
-        for c, mass in frontier.items():
-            if pos_test(c):
+        for i, mass in frontier.items():
+            f = fate.get(i)
+            if f is None:
+                c = oracle.configs[i]
+                f = fate[i] = True if pos_test(c) else False if neg_test(c) else oracle.row(i)
+            if f is True:
                 pos += mass
-            elif neg_test(c):
+            elif f is False:
                 neg += mass
             else:
-                expand.append((mass, *oracle.row(c)))
+                expand.append((mass, *f))
         den, (pos, neg), frontier = advance(den, (pos, neg), expand)
         iterations += 1
-        max_size = max(max_size, max(map(semantics.size, frontier), default=0))
+        max_size = max(max_size, max(map(sizes.__getitem__, frontier), default=0))
         if pos + neg + sum(frontier.values()) != den:
             raise AssertionError(f"{analysis}: mass not conserved at layer {iterations}")
     return result()

@@ -121,6 +121,14 @@ class Exploration:
         return steps
 
 
+def pruned_note(ex):
+    """What a No decided on exploration `ex` rests on, to append to its
+    message: nothing if nothing was pruned, else the bound."""
+    if not ex.pruned:
+        return ""
+    return f" within bound {ex.bound} (exploration pruned; rerun with a larger --bound)"
+
+
 def _tarjan(nodes, succs):
     """Iterative Tarjan SCC; components returned in discovery order."""
     index = {}
@@ -172,16 +180,20 @@ def _tarjan(nodes, succs):
 class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
-    One oracle serves one analysis at a time; its transition rows and
-    explorations are shared by every query against the same program. Every
-    analysis asks it, and only it, whether a configuration can reach a label
-    and whether a pruned exploration makes an answer Unknown.
+    One oracle serves one analysis at a time; its configuration ids,
+    transition rows and explorations are shared by every query against the
+    same program. Every analysis asks it, and only it, whether a
+    configuration can reach a label and whether a pruned exploration makes
+    an answer Unknown.
     """
 
     def __init__(self, prog, config=None):
         self.prog = prog
         self.config = config or OracleConfig()
-        self._rows = {}
+        self._ids = {}             # config -> its id
+        self.configs = []          # id -> config
+        self.sizes = []            # id -> semantics.size of its config
+        self._rows = []            # id -> its row, or None until asked
         self._explorations = {}    # root -> its exploration
         self._home = {}            # config -> an exploration holding it
         self._cone_roots = {}      # config over the bound, held by none -> its roots
@@ -191,19 +203,32 @@ class ReachOracle:
     def successors(self, c):
         return semantics.step_successors(self.prog, c)
 
-    def row(self, c):
-        """The step distribution at c as integer weights over one
-        denominator, markov.step_row(prog, c): (den, ((succ, weight), ...))
-        with weight/den the exact probability of succ; the mass-propagation
-        loops run on these."""
-        got = self._rows.get(c)
+    def intern(self, c):
+        """The integer id of configuration c, given on first sight: c is
+        configs[id], and its size is sizes[id]."""
+        got = self._ids.get(c)
         if got is None:
-            got = self._rows[c] = markov.step_row(self.prog, c)
+            got = self._ids[c] = len(self.configs)
+            self.configs.append(c)
+            self.sizes.append(semantics.size(c))
+            self._rows.append(None)
+        return got
+
+    def row(self, i):
+        """The step distribution at configs[i] as integer weights over one
+        denominator, markov.step_row over successor ids: (den, ((succ_id,
+        weight), ...)) with weight/den the exact probability of the step;
+        the mass-propagation loops run on these."""
+        got = self._rows[i]
+        if got is None:
+            den, weights = markov.step_row(self.prog, self.configs[i])
+            got = self._rows[i] = (den, tuple((self.intern(s), w) for s, w in weights))
         return got
 
     def distribution(self, c):
-        """The step distribution at c as exact Fractions, a view of row(c)."""
-        return markov.step_distribution(self.prog, c, self.row(c))
+        """The step distribution at c as exact Fractions keyed by
+        configuration, a view of row(intern(c))."""
+        return markov.step_distribution(self.prog, c, self.row(self.intern(c)), self.configs)
 
     # -- bounded exploration --
 

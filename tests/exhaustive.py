@@ -122,9 +122,10 @@ def _solve(unknowns, coeff_rows, rhs):
     return {i: sol[pos[i]] for i in order}
 
 
-def reach_probabilities(prog, init, label, max_states=MAX_STATES):
-    """(states, trans, x) with x[i] = P(reach a label-bearing config from i)."""
-    states, trans = build_chain(prog, init, max_states)
+def reach_probabilities(prog, init, label, max_states=MAX_STATES, chain=None):
+    """(states, trans, x) with x[i] = P(reach a label-bearing config from i);
+    `chain` is build_chain(prog, init, max_states) unless given."""
+    states, trans = chain or build_chain(prog, init, max_states)
     target = {i for i, s in enumerate(states) if label in s.labels}
     reaching = _can_reach(states, trans, target)
     x = {}
@@ -147,8 +148,8 @@ def reach_probabilities(prog, init, label, max_states=MAX_STATES):
     return states, trans, x
 
 
-def reach_probability(prog, init, label, max_states=MAX_STATES):
-    states, trans, x = reach_probabilities(prog, init, label, max_states)
+def reach_probability(prog, init, label, max_states=MAX_STATES, chain=None):
+    states, trans, x = reach_probabilities(prog, init, label, max_states, chain)
     return x[0]
 
 
@@ -160,9 +161,9 @@ def _mover_label(prog, a, b):
     return a.labels[moved[0]]
 
 
-def conditional_expected_cost(prog, init, label, cost, max_states=MAX_STATES):
+def conditional_expected_cost(prog, init, label, cost, max_states=MAX_STATES, chain=None):
     """(hit probability, conditional expected cost to first hit) from init."""
-    states, trans, x = reach_probabilities(prog, init, label, max_states)
+    states, trans, x = reach_probabilities(prog, init, label, max_states, chain)
     target = {i for i, s in enumerate(states) if label in s.labels}
     # z_i = E[cost to first hit; hit] ; z = 0 on targets and non-reaching states
     z = {}

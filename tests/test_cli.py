@@ -243,10 +243,24 @@ def test_negative_budget_exit_2(argv, message):
 
 @pytest.mark.parametrize("command", ["eagerness", "cost"])
 def test_unreachable_label_named_exit_2(command):
+    # nothing is pruned, so the No is unconditional
     r = run_cli(command, prog("dead_label"), "--label", "DEAD")
     assert r.returncode == 2, r.stderr
-    assert "label 'DEAD' is not reachable from the start configuration" in r.stderr
-    assert "Config(" not in r.stderr and r.stdout == ""
+    assert r.stderr == "error: label 'DEAD' is not reachable from the start configuration\n"
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv,bound", [
+    (["cost", prog("loop_all"), "--label", "PT", "--bound", "1", "--max-layers", "60"], 1),
+    (["eagerness", prog("writer_reader"), "--label", "L3", "--bound", "3"], 3),
+])
+def test_pruned_unreachable_label_names_the_bound(argv, bound):
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == (f"error: label {argv[3]!r} is not reachable from the start "
+                        f"configuration within bound {bound} (exploration pruned; "
+                        "rerun with a larger --bound)\n")
+    assert r.stdout == ""
 
 
 def test_epsilon_zero_denominator_exit_2():

@@ -1,0 +1,92 @@
+"""Differential checks on generated programs: the frontier analyses against
+the independent exact solver in `exhaustive`.
+
+A drawn program is kept when its full chain from the start configuration has
+at most MAX_STATES states and none of them holds more than the drawn bound of
+buffered writes, so the bounded exploration prunes nothing and every answer
+is exact for the whole chain. That filter reads the input only, never an
+answer.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
+
+import exhaustive
+from test_lang import programs
+from ptso_verify import cost, eagerness, quantitative, reach, semantics
+from ptso_verify.errors import BudgetExceededError
+
+MAX_STATES = 1_500
+EPS = Fraction(1, 100)
+COST_FRONTIER = 3_000
+SETTINGS = settings(max_examples=200, deadline=None,
+                    suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+
+
+@st.composite
+def finite_queries(draw):
+    """(program, start, label, oracle at a bound that prunes nothing, the
+    full chain as exhaustive.build_chain gives it)."""
+    prog = draw(programs())
+    bound = draw(st.integers(1, 4))
+    init = semantics.initial_config(prog)
+    assume(_finite_within(prog, init, bound))
+    label = draw(st.sampled_from(sorted(prog.labels())))
+    chain = exhaustive.build_chain(prog, init, MAX_STATES)
+    return prog, init, label, reach.ReachOracle(prog, reach.OracleConfig(bound=bound)), chain
+
+
+def _finite_within(prog, init, bound):
+    """Does the chain from init have at most MAX_STATES states, none of them
+    over `bound`? A plain breadth-first search that stops at the first
+    configuration over either limit, so a rejected program costs little."""
+    seen = {init}
+    layer = [init]
+    while layer:
+        nxt = []
+        for c in layer:
+            for succ in semantics.step_successors(prog, c):
+                if succ not in seen:
+                    if semantics.size(succ) > bound or len(seen) == MAX_STATES:
+                        return False
+                    seen.add(succ)
+                    nxt.append(succ)
+        layer = nxt
+    return True
+
+
+@SETTINGS
+@given(finite_queries())
+def test_quant_reach_bracket_holds_exact_probability(query):
+    prog, init, label, oracle, chain = query
+    p = exhaustive.reach_probability(prog, init, label, chain=chain)
+    res = quantitative.quant_reach(prog, init, label, EPS, oracle)
+    assert not res.pruned
+    assert res.value <= p <= res.value + EPS
+
+
+@SETTINGS
+@given(finite_queries(), st.data())
+def test_cost_bracket_holds_exact_conditional_cost(query, data):
+    prog, init, label, oracle, chain = query
+    costs = cost.CostFunction.validate(
+        prog, {lbl: data.draw(st.integers(1, 3)) for lbl in sorted(prog.labels())})
+    p = exhaustive.reach_probability(prog, init, label, chain=chain)
+    if p == 0:
+        assert not oracle.can_reach(init, label)
+        return
+    eager = eagerness.compute_eagerness(prog, label, oracle, source=init)
+    if eager.n_threshold > cost.DEFAULT_MAX_LAYERS:
+        event("cost exit 4 certain")
+        return      # the loop cannot stop before layer n~: the budget ends it
+    try:
+        res = cost.expected_avg_cost(prog, init, label, costs, EPS, oracle, eager=eager,
+                                     max_frontier=COST_FRONTIER)
+    except BudgetExceededError:
+        event("cost budget exceeded")
+        return      # exit 4: the partial bounds are not a certified bracket
+    event("cost decided")
+    _, want = exhaustive.conditional_expected_cost(prog, init, label, costs, chain=chain)
+    assert res.value <= want < res.value + EPS
+    assert res.value_upper is None or want <= res.value_upper

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -472,14 +473,17 @@ def test_row_is_step_distribution_over_one_denominator(name):
     # composition of the step (exhaustive.step_distribution)
     p = load_corpus(name)
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=4 if name == "writer_reader" else 8))
+    configs = oracle.configs
     for c in sorted(oracle.explore(semantics.initial_config(p)).nodes):
-        den, weights = oracle.row(c)
-        assert all(type(w) is int and w > 0 for _, w in weights)
+        i = oracle.intern(c)
+        assert configs[i] == c and oracle.sizes[i] == semantics.size(c)
+        den, weights = oracle.row(i)
+        assert all(type(j) is int and type(w) is int and w > 0 for j, w in weights)
         assert sum(w for _, w in weights) == den
         dist = exhaustive.step_distribution(p, c)
         assert den == math.lcm(*(q.denominator for q in dist.values()))
-        assert [succ for succ, _ in weights] == list(dist)
-        assert {succ: Fraction(w, den) for succ, w in weights} == dist
+        assert [configs[j] for j, _ in weights] == list(dist)
+        assert {configs[j]: Fraction(w, den) for j, w in weights} == dist
         assert oracle.distribution(c) == dist
         assert markov.step_distribution(p, c) == dist
 
@@ -503,3 +507,105 @@ def test_analyses_share_one_row_per_configuration(monkeypatch):
                                Fraction(1, 10), oracle, max_layers=50)
     assert len(calls) > after_quant > 0
     assert set(calls.values()) == {1}
+
+
+# The benchmark's `race` instance at seed 1 (perfbench/racegen.py).
+RACE_SEED_1 = """
+domain 4
+vars x
+proc W0 weight 2
+regs a0 b0
+W0A: a0 := 1
+W0B: b0 := 3
+W0C: x := a0
+W0D: x := b0
+W0T: term
+proc W1 weight 3
+regs a1 b1
+W1A: a1 := 3
+W1B: b1 := 2
+W1C: x := a1
+W1D: x := b1
+W1T: term
+proc W2 weight 1
+regs a2 b2
+W2A: a2 := 2
+W2B: b2 := 1
+W2C: x := a2
+W2D: x := b2
+W2T: term
+proc R weight 2
+regs one t r e
+R0: one := 1
+R1: t := 3
+R2: r := x
+R3: if r then DEC
+R4: if one then R2
+DEC: e := r == t
+D2: if e then WIN
+D3: if one then END
+WIN: e := r
+END: term
+"""
+
+
+@pytest.mark.parametrize("prog,epsilon,max_iterations,asked", [
+    (lang.parse_program(RACE_SEED_1), Fraction(1, 10**12), None, 4945),
+    (load_corpus("writer_reader"), Fraction(1, 10), 30, 1499),
+])
+def test_quant_reach_decides_each_configuration_once(monkeypatch, prog, epsilon,
+                                                     max_iterations, asked):
+    """A frontier configuration's fate is decided on its first visit: the
+    negative test asks can_reach once per distinct configuration."""
+    calls = collections.Counter()
+    original = reach.ReachOracle.can_reach
+
+    def counting(self, c, target):
+        calls[c] += 1
+        return original(self, c, target)
+
+    monkeypatch.setattr(reach.ReachOracle, "can_reach", counting)
+    budget = {} if max_iterations is None else {"max_iterations": max_iterations}
+    try:
+        quantitative.quant_reach(prog, semantics.initial_config(prog), "WIN", epsilon, **budget)
+    except BudgetExceededError:
+        assert max_iterations is not None
+    assert sum(calls.values()) == len(calls) == asked
+
+
+def test_mass_loops_size_each_configuration_once(monkeypatch):
+    """The quant and cost loops read sizes from the oracle's id table, which
+    sizes each configuration once. (The bounded search sizes successors on
+    its own and is not counted.)"""
+    calls = collections.Counter()
+    original = semantics.size
+    loops = {quantitative.__file__, cost.__file__}
+
+    def counting(c):
+        caller = sys._getframe(1).f_code
+        if caller.co_filename in loops or caller.co_name == "intern":
+            calls[c] += 1
+        return original(c)
+
+    monkeypatch.setattr(semantics, "size", counting)
+    p = load_corpus("race_costs")
+    init = semantics.initial_config(p)
+    oracle = reach.ReachOracle(p)
+    quantitative.quant_reach(p, init, "HI", Fraction(1, 10**6), oracle)
+    with pytest.raises(BudgetExceededError):
+        cost.expected_avg_cost(p, init, "HI", cost.CostFunction.uniform(p),
+                               Fraction(1, 10), oracle, max_layers=50)
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(oracle.configs) > 1
+
+
+def test_rows_hold_integer_ids():
+    p = load_corpus("race_costs")
+    oracle = reach.ReachOracle(p)
+    quantitative.quant_reach(p, semantics.initial_config(p), "HI", Fraction(1, 10**6), oracle)
+    for i in range(len(oracle.configs)):
+        den, weights = oracle.row(i)
+        assert type(den) is int
+        assert all(type(j) is int and 0 <= j < len(oracle.configs) for j, _ in weights)
+    with pytest.raises(TypeError):
+        oracle.row(oracle.configs[0])
