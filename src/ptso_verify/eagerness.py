@@ -244,7 +244,7 @@ class EagernessParams:
     alpha: Fraction
     n_threshold: int
 
-    def to_json(self, prog=None):
+    def to_json(self):
         fs = markov.frac_str
         return {
             "q_star": fs(self.q_star),

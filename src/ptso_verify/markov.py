@@ -48,14 +48,11 @@ def _checked(den, acc):
     return den // g, tuple((succ, n // g) for succ, n in acc.items())
 
 
-def step_distribution(prog, c, row=None, configs=None):
-    """One full step of the chain as exact Fractions keyed by successor: the
-    view of `row`, step_row(prog, c) unless given. A row over successor ids
-    (`ReachOracle.row`) comes with `configs`, its id -> configuration list."""
-    den, weights = step_row(prog, c) if row is None else row
-    if configs is not None:
-        return {configs[j]: Fraction(w, den) for j, w in weights}
-    return {succ: Fraction(w, den) for succ, w in weights}
+def step_distribution(row, configs):
+    """A row over successor ids (`ReachOracle.row`) as exact Fractions keyed
+    by successor configuration; `configs` is its id -> configuration list."""
+    den, weights = row
+    return {configs[j]: Fraction(w, den) for j, w in weights}
 
 
 def frac_str(x):

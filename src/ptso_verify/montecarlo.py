@@ -139,16 +139,6 @@ class RunSample:
     total_cost: int | None
 
 
-def sample_step(prog, c, rng, sampler):
-    """One chain step with name-keyed results: (choice, schedule, configuration).
-    `sampler` is a RunSampler of `prog`, shared across a run's steps so its
-    step tables are filled once per configuration."""
-    pi, word, succ = sampler.step(c, rng)
-    name = None if pi is None else prog.processes[pi].name
-    sched = tuple(prog.processes[w].name for w in word)
-    return name, sched, succ
-
-
 def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
     """Sample one run of `horizon` steps; records every step.
 

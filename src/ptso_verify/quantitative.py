@@ -74,8 +74,7 @@ def advance(den, banked, expand):
     return den // g, [b // g for b in banked], {key: mass // g for key, mass in new.items()}
 
 
-def _run(prog, init, label, epsilon, oracle, pos_test, neg_test, analysis,
-         max_iterations, pruned):
+def _run(init, epsilon, oracle, pos_test, neg_test, analysis, max_iterations, pruned):
     epsilon = Fraction(epsilon)
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie strictly between 0 and 1")
@@ -128,7 +127,7 @@ def quant_reach(prog, init, label, epsilon, oracle=None,
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
     ex = oracle.explore(init)
-    return _run(prog, init, label, epsilon, oracle,
+    return _run(init, epsilon, oracle,
                 pos_test=lambda c: label in c.labels,
                 neg_test=lambda c: not oracle.can_reach(c, label),
                 analysis="quant_reach",
@@ -147,7 +146,7 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
     oracle = oracle or reach.ReachOracle(prog)
     ex = oracle.explore(init)
     bad = frozenset(c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label))
-    return _run(prog, init, label, epsilon, oracle,
+    return _run(init, epsilon, oracle,
                 pos_test=lambda c: not oracle.can_reach(c, bad),
                 neg_test=lambda c: not oracle.can_reach(c, label),
                 analysis="quant_rep_reach",

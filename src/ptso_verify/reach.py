@@ -48,7 +48,6 @@ class Exploration:
     parent: dict                   # BFS tree: config -> (pred, moving process or None)
     pruned_at: frozenset           # configs with a successor pruned by the bound
     _preds: dict = field(default=None, repr=False)
-    _sccs: list = field(default=None, repr=False)
     _reaching: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -92,14 +91,9 @@ class Exploration:
         """Did the bound prune a successor somewhere in `c`'s forward cone?"""
         return c in self.reaching(self.pruned_at)
 
-    def sccs(self):
-        if self._sccs is None:
-            self._sccs = _tarjan(self.nodes, self.succs)
-        return self._sccs
-
     def bottom_sccs(self):
         out = []
-        for comp in self.sccs():
+        for comp in _tarjan(self.nodes, self.succs):
             members = set(comp)
             if all(s in members for c in comp for s in self.succs[c]):
                 out.append(members)
@@ -196,7 +190,6 @@ class ReachOracle:
         self._rows = []            # id -> its row, or None until asked
         self._explorations = {}    # root -> its exploration
         self._home = {}            # config -> an exploration holding it
-        self._cone_roots = {}      # config over the bound, held by none -> its roots
 
     # -- one-step structure --
 
@@ -228,7 +221,7 @@ class ReachOracle:
     def distribution(self, c):
         """The step distribution at c as exact Fractions keyed by
         configuration, a view of row(intern(c))."""
-        return markov.step_distribution(self.prog, c, self.row(self.intern(c)), self.configs)
+        return markov.step_distribution(self.row(self.intern(c)), self.configs)
 
     # -- bounded exploration --
 
@@ -287,13 +280,10 @@ class ReachOracle:
         """The configurations whose bounded cones make up c's, for c over the
         bound and held by no exploration: explore(c) would prune every edge
         back to c, so c's cone is c plus the cones of its successors within
-        the bound, and those are the roots. Kept per configuration."""
-        got = self._cone_roots.get(c)
-        if got is None:
-            bound = self.config.bound
-            got = self._cone_roots[c] = tuple(
-                s for s in self.successors(c) if semantics.size(s) <= bound)
-        return got
+        the bound, and those are the roots, in first-reached order. Read from
+        row(intern(c)), which is cached, so a mass loop expanding c reuses it."""
+        bound, sizes, configs = self.config.bound, self.sizes, self.configs
+        return [configs[j] for j, _ in self.row(self.intern(c))[1] if sizes[j] <= bound]
 
     def can_reach(self, c, target):
         """Can c reach `target`, a label or a frozenset of configurations?

@@ -5,10 +5,12 @@ every oracle subcommand over every label of the corpus programs.
     python tests/digest_sweep.py --compare A B
 
 --out runs each query in-process through `cli.main` of the checkout that
-holds this file and writes {argv: [exit code, stdout sha256]} as JSON. A
-query still running after --alarm seconds (default 20) is recorded as
-["alarm", null]. --compare lists the queries whose entries differ between
-two such files, and exits 1 if any do.
+holds this file and writes {argv: [exit code, stdout sha256, seconds]} as
+JSON. A query still running after --alarm seconds (default 20) is recorded
+as ["alarm", null, seconds]. --compare lists the queries whose exit code or
+sha256 differ between two such files, and exits 1 if any do; it then prints
+each side's summed seconds per subcommand and the queries that alarmed.
+Files of two-field entries, [exit code, stdout sha256], compare too.
 
 The queries: qual-reach, qual-rep-reach, never-reach, never-rep-reach,
 quant-reach, quant-rep-reach, cost and eagerness, at --bound 1 and 3, each
@@ -26,6 +28,7 @@ import os
 import pathlib
 import signal
 import sys
+import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -57,17 +60,41 @@ def queries():
 
 def run(argv, alarm):
     out = io.StringIO()
+    t0 = time.perf_counter()
     signal.alarm(alarm)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = cli.main(argv)
     except Alarm:
-        return ["alarm", None]
+        return ["alarm", None, round(time.perf_counter() - t0, 3)]
     except SystemExit as exc:
         code = exc.code
     finally:
         signal.alarm(0)
-    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    seconds = round(time.perf_counter() - t0, 3)
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), seconds]
+
+
+def compare(a, b):
+    """Print the queries whose exit code or sha256 differ, each side's
+    seconds per subcommand where recorded, and the queries that alarmed;
+    returns the number of differing queries."""
+    differ = sorted(q for q in a.keys() | b.keys()
+                    if (a.get(q) or [])[:2] != (b.get(q) or [])[:2])
+    for q in differ:
+        print(f"{q}: {a.get(q)} != {b.get(q)}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} queries differ")
+    for side, got in (("A", a), ("B", b)):
+        seconds = collections.Counter()
+        for q, entry in got.items():
+            if len(entry) > 2:
+                seconds[q.split()[0]] += entry[2]
+        if seconds:
+            print(f"{side} seconds: " + ", ".join(f"{sub} {seconds[sub]:.1f}"
+                                                  for sub in sorted(seconds)))
+        for q in sorted(q for q, entry in got.items() if entry[0] == "alarm"):
+            print(f"{side} alarm: {q}")
+    return len(differ)
 
 
 def main(argv=None):
@@ -80,11 +107,7 @@ def main(argv=None):
 
     if args.compare:
         a, b = (json.loads(pathlib.Path(f).read_text()) for f in args.compare)
-        differ = sorted(q for q in a.keys() | b.keys() if a.get(q) != b.get(q))
-        for q in differ:
-            print(f"{q}: {a.get(q)} != {b.get(q)}")
-        print(f"{len(differ)} of {len(a.keys() | b.keys())} queries differ")
-        return 1 if differ else 0
+        return 1 if compare(a, b) else 0
 
     def on_alarm(signum, frame):
         raise Alarm
@@ -94,7 +117,7 @@ def main(argv=None):
     os.chdir(ROOT)
     got = {" ".join(q): run(q, args.alarm) for q in queries()}
     out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
-    codes = collections.Counter(code for code, _ in got.values())
+    codes = collections.Counter(entry[0] for entry in got.values())
     print(f"{len(got)} queries; exit codes {dict(codes)}")
     return 0
 

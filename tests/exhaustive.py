@@ -59,11 +59,16 @@ def build_chain(prog, init, max_states=MAX_STATES):
     return states, trans
 
 
-def _can_reach(states, trans, target_idx):
-    preds = [[] for _ in states]
+def _predecessors(trans):
+    preds = [[] for _ in trans]
     for i, row in enumerate(trans):
         for j in row:
             preds[j].append(i)
+    return preds
+
+
+def _can_reach(states, trans, target_idx):
+    preds = _predecessors(trans)
     seen = set(target_idx)
     stack = list(target_idx)
     while stack:
@@ -126,7 +131,12 @@ def reach_probabilities(prog, init, label, max_states=MAX_STATES, chain=None):
     """(states, trans, x) with x[i] = P(reach a label-bearing config from i);
     `chain` is build_chain(prog, init, max_states) unless given."""
     states, trans = chain or build_chain(prog, init, max_states)
-    target = {i for i, s in enumerate(states) if label in s.labels}
+    return states, trans, _absorption(states, trans,
+                                      {i for i, s in enumerate(states) if label in s.labels})
+
+
+def _absorption(states, trans, target):
+    """x[i] = P(reach a state of `target` from i), solved exactly."""
     reaching = _can_reach(states, trans, target)
     x = {}
     unknowns = set()
@@ -145,12 +155,64 @@ def reach_probabilities(prog, init, label, max_states=MAX_STATES, chain=None):
             rhs[i] = sum((p * x[j] for j, p in trans[i].items() if j not in unknowns),
                          Fraction(0))
         x.update(_solve(unknowns, coeff, rhs))
-    return states, trans, x
+    return x
 
 
 def reach_probability(prog, init, label, max_states=MAX_STATES, chain=None):
     states, trans, x = reach_probabilities(prog, init, label, max_states, chain)
     return x[0]
+
+
+def _bottom_components(trans):
+    """The bottom strongly connected components of the chain, as sets of
+    state indices: Kosaraju's two passes (finish order on the graph, then
+    components on its reverse), keeping the components no edge leaves."""
+    n = len(trans)
+    order, seen = [], [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack = [(start, iter(trans[start]))]
+        while stack:
+            i, it = stack[-1]
+            j = next((j for j in it if not seen[j]), None)
+            if j is None:
+                stack.pop()
+                order.append(i)
+            else:
+                seen[j] = True
+                stack.append((j, iter(trans[j])))
+    preds = _predecessors(trans)
+    placed = [False] * n
+    bottoms = []
+    for root in reversed(order):
+        if placed[root]:
+            continue
+        members, todo = {root}, [root]
+        placed[root] = True
+        while todo:
+            for p in preds[todo.pop()]:
+                if not placed[p]:
+                    placed[p] = True
+                    members.add(p)
+                    todo.append(p)
+        if all(j in members for i in members for j in trans[i]):
+            bottoms.append(members)
+    return bottoms
+
+
+def repeated_reach_probability(prog, init, label, chain=None):
+    """P(label infinitely often) from init: a finite chain ends, almost
+    surely, in a bottom SCC and visits each of its states infinitely often,
+    so this is the probability of reaching a bottom SCC that holds a
+    label-bearing configuration."""
+    states, trans = chain or build_chain(prog, init)
+    target = set()
+    for members in _bottom_components(trans):
+        if any(label in states[i].labels for i in members):
+            target |= members
+    return _absorption(states, trans, target)[0]
 
 
 def _mover_label(prog, a, b):

@@ -16,7 +16,7 @@ import pytest
 
 import exhaustive
 from conftest import load_corpus, make_config
-from ptso_verify import (cost as cost_mod, eagerness, markov, montecarlo,
+from ptso_verify import (cost as cost_mod, eagerness, montecarlo,
                          qualitative, quantitative, reach, semantics)
 from ptso_verify.errors import BudgetExceededError
 
@@ -86,8 +86,9 @@ def test_criterion_2_left_biasedness_enumeration():
     checked = 0
     for prog, configs in _corpus_size5_configs():
         assert configs, "corpus produced no size-5 configurations"
+        step = reach.ReachOracle(prog).distribution
         for c in configs:
-            dist = markov.step_distribution(prog, c)
+            dist = step(c)
             small = sum(p for cc, p in dist.items() if semantics.size(cc) <= 4)
             assert small >= F(2, 3), c
             checked += 1
@@ -103,12 +104,13 @@ def test_criterion_3_row_stochasticity_depth6():
     total = 0
     for name in ALL_CORPUS:
         prog = load_corpus(name)
+        step = reach.ReachOracle(prog).distribution
         seen = {semantics.initial_config(prog)}
         frontier = list(seen)
         for _ in range(6):
             nxt = []
             for c in frontier:
-                dist = markov.step_distribution(prog, c)
+                dist = step(c)
                 assert sum(dist.values()) == 1, (name, c)
                 total += 1
                 for succ in dist:

@@ -5,7 +5,7 @@ import pytest
 import exhaustive
 from conftest import load_corpus, make_config
 from ptso_verify import cost as cost_mod
-from ptso_verify import eagerness, lang, markov, reach, semantics
+from ptso_verify import eagerness, lang, reach, semantics
 from ptso_verify.cost import CostFunction, expected_avg_cost
 from ptso_verify.errors import BudgetExceededError
 
@@ -126,7 +126,7 @@ def test_invariants_exact_prefix_sums():
         for i in range(1, i_max + 1):
             nxt = []
             for c, pr, acc in paths:
-                for succ, q in markov.step_distribution(p, c).items():
+                for succ, q in oracle.distribution(c).items():
                     moved = [k for k, (a, b) in enumerate(zip(c.labels, succ.labels)) if a != b]
                     step_c = cf[c.labels[moved[0]]] if moved else 0
                     entry = (succ, pr * q, acc + step_c)

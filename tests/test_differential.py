@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import exhaustive
 from test_lang import programs
-from ptso_verify import cost, eagerness, quantitative, reach, semantics
+from ptso_verify import cost, eagerness, qualitative, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError
 
 MAX_STATES = 1_500
@@ -64,6 +64,32 @@ def test_quant_reach_bracket_holds_exact_probability(query):
     res = quantitative.quant_reach(prog, init, label, EPS, oracle)
     assert not res.pruned
     assert res.value <= p <= res.value + EPS
+
+
+@SETTINGS
+@given(finite_queries())
+def test_quant_rep_reach_bracket_holds_exact_probability(query):
+    prog, init, label, oracle, chain = query
+    p = exhaustive.repeated_reach_probability(prog, init, label, chain=chain)
+    res = quantitative.quant_rep_reach(prog, init, label, EPS, oracle)
+    assert not res.pruned
+    assert res.value <= p <= res.value + EPS
+
+
+@SETTINGS
+@given(finite_queries())
+def test_qualitative_verdicts_match_exact_probabilities(query):
+    """Almost-sure is P == 1 and almost-never is P == 0, for reaching the
+    label and for reaching it infinitely often."""
+    prog, init, label, oracle, chain = query
+    p = exhaustive.reach_probability(prog, init, label, chain=chain)
+    rep = exhaustive.repeated_reach_probability(prog, init, label, chain=chain)
+    event(f"P(reach) {'0' if p == 0 else '1' if p == 1 else 'in (0, 1)'}; "
+          f"P(inf. often) {'0' if rep == 0 else '1' if rep == 1 else 'in (0, 1)'}")
+    assert qualitative.qual_reach(prog, init, label, oracle).verdict == (p == 1)
+    assert qualitative.never_qual_reach(prog, init, label, oracle).verdict == (p == 0)
+    assert qualitative.qual_rep_reach(prog, init, label, oracle).verdict == (rep == 1)
+    assert qualitative.never_qual_rep_reach(prog, init, label, oracle).verdict == (rep == 0)
 
 
 @SETTINGS

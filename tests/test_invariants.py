@@ -85,10 +85,10 @@ def test_unknown_answers_decided_in_reach_only():
 
 
 def test_step_distributions_built_in_reach_only():
-    # markov.step_distribution builds a row itself only when not handed one
+    # rows are built, and viewed as Fractions, by the oracle alone
     found = [f"{path.name}:{node.lineno}"
              for path in sorted((SRC / "ptso_verify").glob("*.py"))
-             if path.name not in ("reach.py", "markov.py")
+             if path.name != "reach.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and _name(node.func) in ("step_row", "step_distribution")]
     assert found == []

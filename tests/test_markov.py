@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import load_corpus, make_config
-from ptso_verify import lang, markov, semantics
+from ptso_verify import lang, markov, reach, semantics
 
 F = Fraction
 
@@ -60,7 +60,7 @@ def test_sched_all_disabled(prog):
     c = make_config(prog, labels={"P": "P2", "Q": "Q1"})
     assert sched(prog, c) == {}
     # the full step is then just an update step
-    dist = markov.step_distribution(prog, c)
+    dist = reach.ReachOracle(prog).distribution(c)
     assert dist == update(prog, c)
 
 
@@ -87,12 +87,13 @@ def test_update_single_buffer_five(prog):
 
 
 def test_step_distribution_row_sums(prog):
+    step = reach.ReachOracle(prog).distribution
     seen = {semantics.initial_config(prog)}
     frontier = list(seen)
     for _ in range(4):
         nxt = []
         for c in frontier:
-            dist = markov.step_distribution(prog, c)
+            dist = step(c)
             assert sum(dist.values()) == 1
             for succ in dist:
                 if succ not in seen:
@@ -108,7 +109,7 @@ def test_faithfulness_and_ts_equality(prog):
     scheduled = sched(prog, c)
     assert set(scheduled) == {prog.processes[pi].name for pi in semantics.enabled_indices(prog, c)}
     assert all(p > 0 for p in scheduled.values())
-    dist = markov.step_distribution(prog, c)
+    dist = reach.ReachOracle(prog).distribution(c)
     assert set(dist) == set(semantics.step_successors(prog, c))
 
 
@@ -141,10 +142,11 @@ def test_left_biasedness_all_size5_shapes():
     # every size-5 buffer shape over <= 6 processes moves to size <= 4 with
     # probability >= 2/3, even when every process step is a write
     prog = writer_family(6)
+    step = reach.ReachOracle(prog).distribution
     for shape in partitions_padded(5, 6):
         bufs = {f"W{i}": [("x", 1)] * k for i, k in enumerate(shape)}
         c = make_config(prog, bufs=bufs)
-        dist = markov.step_distribution(prog, c)
+        dist = step(c)
         small = sum(p for cc, p in dist.items() if semantics.size(cc) <= 4)
         assert small >= F(2, 3), shape
 
@@ -161,19 +163,20 @@ def test_parse_frac():
 def test_step_distribution_point_mass_on_deterministic():
     p = lang.parse_program("domain 2\nvars x\nproc P weight 1\nregs a\nA0: a := 1\nA1: term\n")
     c = semantics.initial_config(p)
-    dist = markov.step_distribution(p, c)
+    dist = reach.ReachOracle(p).distribution(c)
     assert len(dist) == 1 and list(dist.values()) == [F(1)]
 
 
 def test_corpus_row_sums_support_and_size_law():
     for name in ("race_flag", "two_sccs"):
         prog = load_corpus(name)
+        step = reach.ReachOracle(prog).distribution
         seen = {semantics.initial_config(prog)}
         frontier = list(seen)
         for _ in range(5):
             nxt = []
             for c in frontier:
-                dist = markov.step_distribution(prog, c)
+                dist = step(c)
                 assert sum(dist.values()) == 1
                 # support equals the transition relation; full steps grow the
                 # total buffer size by at most one

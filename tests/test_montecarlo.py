@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 import exhaustive
 from conftest import corpus_names, load_corpus, make_config
 from letter_sampler import LetterSampler
-from ptso_verify import lang, markov, montecarlo, semantics
+from ptso_verify import lang, montecarlo, reach, semantics
 from ptso_verify.cost import CostFunction
 from ptso_verify.montecarlo import (RunSampler, estimate_cond_cost, estimate_reach,
-                                    sample_run, sample_step, wilson_interval)
+                                    sample_run, wilson_interval)
 
 F = Fraction
 
@@ -37,16 +37,23 @@ N2: term
 """
 
 
+def named_step(p, sampler, c, rng):
+    """sampler.step(c, rng) with the process and the update word named."""
+    pi, word, succ = sampler.step(c, rng)
+    return (None if pi is None else p.processes[pi].name,
+            tuple(p.processes[w].name for w in word), succ)
+
+
 def test_sample_step_disabled():
     p = load_corpus("race_flag")
     done = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1)]})
     rng = random.Random(0)
     sampler = RunSampler(p)
-    choice, sched, succ = sample_step(p, done, rng, sampler)
+    choice, sched, succ = named_step(p, sampler, done, rng)
     assert choice is None
     # buffer eventually drains through update steps alone
     for _ in range(50):
-        _, _, done = sample_step(p, done, rng, sampler)
+        _, _, done = named_step(p, sampler, done, rng)
     assert semantics.is_plain(done)
 
 
@@ -56,7 +63,7 @@ def test_sample_step_plain_nonwriting_schedule_empty():
     rng = random.Random(1)
     sampler = RunSampler(p)
     for _ in range(3):
-        choice, sched, c = sample_step(p, c, rng, sampler)
+        choice, sched, c = named_step(p, sampler, c, rng)
         assert sched == ()  # nothing buffered, nothing to pop
 
 
@@ -115,9 +122,10 @@ def test_sample_run_replays_and_is_deterministic():
     a = sample_run(p, init, seed=123, horizon=40, label="W1", cost=cf)
     b = sample_run(p, init, seed=123, horizon=40, label="W1", cost=cf)
     assert a == b
+    oracle = reach.ReachOracle(p)
     c = init
     for name, sched, succ in a.steps:
-        assert markov.step_distribution(p, c).get(succ, 0) > 0
+        assert oracle.distribution(c).get(succ, 0) > 0
         if name is None:
             assert semantics.enabled_indices(p, c) == []
             mid = c

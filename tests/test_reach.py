@@ -70,7 +70,7 @@ def test_witness_path_replays():
     c = init
     for step in ans.path:
         succ = semantics.config_from_json(p, step["config"])
-        assert markov.step_distribution(p, c)[succ] > 0
+        assert oracle.distribution(c)[succ] > 0
         if step["proc"] is None:
             assert semantics.enabled_indices(p, c) == []
             mid = c
@@ -310,23 +310,63 @@ def test_over_bound_frontier_needs_no_exploration():
     assert len(oracle._explorations) == 1
 
 
-def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
-    """Explored configurations and over-bound ones decided from their cone
-    roots each ask for their successors once."""
-    calls = collections.Counter()
-    original = reach.ReachOracle.successors
+def _writer_reader_run(monkeypatch):
+    """quant-reach writer_reader WIN at epsilon 1/10 for 30 layers, counting
+    `successors` and `markov.step_row` calls per configuration and recording
+    the configurations whose cone roots were asked. Returns the oracle, the
+    start exploration, the two counters and the asked configurations."""
+    successors, rows, rooted = collections.Counter(), collections.Counter(), []
+    original_successors = reach.ReachOracle.successors
+    original_row = markov.step_row
+    original_roots = reach.ReachOracle.cone_roots
 
-    def counting(self, c):
-        calls[c] += 1
-        return original(self, c)
+    def counting_successors(self, c):
+        successors[c] += 1
+        return original_successors(self, c)
 
-    monkeypatch.setattr(reach.ReachOracle, "successors", counting)
+    def counting_row(prog, c):
+        rows[c] += 1
+        return original_row(prog, c)
+
+    def recording_roots(self, c):
+        rooted.append(c)
+        return original_roots(self, c)
+
+    monkeypatch.setattr(reach.ReachOracle, "successors", counting_successors)
+    monkeypatch.setattr(markov, "step_row", counting_row)
+    monkeypatch.setattr(reach.ReachOracle, "cone_roots", recording_roots)
     p = load_corpus("writer_reader")
+    init = semantics.initial_config(p)
+    oracle = reach.ReachOracle(p)
     with pytest.raises(BudgetExceededError):
-        quantitative.quant_reach(p, semantics.initial_config(p), "WIN", Fraction(1, 10),
-                                 max_iterations=30)
-    assert len(calls) > 1520        # the start exploration's nodes, and over-bound ones
-    assert set(calls.values()) == {1}
+        quantitative.quant_reach(p, init, "WIN", Fraction(1, 10), oracle, max_iterations=30)
+    monkeypatch.undo()
+    return oracle, oracle.explore(init), successors, rows, rooted
+
+
+def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
+    """Each configuration of the start exploration asks for its successors
+    once; an over-bound configuration decided from its cone roots reads
+    them from its cached row and asks for no successors; no row is built
+    twice."""
+    oracle, ex, successors, rows, rooted = _writer_reader_run(monkeypatch)
+    assert rooted
+    assert {c: successors[c] for c in ex.nodes} == dict.fromkeys(ex.nodes, 1)
+    assert set(successors) == ex.nodes
+    assert set(rows.values()) == {1}
+
+
+def test_cone_roots_are_successors_within_bound(monkeypatch):
+    """The cone roots read from the row are the successors within the bound,
+    in step_successors' order."""
+    oracle, _, _, _, rooted = _writer_reader_run(monkeypatch)
+    bound = oracle.config.bound
+    p = oracle.prog
+    assert rooted
+    for c in rooted:
+        assert semantics.size(c) > bound
+        assert list(oracle.cone_roots(c)) == [s for s in semantics.step_successors(p, c)
+                                              if semantics.size(s) <= bound]
 
 
 # A and B each buffer two writes and then read what the other wrote first;
@@ -404,7 +444,7 @@ def _rep_reach_exploring_each_escape(prog, init, label, config, max_iterations):
         return got
 
     got = _budgeted(lambda: quantitative._run(
-        prog, init, label, Fraction(1, 100), oracle,
+        init, Fraction(1, 100), oracle,
         pos_test=lambda c: not reaches_bad(c), neg_test=lambda c: not oracle.can_reach(c, label),
         analysis="quant_rep_reach", max_iterations=max_iterations, pruned=ex.pruned))
     return got, seen
@@ -485,7 +525,7 @@ def test_row_is_step_distribution_over_one_denominator(name):
         assert [configs[j] for j, _ in weights] == list(dist)
         assert {configs[j]: Fraction(w, den) for j, w in weights} == dist
         assert oracle.distribution(c) == dist
-        assert markov.step_distribution(p, c) == dist
+        assert markov.step_distribution(oracle.row(i), configs) == dist
 
 
 def test_analyses_share_one_row_per_configuration(monkeypatch):
