@@ -1,24 +1,32 @@
 """Statistical oracle: sample PTSO runs to estimate reachability
 probabilities and conditional costs.
 
-Sampling is exact: process choices use integer `randrange` over scheduling
+Sampling is exact: process choices are integer draws over scheduling
 weights, and update schedules are drawn uniformly over all feasible update
 words by sequential letter sampling with exact word counts (the probability
 of each word is 1/W where W counts the feasible words). Per-run streams are
 derived from (master seed, run index), so results are reproducible and
 independent of any parallel split.
 
-`RunSampler` keeps two step tables per configuration, filled on first use
-and holding integer ids into lists. The process-choice table holds the
-enabled processes, their cumulative weights and the mid-configuration id per
-choice. The update-letter table holds cumulative thresholds (1 for the stop,
-then W(lens - e_p) per nonempty buffer p in process order, summing to
-W(lens)) and the child id per letter. A step draws exactly what the
-letter-by-letter definition draws: `randrange(total weight)` when a process
-is enabled, then `randrange(W(lens))` at every intermediate configuration,
-including the final stop draw. `estimate_reach` and `estimate_cond_cost` end
-a run early in an absorbing configuration (no enabled process, every buffer
-empty), whose only successor is itself; `sample_run` records every step.
+`RunSampler` gives each configuration it meets an integer id (`intern`,
+read back through `configs[id]`) and keeps two step tables per id, filled
+on first use. The process-choice table holds the enabled processes, their
+cumulative weights, the total weight and the mid-configuration id per
+choice. The update-letter table holds cumulative thresholds (1 for the
+stop, then W(lens - e_p) per nonempty buffer p in process order, summing to
+W(lens)) and the child id per letter. `step(id, rng)` draws exactly what
+the letter-by-letter definition draws: a number below the total weight when
+a process is enabled, then one below W(lens) at every intermediate
+configuration, including the final stop draw. Each draw below n is done
+inline as `Random.randrange(n)` does it on CPython 3.11
+(`_randbelow_with_getrandbits`): `getrandbits(n.bit_length())`, repeated
+while the result is at least n. So the stream of a `random.Random` and
+every sampled run are those of `randrange`, without its per-call checks.
+
+The run loops walk ids. `estimate_reach` and `estimate_cond_cost` end a run
+early in an absorbing configuration (no enabled process, every buffer
+empty), whose only successor is itself, and decide that stop test once per
+id; `sample_run` records every step.
 """
 
 from __future__ import annotations
@@ -32,9 +40,10 @@ from math import sqrt
 from . import semantics
 
 
-# The step tables are caches: past this many configurations (about 0.9 kB
-# each) they are dropped and refilled, so memory stays bounded on programs
-# whose runs keep visiting new configurations.
+# The step tables are caches: once they hold this many configurations
+# (about 0.9 kB each), the run loops drop and refill them between two steps,
+# so memory stays bounded on programs whose runs keep visiting new
+# configurations.
 TABLE_LIMIT = 1 << 16
 
 
@@ -43,27 +52,37 @@ def _per_run_seed(seed, idx):
 
 
 class RunSampler:
-    """Per-program step tables; one instance serves many runs."""
+    """Per-program step tables over configuration ids; one instance serves
+    many runs."""
 
     def __init__(self, prog):
         self.prog = prog
         self._w_memo = {}
-        self._clear()
-
-    def _clear(self):
         self._ids = {}          # Config -> id
-        self._configs = []      # id -> Config
-        self._choices = []      # id -> (enabled, cum weights, total, mid ids) or None
-        self._letters = []      # id -> (cum thresholds, letters, child ids) or None
+        self.configs = []       # id -> Config
+        # id -> (enabled, cum weights, total, its bit length, mid ids) or None
+        self._choices = []
+        # id -> (cum thresholds, W(lens), its bit length, letters, child ids) or None
+        self._letters = []
 
-    def _id(self, c):
+    def intern(self, c):
+        """The id of configuration c, given on first sight."""
         got = self._ids.get(c)
         if got is None:
-            got = self._ids[c] = len(self._configs)
-            self._configs.append(c)
+            got = self._ids[c] = len(self.configs)
+            self.configs.append(c)
             self._choices.append(None)
             self._letters.append(None)
         return got
+
+    def refill(self, cid):
+        """Drop every table, in place, and return the id of configuration
+        cid in the new ones; every other id is void. The run loops call it
+        between two steps once the tables hold TABLE_LIMIT ids."""
+        c = self.configs[cid]
+        for table in (self._ids, self.configs, self._choices, self._letters):
+            table.clear()
+        return self.intern(c)
 
     def total_words(self, caps):
         """Number of feasible update words for per-process pop capacities."""
@@ -75,17 +94,18 @@ class RunSampler:
         return got
 
     def _fill_choices(self, cid):
-        c = self._configs[cid]
+        c = self.configs[cid]
         enabled = semantics.enabled_indices(self.prog, c)
         cum = list(itertools.accumulate(self.prog.processes[pi].weight for pi in enabled))
-        mids = [self._id(semantics.process_step(self.prog, c, pi)) for pi in enabled]
-        got = self._choices[cid] = (enabled, cum, cum[-1] if cum else 0, mids)
+        mids = [self.intern(semantics.process_step(self.prog, c, pi)) for pi in enabled]
+        total = cum[-1] if cum else 0
+        got = self._choices[cid] = (enabled, cum, total, total.bit_length(), mids)
         return got
 
     def _fill_letters(self, cid):
         """Index 0 is the stop (threshold 1, no letter, stay at cid); index
         k > 0 pops letters[k] with probability W(lens - e_p)/W(lens)."""
-        c = self._configs[cid]
+        c = self.configs[cid]
         caps = [len(b) for b in c.bufs]
         cum, letters, children = [1], [None], [cid]
         for pi, cap in enumerate(caps):
@@ -94,40 +114,45 @@ class RunSampler:
                 cum.append(cum[-1] + self.total_words(caps))
                 caps[pi] += 1
                 letters.append(pi)
-                children.append(self._id(semantics.apply_schedule(self.prog, c, (pi,))))
-        if cum[-1] != self.total_words(caps):
-            raise AssertionError(f"letter thresholds sum to {cum[-1]}, not W{tuple(caps)}")
-        got = self._letters[cid] = (cum, letters, children)
+                children.append(self.intern(semantics.apply_schedule(self.prog, c, (pi,))))
+        total = cum[-1]
+        if total != self.total_words(caps):
+            raise AssertionError(f"letter thresholds sum to {total}, not W{tuple(caps)}")
+        got = self._letters[cid] = (cum, total, total.bit_length(), letters, children)
         return got
 
-    def step(self, c, rng):
-        """One full chain step. Returns (process index or None, update word
-        as process indices, successor configuration)."""
-        if len(self._configs) >= TABLE_LIMIT:
-            self._clear()
-        cid = self._id(c)
-        enabled, cum, total, mids = self._choices[cid] or self._fill_choices(cid)
+    def step(self, cid, rng):
+        """One full chain step from configuration id cid. Returns (process
+        index or None, update word as process indices, successor id). Each
+        draw is `rng.randrange(n)`, done inline (see the module docstring)."""
+        getrandbits = rng.getrandbits
+        enabled, cum, total, bits, mids = self._choices[cid] or self._fill_choices(cid)
         if total:
-            k = bisect_right(cum, rng.randrange(total))
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            k = bisect_right(cum, r)
             pi, node = enabled[k], mids[k]
         else:
             pi, node = None, cid
         word = []
         tables = self._letters
         while True:
-            cum, letters, children = tables[node] or self._fill_letters(node)
-            k = bisect_right(cum, rng.randrange(cum[-1]))
-            if not k:
-                return pi, tuple(word), self._configs[node]
+            cum, total, bits, letters, children = tables[node] or self._fill_letters(node)
+            r = getrandbits(bits)
+            while r >= total:
+                r = getrandbits(bits)
+            if not r:           # below the stop's threshold 1
+                return pi, tuple(word), node
+            k = bisect_right(cum, r)
             word.append(letters[k])
             node = children[k]
 
-    def absorbing(self, c):
-        """Whether c is its own only successor: no process is enabled and
-        every buffer is empty."""
-        if any(c.bufs):
+    def absorbing(self, cid):
+        """Whether configuration cid is its own only successor: no process
+        is enabled and every buffer is empty."""
+        if any(self.configs[cid].bufs):
             return False
-        cid = self._id(c)
         return not (self._choices[cid] or self._fill_choices(cid))[2]
 
 
@@ -149,20 +174,24 @@ def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     sampler = sampler or RunSampler(prog)
+    configs = sampler.configs
     rng = random.Random(seed)
     c = init
+    cid = sampler.intern(c)
     steps = []
     first_hit = 0 if (label is not None and label in c.labels) else None
     total_cost = 0 if (first_hit == 0 and cost is not None) else None
     running_cost = 0
     for i in range(1, horizon + 1):
-        pi, word, succ = sampler.step(c, rng)
+        if len(configs) >= TABLE_LIMIT:
+            cid = sampler.refill(cid)
+        pi, word, cid = sampler.step(cid, rng)
         name = None if pi is None else prog.processes[pi].name
         sched = tuple(prog.processes[w].name for w in word)
         if first_hit is None and cost is not None and pi is not None:
             running_cost += cost[c.labels[pi]]
-        steps.append((name, sched, succ))
-        c = succ
+        c = configs[cid]
+        steps.append((name, sched, c))
         if first_hit is None and label is not None and label in c.labels:
             first_hit = i
             total_cost = running_cost if cost is not None else None
@@ -210,25 +239,48 @@ def _check_budget(runs, horizon):
         raise ValueError("horizon must be >= 0")
 
 
+def _first_hit_costs(prog, init, label, runs, horizon, seed, cost=None):
+    """Per run: its cost up to the first configuration bearing `label` (0
+    without a cost function), or None when it meets none within `horizon`
+    steps. A run ends at its first hit or in an absorbing configuration;
+    both tests are decided once per configuration id."""
+    sampler = RunSampler(prog)
+    step, configs, limit = sampler.step, sampler.configs, TABLE_LIMIT
+    ends = []       # id -> whether a run ends there, or None until decided
+    for idx in range(runs):
+        if label in init.labels:
+            yield 0
+            continue
+        rng = random.Random(_per_run_seed(seed, idx))
+        cid = sampler.intern(init)
+        acc = 0
+        hit = None
+        for _ in range(horizon):
+            if len(configs) >= limit:
+                cid = sampler.refill(cid)
+                ends.clear()
+            pi, _, succ = step(cid, rng)
+            if cost is not None and pi is not None:
+                acc += cost[configs[cid].labels[pi]]
+            cid = succ
+            if cid >= len(ends):
+                ends += [None] * (len(configs) - len(ends))
+            end = ends[cid]
+            if end is None:
+                end = ends[cid] = label in configs[cid].labels or sampler.absorbing(cid)
+            if end:
+                if label in configs[cid].labels:
+                    hit = acc
+                break
+        yield hit
+
+
 def estimate_reach(prog, init, label, runs, horizon, seed):
     """Fraction of sampled runs reaching `label` within `horizon` steps."""
     prog.check_label(label)
     _check_budget(runs, horizon)
-    sampler = RunSampler(prog)
-    hits = 0
-    for idx in range(runs):
-        rng = random.Random(_per_run_seed(seed, idx))
-        c = init
-        if label in c.labels:
-            hits += 1
-            continue
-        for _ in range(horizon):
-            _, _, c = sampler.step(c, rng)
-            if label in c.labels:
-                hits += 1
-                break
-            if sampler.absorbing(c):
-                break
+    hits = sum(hit is not None
+               for hit in _first_hit_costs(prog, init, label, runs, horizon, seed))
     return ReachEstimate(hits / runs, wilson_interval(hits, runs), hits,
                          runs, horizon, runs - hits, seed)
 
@@ -258,25 +310,8 @@ def estimate_cond_cost(prog, init, label, cost, runs, horizon, seed):
     """Sample mean of cost-to-first-hit over runs that reach `label`."""
     prog.check_label(label)
     _check_budget(runs, horizon)
-    sampler = RunSampler(prog)
-    samples = []
-    for idx in range(runs):
-        rng = random.Random(_per_run_seed(seed, idx))
-        c = init
-        if label in c.labels:
-            samples.append(0)
-            continue
-        acc = 0
-        for _ in range(horizon):
-            pi, _, succ = sampler.step(c, rng)
-            if pi is not None:
-                acc += cost[c.labels[pi]]
-            c = succ
-            if label in c.labels:
-                samples.append(acc)
-                break
-            if sampler.absorbing(c):
-                break
+    samples = [hit for hit in _first_hit_costs(prog, init, label, runs, horizon, seed, cost)
+               if hit is not None]
     if not samples:
         raise ValueError("no sampled run reached the label within the horizon")
     n = len(samples)

@@ -15,7 +15,8 @@ Files of two-field entries, [exit code, stdout sha256], compare too.
 The queries: qual-reach, qual-rep-reach, never-reach, never-rep-reach,
 quant-reach, quant-rep-reach, cost and eagerness, at --bound 1 and 3, each
 lax and --strict, with quant-* capped at 40 iterations and cost at 60
-layers; and never-reach with --bound-max 4 at the same bounds and modes.
+layers; never-reach with --bound-max 4 at the same bounds and modes; and
+simulate with --runs 200 --horizon 100 at --seed 0 and 1.
 """
 
 import argparse
@@ -56,6 +57,9 @@ def queries():
                     for sub in SUBCOMMANDS:
                         yield [sub, *common, *CAPS.get(sub, [])]
                     yield ["never-reach", *common, "--bound-max", "4"]
+            for seed in ("0", "1"):
+                yield ["simulate", program, "--label", label, "--runs", "200",
+                       "--horizon", "100", "--seed", seed]
 
 
 def run(argv, alarm):

@@ -163,6 +163,20 @@ def reach_probability(prog, init, label, max_states=MAX_STATES, chain=None):
     return x[0]
 
 
+def reach_within(prog, init, label, horizon, chain=None):
+    """P(a label-bearing configuration within `horizon` steps of init,
+    init itself included), exactly: `horizon` rounds of the vector
+    iteration x_{t+1}[i] = 1 on label states, sum_j p_ij x_t[j] elsewhere,
+    from x_0 = the label indicator."""
+    states, trans = chain or build_chain(prog, init)
+    target = [label in s.labels for s in states]
+    x = [Fraction(int(t)) for t in target]
+    for _ in range(horizon):
+        x = [Fraction(1) if t else sum((p * x[j] for j, p in row.items()), Fraction(0))
+             for t, row in zip(target, trans)]
+    return x[0]
+
+
 def _bottom_components(trans):
     """The bottom strongly connected components of the chain, as sets of
     state indices: Kosaraju's two passes (finish order on the graph, then

@@ -259,12 +259,13 @@ def test_criterion_9_attractor_empiricism():
         prog = load_corpus(name)
         init = semantics.initial_config(prog)
         sampler = montecarlo.RunSampler(prog)
+        start = sampler.intern(init)
         for idx in range(5000):
             rng = random.Random((13 << 64) + idx)
-            c = init
+            cid = start
             for _ in range(200):
-                _, _, c = sampler.step(c, rng)
-                if semantics.is_plain(c):
+                _, _, cid = sampler.step(cid, rng)
+                if semantics.is_plain(sampler.configs[cid]):
                     revisits += 1
                     break
             revisit_runs += 1
@@ -280,15 +281,16 @@ def test_criterion_9_attractor_empiricism():
                         bufs={"L": [("x", 1)] * 4, "R": [("x", 2)] * 2})
     assert semantics.size(heavy) == 6
     sampler = montecarlo.RunSampler(prog)
+    start = sampler.intern(heavy)
     drops = []
     for idx in range(10_000):
         rng = random.Random((17 << 64) + idx)
-        c = heavy
+        cid = start
         for _ in range(25):
-            before = semantics.size(c)
-            _, _, c = sampler.step(c, rng)
+            before = semantics.size(sampler.configs[cid])
+            _, _, cid = sampler.step(cid, rng)
             if before >= 5:
-                drops.append(semantics.size(c) - before)
+                drops.append(semantics.size(sampler.configs[cid]) - before)
     n = len(drops)
     mean = sum(drops) / n
     var = sum((d - mean) ** 2 for d in drops) / (n - 1)

@@ -93,6 +93,35 @@ def test_race_costs_budget_abort_is_exact():
     assert part.value <= cond
 
 
+BLOCKED_CAS = """
+domain 2
+vars x
+proc P weight 1
+regs one ok
+P0: one := 1
+P1: x := one
+P2: ok := CAS(x, one, one)
+GOAL: term
+"""
+
+
+def test_disabled_step_costs_zero():
+    # at P2 with x := 1 still buffered the CAS is disabled, so no process is
+    # enabled and the step is an update step alone: it moves no label and
+    # costs 0, however often it leaves the write in the buffer
+    p = lang.parse_program(BLOCKED_CAS)
+    init = semantics.initial_config(p)
+    cf = CostFunction.uniform(p)
+    blocked = make_config(p, labels={"P": "P2"}, regs={"one": 1}, bufs={"P": [("x", 1)]})
+    assert semantics.enabled_indices(p, blocked) == []
+    assert exhaustive.conditional_expected_cost(p, init, "GOAL", cf) == (1, 3)
+    with pytest.raises(BudgetExceededError) as exc:
+        expected_avg_cost(p, init, "GOAL", cf, F(1, 10), reach.ReachOracle(p), max_layers=40)
+    part = exc.value.partial
+    assert part.aborted
+    assert part.cost_apprx / part.prob_apprx == 3
+
+
 def test_race_costs_conditional_below_one():
     # target HI is reached only on winning paths: conditional denominator < 1
     p = load_corpus("race_costs")

@@ -1,5 +1,5 @@
-"""Differential checks on generated programs: the frontier analyses against
-the independent exact solver in `exhaustive`.
+"""Differential checks on generated programs: the frontier analyses and the
+Monte Carlo sampler against the independent exact solver in `exhaustive`.
 
 A drawn program is kept when its full chain from the start configuration has
 at most MAX_STATES states and none of them holds more than the drawn bound of
@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import exhaustive
 from test_lang import programs
-from ptso_verify import cost, eagerness, qualitative, quantitative, reach, semantics
+from ptso_verify import (cost, eagerness, montecarlo, qualitative, quantitative, reach,
+                         semantics)
 from ptso_verify.errors import BudgetExceededError
 
 MAX_STATES = 1_500
 EPS = Fraction(1, 100)
 COST_FRONTIER = 3_000
+MC_RUNS, MC_HORIZON = 300, 25
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 
@@ -116,3 +118,27 @@ def test_cost_bracket_holds_exact_conditional_cost(query, data):
     _, want = exhaustive.conditional_expected_cost(prog, init, label, costs, chain=chain)
     assert res.value <= want < res.value + EPS
     assert res.value_upper is None or want <= res.value_upper
+
+
+@SETTINGS
+@given(finite_queries(), st.data())
+def test_simulate_hits_match_exact_bounded_probability(query, data):
+    """The sampled hits within H steps against the exact probability P_H of
+    meeting the label within H steps: none when P_H = 0, every run when
+    P_H = 1, and otherwise P_H inside the z = 5 Wilson interval (a false
+    alarm has probability below 1e-6 per example). The label is drawn
+    again, away from the start's labels, which every run meets at step 0."""
+    prog, init, _, _, chain = query
+    label = data.draw(st.sampled_from(sorted(prog.labels() - set(init.labels))))
+    horizon = data.draw(st.integers(1, MC_HORIZON))
+    seed = data.draw(st.integers(0, 2**32))
+    p = exhaustive.reach_within(prog, init, label, horizon, chain=chain)
+    est = montecarlo.estimate_reach(prog, init, label, MC_RUNS, horizon, seed)
+    event(f"P_H {'0' if p == 0 else '1' if p == 1 else 'in (0, 1)'}")
+    if p == 0:
+        assert est.hits == 0
+    elif p == 1:
+        assert est.hits == MC_RUNS
+    else:
+        lo, hi = montecarlo.wilson_interval(est.hits, MC_RUNS, z=5)
+        assert lo <= p <= hi, (est.hits, float(p))

@@ -10,8 +10,9 @@ from conftest import corpus_names, load_corpus, make_config
 from letter_sampler import LetterSampler
 from ptso_verify import lang, montecarlo, reach, semantics
 from ptso_verify.cost import CostFunction
-from ptso_verify.montecarlo import (RunSampler, estimate_cond_cost, estimate_reach,
-                                    sample_run, wilson_interval)
+from ptso_verify.montecarlo import (CondCostEstimate, ReachEstimate, RunSampler,
+                                    estimate_cond_cost, estimate_reach, sample_run,
+                                    wilson_interval)
 
 F = Fraction
 
@@ -37,33 +38,34 @@ N2: term
 """
 
 
-def named_step(p, sampler, c, rng):
-    """sampler.step(c, rng) with the process and the update word named."""
-    pi, word, succ = sampler.step(c, rng)
+def named_step(p, sampler, cid, rng):
+    """sampler.step(cid, rng) with the process and the update word named."""
+    pi, word, succ = sampler.step(cid, rng)
     return (None if pi is None else p.processes[pi].name,
             tuple(p.processes[w].name for w in word), succ)
 
 
 def test_sample_step_disabled():
     p = load_corpus("race_flag")
-    done = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1)]})
-    rng = random.Random(0)
     sampler = RunSampler(p)
+    done = sampler.intern(make_config(p, labels={"P": "P2", "Q": "J"},
+                                      bufs={"P": [("x", 1)]}))
+    rng = random.Random(0)
     choice, sched, succ = named_step(p, sampler, done, rng)
     assert choice is None
     # buffer eventually drains through update steps alone
     for _ in range(50):
         _, _, done = named_step(p, sampler, done, rng)
-    assert semantics.is_plain(done)
+    assert semantics.is_plain(sampler.configs[done])
 
 
 def test_sample_step_plain_nonwriting_schedule_empty():
     p = lang.parse_program(NO_WRITE)
-    c = semantics.initial_config(p)
-    rng = random.Random(1)
     sampler = RunSampler(p)
+    cid = sampler.intern(semantics.initial_config(p))
+    rng = random.Random(1)
     for _ in range(3):
-        choice, sched, c = named_step(p, sampler, c, rng)
+        choice, sched, cid = named_step(p, sampler, cid, rng)
         assert sched == ()  # nothing buffered, nothing to pop
 
 
@@ -82,13 +84,13 @@ B0: x := b
 B1: if b then B0
 B2: term
 """)
-    c = semantics.initial_config(p)
     sampler = RunSampler(p)
+    cid = sampler.intern(semantics.initial_config(p))
     rng = random.Random(42)
     n = 100_000
     hits = 0
     for _ in range(n):
-        pi, _, _ = sampler.step(c, rng)
+        pi, _, _ = sampler.step(cid, rng)
         hits += pi == 0
     p_expect = 0.25
     sigma = math.sqrt(p_expect * (1 - p_expect) / n)
@@ -99,14 +101,14 @@ def test_schedule_distribution_uniform():
     # empirical word frequencies from caps (1,1) with no process enabled:
     # words e, P, Q, PQ, QP each 1/5
     p = load_corpus("race_flag")
-    c = make_config(p, labels={"P": "P2", "Q": "J"},
-                    bufs={"P": [("x", 1)], "Q": [("x", 0)]})
     sampler = RunSampler(p)
+    cid = sampler.intern(make_config(p, labels={"P": "P2", "Q": "J"},
+                                     bufs={"P": [("x", 1)], "Q": [("x", 0)]}))
     rng = random.Random(9)
     n = 50_000
     counts = {}
     for _ in range(n):
-        pi, word, _ = sampler.step(c, rng)
+        pi, word, _ = sampler.step(cid, rng)
         assert pi is None
         counts[word] = counts.get(word, 0) + 1
     assert set(counts) == {(), (0,), (1,), (0, 1), (1, 0)}
@@ -223,12 +225,14 @@ def test_step_tables_match_letter_sampler(name, start, seed):
     p = load_corpus(name)
     tables, ref = RunSampler(p), LetterSampler(p)
     rng_t, rng_r = random.Random(seed), random.Random(seed)
-    c_t = c_r = start(p)
+    c = start(p)
+    cid = tables.intern(c)
     for i in range(200):
-        got_t, got_r = tables.step(c_t, rng_t), ref.step(c_r, rng_r)
-        assert got_t == got_r, (name, seed, i)
+        pi, word, cid = tables.step(cid, rng_t)
+        got = ref.step(c, rng_r)
+        assert (pi, word, tables.configs[cid]) == got, (name, seed, i)
         assert rng_t.getstate() == rng_r.getstate(), (name, seed, i)
-        c_t, c_r = got_t[2], got_r[2]
+        c = got[2]
 
 
 def test_step_tables_refill_past_limit(monkeypatch):
@@ -237,20 +241,119 @@ def test_step_tables_refill_past_limit(monkeypatch):
     tables, ref = RunSampler(p), LetterSampler(p)
     rng_t, rng_r = random.Random(5), random.Random(5)
     c = _heavy_writer_reader(p)
+    cid = tables.intern(c)
     for _ in range(300):
-        got = tables.step(c, rng_t)
-        assert got == ref.step(c, rng_r)
-        assert len(tables._configs) < 16     # 77 configurations without the refill
+        if len(tables.configs) >= montecarlo.TABLE_LIMIT:
+            cid = tables.refill(cid)
+            assert tables.configs == [c]
+        pi, word, cid = tables.step(cid, rng_t)
+        got = ref.step(c, rng_r)
+        assert (pi, word, tables.configs[cid]) == got
+        assert len(tables.configs) < 16     # 77 configurations without the refill
         c = got[2]
     assert rng_t.getstate() == rng_r.getstate()
 
 
-class _FullHorizonSampler(LetterSampler):
-    """The reference step without the absorbing stop: every run walks the
-    whole horizon."""
+def test_step_tables_refill_keeps_estimates(monkeypatch):
+    # the estimators and sample_run refill between two steps; with a limit
+    # of 8 they drop their tables many times and answer the same
+    p = load_corpus("writer_reader")
+    init = _heavy_writer_reader(p)
+    cf = CostFunction.uniform(p)
 
-    def absorbing(self, c):
-        return False
+    def answers():
+        return (estimate_reach(p, init, "WIN", 40, 60, 2),
+                estimate_cond_cost(p, init, "WIN", cf, 40, 60, 2),
+                sample_run(p, init, 7, 60, label="WIN", cost=cf))
+
+    want = answers()
+    refills = [0]
+    refill = RunSampler.refill
+
+    def counted(self, cid):
+        refills[0] += 1
+        return refill(self, cid)
+
+    monkeypatch.setattr(RunSampler, "refill", counted)
+    monkeypatch.setattr(montecarlo, "TABLE_LIMIT", 8)
+    assert answers() == want
+    assert refills[0] > 40
+    assert 0 < want[0].hits < 40
+
+
+DRAW_TOTALS = sorted({1, 2} | {n for k in range(2, 201) for n in (2**k - 1, 2**k, 2**k + 1)})
+
+
+def _step_draw_matches_randrange(n, seed):
+    """Run the step kernel over a process-choice table of total n whose
+    thresholds single out the value randrange(n) gives, and check that the
+    kernel drew that value and left the rng where randrange(n) leaves it."""
+    p = lang.parse_program(NO_WRITE)
+    sampler = RunSampler(p)
+    cid = sampler.intern(semantics.initial_config(p))    # empty buffers: W = 1
+    ref = random.Random(seed)
+    want = ref.randrange(n)
+    ref.randrange(1)            # the stop draw at the empty buffers
+    # thresholds (want, want + 1, n): only a draw equal to want picks index 1
+    sampler._choices[cid] = ([0, 1, 2], [want, want + 1, n], n, n.bit_length(), [cid] * 3)
+    rng = random.Random(seed)
+    assert sampler.step(cid, rng) == (1, (), cid), (n, seed)
+    assert rng.getstate() == ref.getstate(), (n, seed)
+
+
+def test_step_draw_equals_randrange_at_edge_totals():
+    for n in DRAW_TOTALS:
+        for seed in range(3):
+            _step_draw_matches_randrange(n, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=2**300), seed=st.integers(min_value=0))
+def test_step_draw_equals_randrange(n, seed):
+    _step_draw_matches_randrange(n, seed)
+
+
+def test_letter_totals_pass_64_bits_on_heavy_buffers():
+    # the letter draws of heavy buffers take more than one 64-bit word, and
+    # still match the reference and its rng state
+    p = load_corpus("writer_reader")
+    heavy = make_config(p, labels={"L": "L2", "R": "R3"}, regs={"lv": 1, "rv": 2, "one": 1},
+                        bufs={"L": [("x", 1)] * 40, "R": [("x", 2)] * 40})
+    sampler, ref = RunSampler(p), LetterSampler(p)
+    assert sampler.total_words([40, 40]).bit_length() > 64
+    for seed in range(20):
+        rng_t, rng_r = random.Random(seed), random.Random(seed)
+        pi, word, succ = sampler.step(sampler.intern(heavy), rng_t)
+        assert (pi, word, sampler.configs[succ]) == ref.step(heavy, rng_r)
+        assert rng_t.getstate() == rng_r.getstate()
+
+
+def _full_horizon_estimates(p, init, label, cost, runs, horizon, seed):
+    """estimate_reach and estimate_cond_cost recomputed over the
+    letter-by-letter reference: every run walks the whole horizon, with no
+    absorbing stop, and its first hit is read off the walk."""
+    ref = LetterSampler(p)
+    samples = []
+    for idx in range(runs):
+        rng = random.Random((seed << 64) + idx)
+        c, acc = init, 0
+        hit = 0 if label in init.labels else None
+        for _ in range(horizon):
+            pi, _, succ = ref.step(c, rng)
+            if hit is None:
+                if pi is not None:
+                    acc += cost[c.labels[pi]]
+                if label in succ.labels:
+                    hit = acc
+            c = succ
+        if hit is not None:
+            samples.append(hit)
+    hits = len(samples)
+    mean = sum(samples) / hits
+    half = 1.96 * math.sqrt(sum((s - mean) ** 2 for s in samples) / (hits - 1) / hits)
+    return (ReachEstimate(hits / runs, wilson_interval(hits, runs), hits, runs, horizon,
+                          runs - hits, seed),
+            CondCostEstimate(mean, (mean - half, mean + half), hits, runs, horizon, seed))
 
 
 @pytest.mark.parametrize("name,label", [("race_retry", "WIN"), ("race_flag", "W1")])
@@ -262,19 +365,16 @@ def test_absorbing_stop_keeps_estimates(monkeypatch, name, label):
     calls = [0]
     table_step = RunSampler.step
 
-    def counted(self, c, rng):
+    def counted(self, cid, rng):
         calls[0] += 1
-        return table_step(self, c, rng)
+        return table_step(self, cid, rng)
 
     with monkeypatch.context() as m:
         m.setattr(RunSampler, "step", counted)
         reach = estimate_reach(p, init, label, runs, horizon, 4)
         reach_calls = calls[0]
         cost = estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
-    with monkeypatch.context() as m:
-        m.setattr(montecarlo, "RunSampler", _FullHorizonSampler)
-        assert reach == estimate_reach(p, init, label, runs, horizon, 4)
-        assert cost == estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
+    assert (reach, cost) == _full_horizon_estimates(p, init, label, cf, runs, horizon, 4)
     assert 0 < reach.hits < runs
     if name == "race_retry":
         assert reach_calls < runs * horizon
@@ -285,10 +385,10 @@ def test_sample_run_records_every_step_from_absorbing_start():
     p = load_corpus("race_flag")
     done = make_config(p, labels={"P": "P2", "Q": "J"})
     sampler = RunSampler(p)
-    assert sampler.absorbing(done)
-    assert not sampler.absorbing(semantics.initial_config(p))
-    assert not sampler.absorbing(make_config(p, labels={"P": "P2", "Q": "J"},
-                                             bufs={"P": [("x", 1)]}))
+    assert sampler.absorbing(sampler.intern(done))
+    assert not sampler.absorbing(sampler.intern(semantics.initial_config(p)))
+    assert not sampler.absorbing(sampler.intern(make_config(
+        p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1)]})))
     run = sample_run(p, done, seed=3, horizon=40, label="W1", sampler=sampler)
     assert run.steps == [(None, (), done)] * 40
     assert run.first_hit is None
