@@ -43,12 +43,15 @@ class Exploration:
 
     root: object
     bound: int
-    nodes: set
-    succs: dict                    # config -> tuple of successor configs
-    parent: dict                   # BFS tree: config -> (pred, moving process or None)
+    succs: dict                    # config -> tuple of successor configs, in BFS order
     pruned_at: frozenset           # configs with a successor pruned by the bound
     _preds: dict = field(default=None, repr=False)
     _reaching: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def nodes(self):
+        """The explored configurations: the keys of `succs`."""
+        return self.succs.keys()
 
     @property
     def pruned(self):
@@ -87,10 +90,6 @@ class Exploration:
                 else (c for c in self.nodes if target in c.labels))
         return got
 
-    def cone_pruned(self, c):
-        """Did the bound prune a successor somewhere in `c`'s forward cone?"""
-        return c in self.reaching(self.pruned_at)
-
     def bottom_sccs(self):
         out = []
         for comp in _tarjan(self.nodes, self.succs):
@@ -100,12 +99,15 @@ class Exploration:
         return out
 
     def path_to(self, prog, target):
-        """BFS-tree witness path from the root to `target`, replayable; the
-        update schedule of each printed step is looked up here."""
+        """BFS-tree witness path from the root to `target`, replayable. A
+        node's parent is its first predecessor (`succs` is in BFS order), its
+        process the one step_successors gives; schedules are looked up here."""
+        preds = self.preds()
         steps = []
         c = target
         while c != self.root:
-            pred, proc = self.parent[c]
+            pred = preds[c][0]
+            proc = semantics.step_successors(prog, pred)[c]
             mid = pred if proc is None else semantics.process_step(prog, pred, proc)
             steps.append({"proc": proc,
                           "schedule": list(semantics.witness_schedule(prog, mid, c)),
@@ -230,38 +232,34 @@ class ReachOracle:
         if got is not None:
             return got
         bound = self.config.bound
-        nodes = {root}
+        seen = {root: root}        # each discovered config -> the one copy kept
+        queue = [root]             # FIFO, appended to while it is walked
         succs = {}
-        parent = {}
         pruned_at = set()
         # Every node was sized when first kept, except a root over the bound
         # (an --init start), whose edges back to it are still pruned.
         root_over = semantics.size(root) > bound
-        queue = [root]
-        while queue:
-            next_queue = []
-            for c in queue:
-                kept = []
-                for succ, proc in sorted(self.successors(c).items()):
-                    if succ in nodes:
-                        if root_over and succ == root:
-                            pruned_at.add(c)
-                            continue
-                    elif semantics.size(succ) > bound:
+        for c in queue:
+            kept = []
+            for succ in sorted(self.successors(c)):
+                node = seen.get(succ)
+                if node is not None:
+                    if root_over and node is root:
                         pruned_at.add(c)
                         continue
-                    else:
-                        nodes.add(succ)
-                        parent[succ] = (c, proc)
-                        next_queue.append(succ)
-                    kept.append(succ)
-                succs[c] = tuple(kept)
-            queue = next_queue
-        got = Exploration(root, bound, nodes, succs, parent, frozenset(pruned_at))
+                elif semantics.size(succ) > bound:
+                    pruned_at.add(c)
+                    continue
+                else:
+                    node = seen[succ] = succ
+                    queue.append(succ)
+                kept.append(node)
+            succs[c] = tuple(kept)
+        got = Exploration(root, bound, succs, frozenset(pruned_at))
         self._explorations[root] = got
         # A node's forward cone does not depend on the root it was reached
         # from, so any exploration holding it answers for it.
-        for c in nodes:
+        for c in succs:
             self._home.setdefault(c, got)
         return got
 
@@ -305,7 +303,7 @@ class ReachOracle:
                     return True
         elif c in ex.reaching(target):
             return True
-        if self.config.strict and (ex is None or ex.cone_pruned(c)):
+        if self.config.strict and (ex is None or c in ex.reaching(ex.pruned_at)):
             what = "a configuration set" if isinstance(target, frozenset) else repr(target)
             raise OracleUnknownError(
                 f"reachability of {what} unknown at bound {self.config.bound}; "

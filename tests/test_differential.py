@@ -1,6 +1,12 @@
 """Differential checks on generated programs: the frontier analyses and the
 Monte Carlo sampler against the independent exact solver in `exhaustive`.
 
+Each check runs on two generators: `test_lang.programs()`, whose CAS, `+`
+and backward jumps reach most of the analyses' code but whose probabilities
+are almost always 0 or 1, and `test_lang.racy_programs()` queried at its
+`branch_labels`, where 0 < P(reach) < 1 for about a quarter of the kept
+queries.
+
 A drawn program is kept when its full chain from the start configuration has
 at most MAX_STATES states and none of them holds more than the drawn bound of
 buffered writes, so the bounded exploration prunes nothing and every answer
@@ -13,7 +19,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 import exhaustive
-from test_lang import programs
+from test_lang import branch_labels, programs, racy_programs
 from ptso_verify import (cost, eagerness, montecarlo, qualitative, quantitative, reach,
                          semantics)
 from ptso_verify.errors import BudgetExceededError
@@ -24,17 +30,19 @@ COST_FRONTIER = 3_000
 MC_RUNS, MC_HORIZON = 300, 25
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+RACE_SETTINGS = settings(SETTINGS, max_examples=50)    # a race's chain is larger
 
 
 @st.composite
-def finite_queries(draw):
+def finite_queries(draw, racy=False):
     """(program, start, label, oracle at a bound that prunes nothing, the
-    full chain as exhaustive.build_chain gives it)."""
-    prog = draw(programs())
+    full chain as exhaustive.build_chain gives it); with `racy`, the program
+    is a racy_programs() race and the label one of its branch_labels."""
+    prog = draw(racy_programs() if racy else programs())
     bound = draw(st.integers(1, 4))
     init = semantics.initial_config(prog)
     assume(_finite_within(prog, init, bound))
-    label = draw(st.sampled_from(sorted(prog.labels())))
+    label = draw(st.sampled_from(branch_labels(prog) if racy else sorted(prog.labels())))
     chain = exhaustive.build_chain(prog, init, MAX_STATES)
     return prog, init, label, reach.ReachOracle(prog, reach.OracleConfig(bound=bound)), chain
 
@@ -142,3 +150,18 @@ def test_simulate_hits_match_exact_bounded_probability(query, data):
     else:
         lo, hi = montecarlo.wilson_interval(est.hits, MC_RUNS, z=5)
         assert lo <= p <= hi, (est.hits, float(p))
+
+
+def _on_races(test, *more):
+    """`test`'s check, run on finite_queries(racy=True) (and `more`)."""
+    return RACE_SETTINGS(given(finite_queries(racy=True), *more)(test.hypothesis.inner_test))
+
+
+test_quant_reach_bracket_on_races = _on_races(test_quant_reach_bracket_holds_exact_probability)
+test_quant_rep_reach_bracket_on_races = _on_races(
+    test_quant_rep_reach_bracket_holds_exact_probability)
+test_qualitative_verdicts_on_races = _on_races(
+    test_qualitative_verdicts_match_exact_probabilities)
+test_cost_bracket_on_races = _on_races(test_cost_bracket_holds_exact_conditional_cost, st.data())
+test_simulate_hits_on_races = _on_races(test_simulate_hits_match_exact_bounded_probability,
+                                        st.data())

@@ -223,6 +223,51 @@ def programs(draw):
     return lang.Program(domain, tuple(variables), tuple(procs))
 
 
+@st.composite
+def racy_programs(draw):
+    """Straight-line races whose outcomes are seldom certain: each of 2-3
+    processes sets its register to a nonzero constant, then takes 1-3 steps,
+    each a write of that register or a read into it followed by a forward
+    `if` on what was read; at least one process reads. No loops, so no bound
+    prunes; pair with branch_labels, where the outcomes of the races show."""
+    domain = draw(st.integers(2, 4))
+    variables = [f"x{i}" for i in range(draw(st.integers(1, 2)))]
+    steps = st.lists(st.booleans(), min_size=1, max_size=3)     # True: read and branch
+    procs = []
+    for pi, reads in enumerate(draw(st.lists(steps, min_size=2, max_size=3)
+                                    .filter(lambda ps: any(map(any, ps))))):
+        reg = f"r{pi}"
+        stmts = [Assign(reg, Const(draw(st.integers(1, domain - 1))))]
+        branches = []          # index of each `if` in stmts
+        for read in reads:
+            var = draw(st.sampled_from(variables))
+            if read:
+                stmts.append(lang.Read(reg, var))
+                branches.append(len(stmts))
+                stmts.append(None)
+            else:
+                stmts.append(Write(var, reg))
+        if reads[-1]:
+            stmts.append(Assign(reg, Const(0)))    # the last `if` jumps past it
+        stmts.append(Term())
+        labels = [f"p{pi}_{k}" for k in range(len(stmts))]
+        for k in branches:
+            stmts[k] = If(reg, labels[draw(st.integers(k + 2, len(stmts) - 1))])
+        instrs = tuple(Instruction(lbl, stmt) for lbl, stmt in zip(labels, stmts))
+        procs.append(lang.ProcessDef(f"P{pi}", draw(st.integers(1, 3)), (reg,), instrs))
+    return lang.Program(domain, tuple(variables), tuple(procs))
+
+
+def branch_labels(prog):
+    """The targets of every `if` and the labels right after one, sorted."""
+    out = set()
+    for proc in prog.processes:
+        for instr, after in zip(proc.instrs, proc.instrs[1:]):
+            if isinstance(instr.stmt, If):
+                out.update((instr.stmt.target, after.label))
+    return sorted(out)
+
+
 @given(programs())
 def test_print_parse_round_trip(prog):
     assert lang.parse_program(lang.print_program(prog)) == prog

@@ -184,6 +184,57 @@ def test_over_bound_root_prunes_its_self_edge():
     assert len(ex.nodes) == 3
 
 
+def _explorations(name):
+    """(program, exploration) for a corpus program at bounds 1, 3 and 8: from
+    its start, and from the first successor over the bound, an --init start
+    whose edges back to itself are pruned."""
+    prog = load_corpus(name)
+    for bound in (1, 3, 8):
+        oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=bound))
+        ex = oracle.explore(semantics.initial_config(prog))
+        yield prog, ex
+        over = next((s for c in sorted(ex.nodes) for s in sorted(oracle.successors(c))
+                     if semantics.size(s) > bound), None)
+        if over is not None:
+            yield prog, oracle.explore(over)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_exploration_holds_each_configuration_once(name):
+    """Every successor listed in `succs` is the very node keying `succs`,
+    never an equal copy."""
+    for _, ex in _explorations(name):
+        held = {id(c) for c in ex.succs}
+        assert all(id(s) in held for succs in ex.succs.values() for s in succs)
+
+
+def _bfs_paths(prog, root, bound):
+    """The witness path to every node of root's bounded exploration, rebuilt
+    by a FIFO breadth-first search of its own: a node's step comes from the
+    node that first reached it, with the process step_successors gives."""
+    paths = {root: []}
+    queue = [root]
+    for c in queue:
+        steps = semantics.step_successors(prog, c)
+        for succ in sorted(steps):
+            # a root over the bound is held already, so edges back to it stay pruned
+            if succ in paths or semantics.size(succ) > bound:
+                continue
+            proc = steps[succ]
+            mid = c if proc is None else semantics.process_step(prog, c, proc)
+            paths[succ] = paths[c] + [{
+                "proc": proc, "schedule": list(semantics.witness_schedule(prog, mid, succ)),
+                "config": semantics.config_to_json(prog, succ)}]
+            queue.append(succ)
+    return paths
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_witness_paths_follow_first_discoverer(name):
+    for prog, ex in _explorations(name):
+        assert {c: ex.path_to(prog, c) for c in ex.nodes} == _bfs_paths(prog, ex.root, ex.bound)
+
+
 def test_iterative_mode_schedule(monkeypatch):
     """A pruned No below bound_max is asked again at twice the bound, capped
     at bound_max; the answer carries the last bound."""

@@ -316,9 +316,9 @@ def test_count_updates_does_not_enumerate():
 
 def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     """explore, then distribution on every explored configuration: update
-    words are counted once per distinct (bufs, mem) pair, and the
-    exploration's BFS tree keeps the moving process only, never a
-    schedule."""
+    words are counted once per distinct (bufs, mem) pair, and the moving
+    process that step_successors gives each explored step (the one a
+    witness path prints) is a process name, never a schedule."""
     from conftest import load_corpus
     from ptso_verify import reach
 
@@ -339,4 +339,5 @@ def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     assert len(enumerated) == len(set(enumerated)) == len(pairs)
     assert len(enumerated) == after_explore    # distribution reuses every row
     names = {p.name for p in prog.processes} | {None}
-    assert all(proc in names for _, proc in ex.parent.values())
+    assert all(proc in names for c in ex.nodes
+               for proc in semantics.step_successors(prog, c).values())
