@@ -265,11 +265,6 @@ class EagernessParams:
         }
 
 
-def _small_reach_set(ex, label):
-    """A: small configurations of the exploration `ex` that can reach `label`."""
-    return sorted(c for c in ex.reaching(label) if semantics.size(c) <= SMALL_SIZE)
-
-
 def _witness_bfs(succs, hit, start):
     """Shortest path of ids from `start` to a `hit` id that never revisits
     `start`: BFS over `succs` (id -> sorted successor ids of the bounded
@@ -301,7 +296,7 @@ def compute_mu(prog, label, oracle=None, source=None):
     Per configuration: the probability of the shortest label-reaching path
     that never revisits c. Configurations already bearing the label need no
     witness (they cannot occur strictly before a first hit) and are skipped.
-    Returns (mu, per-configuration map).
+    Returns (mu, per-configuration map, A as a sorted list).
 
     The witness searches run over the final-bound exploration from `source`,
     whose nodes are numbered once in sorted order: its successor tuples are
@@ -311,7 +306,7 @@ def compute_mu(prog, label, oracle=None, source=None):
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
     ex = oracle.checked(source, "A-set")
-    a_set = _small_reach_set(ex, label)
+    a_set = sorted(c for c in ex.reaching(label) if semantics.size(c) <= SMALL_SIZE)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from the start configuration"
                          f"{reach.pruned_note(ex)}")
@@ -329,7 +324,7 @@ def compute_mu(prog, label, oracle=None, source=None):
             prob *= oracle.distribution(a)[b]
         per[c] = prob
     mu = min(per.values()) if per else Fraction(1)
-    return mu, per
+    return mu, per, a_set
 
 
 def _coarse_upper(x):
@@ -351,8 +346,7 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     if alpha_s[1] >= 1:
         raise ValueError(f"beta={beta} gives S-run rate >= 1; use a larger beta (150 suffices)")
 
-    mu, per = compute_mu(prog, label, oracle, source)
-    a_set = _small_reach_set(oracle.checked(source, "A-set"), label)
+    mu, per, a_set = compute_mu(prog, label, oracle, source)
     size_a = len(a_set)
 
     if not per:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from . import markov, semantics
 from .errors import OracleUnknownError
+from .semantics import Config
 
 
 @dataclass(frozen=True)
@@ -176,11 +177,11 @@ def _tarjan(nodes, succs):
 class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
-    One oracle serves one analysis at a time; its configuration ids,
-    transition rows and explorations are shared by every query against the
-    same program. Every analysis asks it, and only it, whether a
-    configuration can reach a label and whether a pruned exploration makes
-    an answer Unknown.
+    One oracle serves one analysis at a time; its configuration, local and
+    store ids, transition rows and explorations are shared by every query
+    against the same program. Every analysis asks it, and only it, whether
+    a configuration can reach a label and whether a pruned exploration
+    makes an answer Unknown.
     """
 
     def __init__(self, prog, config=None):
@@ -190,13 +191,51 @@ class ReachOracle:
         self.configs = []          # id -> config
         self.sizes = []            # id -> semantics.size of its config
         self._rows = []            # id -> its row, or None until asked
+        self._local_ids = {}       # local part (labels, regs) -> its id
+        self._store_ids = {}       # store part (bufs, mem) -> its id
+        self._stores = []          # store id -> store part
+        self._store_sizes = []     # store id -> buffered messages in it
+        self._store_succs = []     # store id -> update-successor store ids, or None
         self._explorations = {}    # root -> its exploration
         self._home = {}            # config -> an exploration holding it
 
     # -- one-step structure --
 
+    def _store_id(self, store):
+        got = self._store_ids.get(store)
+        if got is None:
+            got = self._store_ids[store] = len(self._stores)
+            self._stores.append(store)
+            self._store_sizes.append(sum(map(len, store[0])))
+            self._store_succs.append(None)
+        return got
+
     def successors(self, c):
-        return semantics.step_successors(self.prog, c)
+        """c's process steps as (local part, local id, store id), sorted by
+        local part: one per enabled process, or c itself when none is
+        enabled. A configuration is its local part (labels, regs) joined
+        with its store part (bufs, mem). The update step leaves the local
+        part alone and takes the store to the stores _store_succs[store id]
+        lists, sorted, so c's successors in this order, each local part
+        joined with each of its stores, are sorted(step_successors(c))."""
+        prog, local_ids = self.prog, self._local_ids
+        out = []
+        for pi in semantics.enabled_indices(prog, c) or [None]:
+            mid = c if pi is None else semantics.process_step(prog, c, pi)
+            local = (mid.labels, mid.regs)
+            sid = self._store_id((mid.bufs, mid.mem))
+            if self._store_succs[sid] is None:
+                self._store_succs[sid] = tuple(
+                    map(self._store_id, sorted(semantics._update_row(prog, mid)[0])))
+            out.append((local, local_ids.setdefault(local, len(local_ids)), sid))
+        out.sort()
+        # Every process step moves its own process's label (no self-jumps),
+        # so the local parts are distinct; sorting would otherwise need to
+        # merge two groups' stores.
+        for (a, _, _), (b, _, _) in zip(out, out[1:]):
+            if a == b:
+                raise AssertionError(f"two process steps from {c} give one local part")
+        return out
 
     def intern(self, c):
         """The integer id of configuration c, given on first sight: c is
@@ -231,29 +270,35 @@ class ReachOracle:
         got = self._explorations.get(root)
         if got is not None:
             return got
-        bound = self.config.bound
-        seen = {root: root}        # each discovered config -> the one copy kept
+        bound, sizes, stores, store_succs = (
+            self.config.bound, self._store_sizes, self._stores, self._store_succs)
+        start = self._store_id((root.bufs, root.mem))
+        # Each discovered (local id, store id) -> the one Config kept for it.
+        local_ids = self._local_ids
+        seen = {(local_ids.setdefault((root.labels, root.regs), len(local_ids)), start): root}
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
         # Every node was sized when first kept, except a root over the bound
         # (an --init start), whose edges back to it are still pruned.
-        root_over = semantics.size(root) > bound
+        root_over = sizes[start] > bound
+        new = tuple.__new__        # skips Config's keyword-handling constructor
         for c in queue:
             kept = []
-            for succ in sorted(self.successors(c)):
-                node = seen.get(succ)
-                if node is not None:
-                    if root_over and node is root:
+            for local, lid, sid in self.successors(c):
+                for s in store_succs[sid]:
+                    node = seen.get((lid, s))
+                    if node is not None:
+                        if root_over and node is root:
+                            pruned_at.add(c)
+                            continue
+                    elif sizes[s] > bound:
                         pruned_at.add(c)
                         continue
-                elif semantics.size(succ) > bound:
-                    pruned_at.add(c)
-                    continue
-                else:
-                    node = seen[succ] = succ
-                    queue.append(succ)
-                kept.append(node)
+                    else:
+                        node = seen[lid, s] = new(Config, local + stores[s])
+                        queue.append(node)
+                    kept.append(node)
             succs[c] = tuple(kept)
         got = Exploration(root, bound, succs, frozenset(pruned_at))
         self._explorations[root] = got
@@ -321,8 +366,8 @@ class ReachOracle:
         raises OracleUnknownError.
         """
         ex = self.explore(c)
-        hit = c if label in c.labels else next(
-            (node for node in sorted(ex.nodes) if label in node.labels), None)
+        hit = c if label in c.labels else min(
+            (node for node in ex.nodes if label in node.labels), default=None)
         if hit is not None:
             return ReachAnswer(ex.path_to(self.prog, hit), ex.bound, ex.pruned)
         if ex.pruned and bound_max is not None and ex.bound < bound_max:

@@ -217,7 +217,7 @@ GOAL: term
 
 def test_compute_mu_deterministic():
     p = lang.parse_program(DET)
-    mu, per = compute_mu(p, "GOAL")
+    mu, per, _ = compute_mu(p, "GOAL")
     assert mu == 1
     assert all(v == 1 for v in per.values())
 
@@ -226,7 +226,7 @@ def test_compute_mu_race_matches_witness_replay():
     p = load_corpus("race_flag")
     oracle = reach.ReachOracle(p)
     init = semantics.initial_config(p)
-    mu, per = compute_mu(p, "W1", oracle, init)
+    mu, per, _ = compute_mu(p, "W1", oracle, init)
     assert 0 < mu <= 1
     # every recorded value is a genuine path probability: positive and the
     # product of one-step probabilities of some path, hence <= 1

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import exhaustive
 from conftest import corpus_names, load_corpus, make_config
-from test_lang import programs
+from test_lang import programs, racy_programs
 from ptso_verify import cost, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
@@ -184,16 +184,16 @@ def test_over_bound_root_prunes_its_self_edge():
     assert len(ex.nodes) == 3
 
 
-def _explorations(name):
-    """(program, exploration) for a corpus program at bounds 1, 3 and 8: from
-    its start, and from the first successor over the bound, an --init start
-    whose edges back to itself are pruned."""
-    prog = load_corpus(name)
-    for bound in (1, 3, 8):
+def _explorations(name, bounds=(1, 3, 8)):
+    """(program, exploration) for a corpus program, or a Program, at each
+    bound: from its start, and from the first successor over the bound, an
+    --init start whose edges back to itself are pruned."""
+    prog = load_corpus(name) if isinstance(name, str) else name
+    for bound in bounds:
         oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=bound))
         ex = oracle.explore(semantics.initial_config(prog))
         yield prog, ex
-        over = next((s for c in sorted(ex.nodes) for s in sorted(oracle.successors(c))
+        over = next((s for c in sorted(ex.nodes) for s in sorted(semantics.step_successors(prog, c))
                      if semantics.size(s) > bound), None)
         if over is not None:
             yield prog, oracle.explore(over)
@@ -208,24 +208,73 @@ def test_exploration_holds_each_configuration_once(name):
         assert all(id(s) in held for succs in ex.succs.values() for s in succs)
 
 
-def _bfs_paths(prog, root, bound):
-    """The witness path to every node of root's bounded exploration, rebuilt
-    by a FIFO breadth-first search of its own: a node's step comes from the
-    node that first reached it, with the process step_successors gives."""
-    paths = {root: []}
+def _reference_exploration(prog, root, bound):
+    """explore(root) over configurations: a FIFO breadth-first search over
+    sorted(step_successors(prog, c)), keeping the successors within the bound
+    and pruning edges back to a root over it. Returns (succs, pruned_at,
+    found), found mapping each node but the root, in discovery order, to the
+    node that first reached it."""
+    succs, pruned_at, found = {}, set(), {}
     queue = [root]
     for c in queue:
-        steps = semantics.step_successors(prog, c)
-        for succ in sorted(steps):
-            # a root over the bound is held already, so edges back to it stay pruned
-            if succ in paths or semantics.size(succ) > bound:
+        kept = []
+        for succ in sorted(semantics.step_successors(prog, c)):
+            if succ != root and succ not in found:
+                if semantics.size(succ) > bound:
+                    pruned_at.add(c)
+                    continue
+                found[succ] = c
+                queue.append(succ)
+            elif succ == root and semantics.size(root) > bound:
+                pruned_at.add(c)
                 continue
-            proc = steps[succ]
-            mid = c if proc is None else semantics.process_step(prog, c, proc)
-            paths[succ] = paths[c] + [{
-                "proc": proc, "schedule": list(semantics.witness_schedule(prog, mid, succ)),
-                "config": semantics.config_to_json(prog, succ)}]
-            queue.append(succ)
+            kept.append(succ)
+        succs[c] = tuple(kept)
+    return succs, pruned_at, found
+
+
+def _assert_explores_as_reference(prog, ex):
+    succs, pruned_at, _ = _reference_exploration(prog, ex.root, ex.bound)
+    assert list(ex.succs.items()) == list(succs.items())
+    assert ex.pruned_at == pruned_at
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_exploration_matches_reference(name):
+    """Same nodes in the same order, the same successor tuples and the same
+    pruned set as the search over configurations."""
+    for prog, ex in _explorations(name):
+        _assert_explores_as_reference(prog, ex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(programs(), racy_programs()), st.integers(1, 3))
+def test_generated_explorations_match_reference(prog, bound):
+    for _, ex in _explorations(prog, (bound,)):
+        _assert_explores_as_reference(prog, ex)
+
+
+def test_successors_refuse_two_steps_to_one_local_part(monkeypatch):
+    """Each process step moves its own label, so no two give one local part;
+    explore's sort order rests on that, and a step breaking it raises, also
+    under python -O."""
+    p = load_corpus("race_flag")           # P and Q are both enabled at the start
+    monkeypatch.setattr(semantics, "process_step", lambda prog, c, proc: c)
+    with pytest.raises(AssertionError, match="one local part"):
+        reach.ReachOracle(p).successors(semantics.initial_config(p))
+
+
+def _bfs_paths(prog, root, bound):
+    """The witness path to every node of root's bounded exploration, rebuilt
+    from the reference search: a node's step comes from the node that first
+    reached it, with the process step_successors gives."""
+    paths = {root: []}
+    for succ, c in _reference_exploration(prog, root, bound)[2].items():
+        proc = semantics.step_successors(prog, c)[succ]
+        mid = c if proc is None else semantics.process_step(prog, c, proc)
+        paths[succ] = paths[c] + [{
+            "proc": proc, "schedule": list(semantics.witness_schedule(prog, mid, succ)),
+            "config": semantics.config_to_json(prog, succ)}]
     return paths
 
 
@@ -283,7 +332,7 @@ def test_can_reach_set_target():
     target = frozenset(c for c in ex.nodes if "P1" in c.labels)
     assert all(lax.can_reach(c, target) == lax.can_reach(c, "P1") for c in ex.nodes)
     strict = reach.ReachOracle(p, reach.OracleConfig(bound=2, strict=True))
-    over = next(s for c in sorted(ex.nodes) for s in sorted(lax.successors(c))
+    over = next(s for c in sorted(ex.nodes) for s in sorted(semantics.step_successors(p, c))
                 if semantics.size(s) > 2)
     with pytest.raises(OracleUnknownError,
                        match=r"^reachability of a configuration set unknown at bound 2;"):

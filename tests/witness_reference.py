@@ -3,7 +3,7 @@ BFS, with no integer ids.
 
 Every search re-sorts each layer and each successor set as configurations
 and filters successors by the bound itself, straight from
-`ReachOracle.successors`; `compute_mu` must find the same paths, and so the
+`semantics.step_successors`; `compute_mu` must find the same paths, and so the
 same per-configuration probabilities, over its numbered exploration.
 """
 
@@ -21,7 +21,7 @@ def witness_bfs(oracle, start, label, bound):
     while layer:
         nxt = []
         for c in sorted(layer):
-            for succ in sorted(oracle.successors(c)):
+            for succ in sorted(semantics.step_successors(oracle.prog, c)):
                 if succ in seen or semantics.size(succ) > bound:
                     continue
                 seen.add(succ)
@@ -38,7 +38,7 @@ def witness_bfs(oracle, start, label, bound):
 
 
 def compute_mu(oracle, label, source):
-    """(mu, per-configuration map) as `eagerness.compute_mu` defines them,
+    """(mu, per-configuration map, A) as `eagerness.compute_mu` defines them,
     or None when no small configuration reachable from `source` can reach
     `label`."""
     ex = oracle.explore(source)
@@ -54,4 +54,4 @@ def compute_mu(oracle, label, source):
         for a, b in zip(path, path[1:]):
             prob *= oracle.distribution(a)[b]
         per[c] = prob
-    return (min(per.values()) if per else Fraction(1)), per
+    return (min(per.values()) if per else Fraction(1)), per, a_set
