@@ -215,9 +215,9 @@ class ReachOracle:
         local part: one per enabled process, or c itself when none is
         enabled. A configuration is its local part (labels, regs) joined
         with its store part (bufs, mem). The update step leaves the local
-        part alone and takes the store to the stores _store_succs[store id]
-        lists, sorted, so c's successors in this order, each local part
-        joined with each of its stores, are sorted(step_successors(c))."""
+        part alone, and the stores it reaches are _store_succs[store id], in
+        store order; so each local part here, in turn joined with each of
+        its stores, gives sorted(step_successors(c))."""
         prog, local_ids = self.prog, self._local_ids
         out = []
         for pi in semantics.enabled_indices(prog, c) or [None]:

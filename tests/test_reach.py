@@ -184,26 +184,25 @@ def test_over_bound_root_prunes_its_self_edge():
     assert len(ex.nodes) == 3
 
 
-def _explorations(name, bounds=(1, 3, 8)):
-    """(program, exploration) for a corpus program, or a Program, at each
-    bound: from its start, and from the first successor over the bound, an
-    --init start whose edges back to itself are pruned."""
-    prog = load_corpus(name) if isinstance(name, str) else name
+def _explorations(prog, bounds=(1, 3, 8)):
+    """prog's explorations at each bound: from its start, and from the first
+    successor over the bound, an --init start whose edges back to itself are
+    pruned."""
     for bound in bounds:
         oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=bound))
         ex = oracle.explore(semantics.initial_config(prog))
-        yield prog, ex
+        yield ex
         over = next((s for c in sorted(ex.nodes) for s in sorted(semantics.step_successors(prog, c))
                      if semantics.size(s) > bound), None)
         if over is not None:
-            yield prog, oracle.explore(over)
+            yield oracle.explore(over)
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_exploration_holds_each_configuration_once(name):
     """Every successor listed in `succs` is the very node keying `succs`,
     never an equal copy."""
-    for _, ex in _explorations(name):
+    for ex in _explorations(load_corpus(name)):
         held = {id(c) for c in ex.succs}
         assert all(id(s) in held for succs in ex.succs.values() for s in succs)
 
@@ -243,14 +242,15 @@ def _assert_explores_as_reference(prog, ex):
 def test_exploration_matches_reference(name):
     """Same nodes in the same order, the same successor tuples and the same
     pruned set as the search over configurations."""
-    for prog, ex in _explorations(name):
+    prog = load_corpus(name)
+    for ex in _explorations(prog):
         _assert_explores_as_reference(prog, ex)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(programs(), racy_programs()), st.integers(1, 3))
 def test_generated_explorations_match_reference(prog, bound):
-    for _, ex in _explorations(prog, (bound,)):
+    for ex in _explorations(prog, (bound,)):
         _assert_explores_as_reference(prog, ex)
 
 
@@ -280,7 +280,8 @@ def _bfs_paths(prog, root, bound):
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_witness_paths_follow_first_discoverer(name):
-    for prog, ex in _explorations(name):
+    prog = load_corpus(name)
+    for ex in _explorations(prog):
         assert {c: ex.path_to(prog, c) for c in ex.nodes} == _bfs_paths(prog, ex.root, ex.bound)
 
 
