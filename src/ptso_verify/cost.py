@@ -155,8 +155,9 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         raise ValueError("the start configuration must be plain")
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    if not oracle.can_reach(init, label):
-        raise ValueError(f"label {label!r} is unreachable{reach.pruned_note(oracle.explore(init))}; "
+    start = oracle.intern(init)
+    if not oracle.can_reach(start, label):
+        raise ValueError(f"label {label!r} is unreachable{reach.pruned_note(oracle.explore(start))}; "
                          "the conditional expected cost is undefined")
     if eager is None:
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
@@ -170,7 +171,6 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     den = 1
     cost_num = prob_num = 0
     sizes = oracle.sizes
-    start = oracle.intern(init)
     frontier = {(start, 0): 1}     # (configuration id, accumulated cost) -> mass
     n = 0
     max_size = sizes[start]
@@ -189,8 +189,7 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         cost_apprx, prob_apprx = Fraction(cost_num, den), Fraction(prob_num, den)
         t = alpha ** m
         c_error, p_error = base_c * t, base_p * t
-        live = sum(phi for (i, _), phi in frontier.items()
-                   if oracle.can_reach(oracle.configs[i], label))
+        live = sum(phi for (i, _), phi in frontier.items() if oracle.can_reach(i, label))
         upper = None if prob_apprx == 0 else (cost_apprx + c_error) / prob_apprx
         return CostResult(cost_apprx / (prob_apprx + p_error), upper, cost_apprx, prob_apprx,
                           c_error, p_error, m, epsilon, n_threshold, aborted,

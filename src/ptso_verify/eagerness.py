@@ -235,7 +235,7 @@ class EagernessParams:
     gamma: tuple          # certified interval
     beta: int
     alpha_s: tuple        # certified interval
-    a_set: tuple          # small reachable configurations that can reach the label
+    a_set: tuple          # ids of small reachable configurations that can reach the label
     mu: Fraction
     alpha_d: Fraction
     n_d: int
@@ -265,20 +265,20 @@ class EagernessParams:
         }
 
 
-def _witness_bfs(succs, hit, start):
-    """Shortest path of ids from `start` to a `hit` id that never revisits
-    `start`: BFS over `succs` (id -> sorted successor ids of the bounded
-    system), each layer expanded in id order."""
+def _witness_bfs(ex, label, start):
+    """Shortest path of ids from `start` to a configuration bearing `label`
+    that never revisits `start`: BFS over `ex.succs` (bound-filtered, in
+    configuration order), each layer expanded in witness order."""
     parent = {start: start}
     layer = [start]
     while layer:
         nxt = []
-        for c in sorted(layer):
-            for succ in succs[c]:
+        for c in ex.in_witness_order(layer):
+            for succ in ex.succs[c]:
                 if succ in parent:
                     continue
                 parent[succ] = c
-                if hit[succ]:
+                if label in ex.configs[succ].labels:
                     path = [succ]
                     while path[-1] != start:
                         path.append(parent[path[-1]])
@@ -296,33 +296,25 @@ def compute_mu(prog, label, oracle=None, source=None):
     Per configuration: the probability of the shortest label-reaching path
     that never revisits c. Configurations already bearing the label need no
     witness (they cannot occur strictly before a first hit) and are skipped.
-    Returns (mu, per-configuration map, A as a sorted list).
-
-    The witness searches run over the final-bound exploration from `source`,
-    whose nodes are numbered once in sorted order: its successor tuples are
-    already bound-filtered and sorted, and sorting ids sorts configurations,
-    so each search visits configurations in the same order as over `Config`s.
+    Returns (mu, per-id map, A as ids in witness order) over `oracle`'s ids,
+    searched in its final-bound exploration from the configuration `source`.
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
-    ex = oracle.checked(source, "A-set")
-    a_set = sorted(c for c in ex.reaching(label) if semantics.size(c) <= SMALL_SIZE)
+    ex, configs = oracle.checked(oracle.intern(source), "A-set"), oracle.configs
+    a_set = ex.in_witness_order(i for i in ex.reaching(label) if oracle.sizes[i] <= SMALL_SIZE)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from the start configuration"
                          f"{reach.pruned_note(ex)}")
-    nodes = sorted(ex.nodes)
-    ids = {c: i for i, c in enumerate(nodes)}
-    succs = [tuple(ids[s] for s in ex.succs[c]) for c in nodes]
-    hit = [label in c.labels for c in nodes]
     per = {}
-    for c in a_set:
-        if label in c.labels:
+    for i in a_set:
+        if label in configs[i].labels:
             continue
-        path = [nodes[i] for i in _witness_bfs(succs, hit, ids[c])]
+        path = _witness_bfs(ex, label, i)
         prob = Fraction(1)
         for a, b in zip(path, path[1:]):
-            prob *= oracle.distribution(a)[b]
-        per[c] = prob
+            prob *= oracle.distribution(configs[a])[configs[b]]
+        per[i] = prob
     mu = min(per.values()) if per else Fraction(1)
     return mu, per, a_set
 

@@ -33,15 +33,15 @@ class QualResult:
 
 
 def _scan(analysis, prog, ex, label, candidates, reachable):
-    """The first candidate whose can-reach answer for `label` is `reachable`
-    refutes the analysis; none refutes it, verdict true."""
+    """The first candidate id in witness order whose can-reach answer for
+    `label` is `reachable` refutes the analysis; none does, verdict true."""
     config_key, label_key = (("bplain_config", "reachable_label") if reachable
                              else ("plain_config", "unreachable_label"))
     can = ex.reaching(label)
-    for c in candidates:
+    for c in ex.in_witness_order(candidates):
         if (c in can) == reachable:
             witness = {
-                config_key: semantics.config_to_json(prog, c),
+                config_key: semantics.config_to_json(prog, ex.configs[c]),
                 "path_to_it": ex.path_to(prog, c),
                 label_key: label,
             }
@@ -64,9 +64,9 @@ def qual_reach(prog, init, label, oracle=None):
     transformed = lang.remove_label(prog, label)
     fresh = (set(transformed.labels()) - set(prog.labels())).pop()
     sub = reach.ReachOracle(transformed, oracle.config)
-    ex = sub.checked(init, "plain-configuration scan")
-    candidates = [c for c in sorted(ex.nodes)
-                  if semantics.is_plain(c) and fresh not in c.labels]
+    ex = sub.checked(sub.intern(init), "plain-configuration scan")
+    candidates = [i for i in ex.nodes
+                  if semantics.is_plain(sub.configs[i]) and fresh not in sub.configs[i].labels]
     return _scan("qual_reach", transformed, ex, label, candidates, False)
 
 
@@ -74,8 +74,8 @@ def qual_rep_reach(prog, init, label, oracle=None):
     """Almost-sure repeated reachability; scans the original program."""
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    ex = oracle.checked(init, "plain-configuration scan")
-    candidates = [c for c in sorted(ex.nodes) if semantics.is_plain(c)]
+    ex = oracle.checked(oracle.intern(init), "plain-configuration scan")
+    candidates = [i for i in ex.nodes if semantics.is_plain(oracle.configs[i])]
     return _scan("qual_rep_reach", prog, ex, label, candidates, False)
 
 
@@ -97,6 +97,5 @@ def never_qual_rep_reach(prog, init, label, oracle=None):
     configuration can reach the label."""
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    ex = oracle.checked(init, "plain-configuration scan")
-    return _scan("never_qual_rep_reach", prog, ex, label,
-                 oracle.bplain_configs(init), True)
+    ex = oracle.checked(oracle.intern(init), "plain-configuration scan")
+    return _scan("never_qual_rep_reach", prog, ex, label, oracle.bplain_configs(ex.root), True)

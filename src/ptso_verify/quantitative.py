@@ -105,8 +105,7 @@ def _run(init, epsilon, oracle, pos_test, neg_test, analysis, max_iterations, pr
         for i, mass in frontier.items():
             f = fate.get(i)
             if f is None:
-                c = oracle.configs[i]
-                f = fate[i] = True if pos_test(c) else False if neg_test(c) else oracle.row(i)
+                f = fate[i] = True if pos_test(i) else False if neg_test(i) else oracle.row(i)
             if f is True:
                 pos += mass
             elif f is False:
@@ -126,10 +125,10 @@ def quant_reach(prog, init, label, epsilon, oracle=None,
     """Approximate p = P(reach label) with p in [value, value + epsilon]."""
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    ex = oracle.explore(init)
+    ex, configs = oracle.explore(oracle.intern(init)), oracle.configs
     return _run(init, epsilon, oracle,
-                pos_test=lambda c: label in c.labels,
-                neg_test=lambda c: not oracle.can_reach(c, label),
+                pos_test=lambda i: label in configs[i].labels,
+                neg_test=lambda i: not oracle.can_reach(i, label),
                 analysis="quant_reach",
                 max_iterations=max_iterations, pruned=ex.pruned)
 
@@ -144,10 +143,10 @@ def quant_rep_reach(prog, init, label, epsilon, oracle=None,
     """
     prog.check_label(label)
     oracle = oracle or reach.ReachOracle(prog)
-    ex = oracle.explore(init)
-    bad = frozenset(c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label))
+    ex = oracle.explore(oracle.intern(init))
+    bad = frozenset(i for i in oracle.bplain_configs(ex.root) if not oracle.can_reach(i, label))
     return _run(init, epsilon, oracle,
-                pos_test=lambda c: not oracle.can_reach(c, bad),
-                neg_test=lambda c: not oracle.can_reach(c, label),
+                pos_test=lambda i: not oracle.can_reach(i, bad),
+                neg_test=lambda i: not oracle.can_reach(i, label),
                 analysis="quant_rep_reach",
                 max_iterations=max_iterations, pruned=ex.pruned)

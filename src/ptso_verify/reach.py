@@ -40,23 +40,29 @@ class ReachAnswer:
 
 @dataclass
 class Exploration:
-    """Forward closure of one root in the K-bounded system."""
+    """Forward closure of one root in the K-bounded system; node i is configs[i]."""
 
-    root: object
+    root: int
     bound: int
-    succs: dict                    # config -> tuple of successor configs, in BFS order
-    pruned_at: frozenset           # configs with a successor pruned by the bound
+    succs: dict                    # id -> tuple of successor ids, in BFS order
+    pruned_at: frozenset           # ids with a successor pruned by the bound
+    configs: list = field(repr=False)   # the oracle's id -> config list
     _preds: dict = field(default=None, repr=False)
     _reaching: dict = field(default_factory=dict, repr=False)
 
     @property
     def nodes(self):
-        """The explored configurations: the keys of `succs`."""
+        """The explored ids: the keys of `succs`."""
         return self.succs.keys()
 
     @property
     def pruned(self):
         return bool(self.pruned_at)
+
+    def in_witness_order(self, ids):
+        """ids sorted by their configurations: the order every witness, scan
+        candidate and B-plain list is chosen in, whatever the ids."""
+        return sorted(ids, key=self.configs.__getitem__)
 
     def preds(self):
         if self._preds is None:
@@ -68,7 +74,7 @@ class Exploration:
         return self._preds
 
     def backward_set(self, targets):
-        """All explored configurations that can reach `targets`."""
+        """All explored ids that can reach the ids `targets`."""
         preds = self.preds()
         seen = set()
         stack = [t for t in targets if t in self.nodes]
@@ -82,13 +88,13 @@ class Exploration:
         return seen
 
     def reaching(self, target):
-        """All explored configurations that can reach `target`: a label (a
-        configuration bearing it) or a frozenset of configurations."""
+        """All explored ids that can reach `target`: a label (a configuration
+        bearing it) or a frozenset of ids."""
         got = self._reaching.get(target)
         if got is None:
             got = self._reaching[target] = self.backward_set(
                 target if isinstance(target, frozenset)
-                else (c for c in self.nodes if target in c.labels))
+                else (c for c in self.nodes if target in self.configs[c].labels))
         return got
 
     def bottom_sccs(self):
@@ -100,19 +106,20 @@ class Exploration:
         return out
 
     def path_to(self, prog, target):
-        """BFS-tree witness path from the root to `target`, replayable. A
+        """BFS-tree witness path from the root to id `target`, replayable. A
         node's parent is its first predecessor (`succs` is in BFS order), its
         process the one step_successors gives; schedules are looked up here."""
-        preds = self.preds()
+        preds, configs = self.preds(), self.configs
         steps = []
         c = target
         while c != self.root:
             pred = preds[c][0]
-            proc = semantics.step_successors(prog, pred)[c]
-            mid = pred if proc is None else semantics.process_step(prog, pred, proc)
+            a, b = configs[pred], configs[c]
+            proc = semantics.step_successors(prog, a)[b]
+            mid = a if proc is None else semantics.process_step(prog, a, proc)
             steps.append({"proc": proc,
-                          "schedule": list(semantics.witness_schedule(prog, mid, c)),
-                          "config": semantics.config_to_json(prog, c)})
+                          "schedule": list(semantics.witness_schedule(prog, mid, b)),
+                          "config": semantics.config_to_json(prog, b)})
             c = pred
         steps.reverse()
         return steps
@@ -127,14 +134,15 @@ def pruned_note(ex):
 
 
 def _tarjan(nodes, succs):
-    """Iterative Tarjan SCC; components returned in discovery order."""
+    """Iterative Tarjan SCC. Components come out sinks first: an edge never
+    points to a component emitted later."""
     index = {}
     low = {}
     onstack = set()
     stack = []
     comps = []
     counter = [0]
-    for start in sorted(nodes):
+    for start in nodes:
         if start in index:
             continue
         work = [(start, iter(succs[start]))]
@@ -181,7 +189,8 @@ class ReachOracle:
     store ids, transition rows and explorations are shared by every query
     against the same program. Every analysis asks it, and only it, whether
     a configuration can reach a label and whether a pruned exploration
-    makes an answer Unknown.
+    makes an answer Unknown. Its queries take and give configuration ids:
+    intern(c) is the one way in, configs[i] the one way out.
     """
 
     def __init__(self, prog, config=None):
@@ -196,8 +205,8 @@ class ReachOracle:
         self._stores = []          # store id -> store part
         self._store_sizes = []     # store id -> buffered messages in it
         self._store_succs = []     # store id -> update-successor store ids, or None
-        self._explorations = {}    # root -> its exploration
-        self._home = {}            # config -> an exploration holding it
+        self._explorations = {}    # root id -> its exploration
+        self._home = {}            # id -> an exploration holding it
 
     # -- one-step structure --
 
@@ -267,45 +276,47 @@ class ReachOracle:
     # -- bounded exploration --
 
     def explore(self, root):
+        """The exploration from id `root`."""
         got = self._explorations.get(root)
         if got is not None:
             return got
-        bound, sizes, stores, store_succs = (
-            self.config.bound, self._store_sizes, self._stores, self._store_succs)
-        start = self._store_id((root.bufs, root.mem))
-        # Each discovered (local id, store id) -> the one Config kept for it.
+        bound, sizes, stores, store_succs, configs = (
+            self.config.bound, self._store_sizes, self._stores, self._store_succs, self.configs)
+        c = configs[root]
+        start = self._store_id((c.bufs, c.mem))
+        # Each discovered (local id, store id) -> the id of its node.
         local_ids = self._local_ids
-        seen = {(local_ids.setdefault((root.labels, root.regs), len(local_ids)), start): root}
+        seen = {(local_ids.setdefault((c.labels, c.regs), len(local_ids)), start): root}
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
         # Every node was sized when first kept, except a root over the bound
         # (an --init start), whose edges back to it are still pruned.
         root_over = sizes[start] > bound
-        new = tuple.__new__        # skips Config's keyword-handling constructor
-        for c in queue:
+        intern, new = self.intern, tuple.__new__   # skips Config's keyword-handling constructor
+        for i in queue:
             kept = []
-            for local, lid, sid in self.successors(c):
+            for local, lid, sid in self.successors(configs[i]):
                 for s in store_succs[sid]:
                     node = seen.get((lid, s))
                     if node is not None:
-                        if root_over and node is root:
-                            pruned_at.add(c)
+                        if root_over and node == root:
+                            pruned_at.add(i)
                             continue
                     elif sizes[s] > bound:
-                        pruned_at.add(c)
+                        pruned_at.add(i)
                         continue
                     else:
-                        node = seen[lid, s] = new(Config, local + stores[s])
+                        node = seen[lid, s] = intern(new(Config, local + stores[s]))
                         queue.append(node)
                     kept.append(node)
-            succs[c] = tuple(kept)
-        got = Exploration(root, bound, succs, frozenset(pruned_at))
+            succs[i] = tuple(kept)
+        got = Exploration(root, bound, succs, frozenset(pruned_at), configs)
         self._explorations[root] = got
         # A node's forward cone does not depend on the root it was reached
         # from, so any exploration holding it answers for it.
-        for c in succs:
-            self._home.setdefault(c, got)
+        for i in succs:
+            self._home.setdefault(i, got)
         return got
 
     def checked(self, root, what):
@@ -319,36 +330,36 @@ class ReachOracle:
 
     # -- can-reach --
 
-    def cone_roots(self, c):
-        """The configurations whose bounded cones make up c's, for c over the
-        bound and held by no exploration: explore(c) would prune every edge
-        back to c, so c's cone is c plus the cones of its successors within
-        the bound, and those are the roots, in first-reached order. Read from
-        row(intern(c)), which is cached, so a mass loop expanding c reuses it."""
-        bound, sizes, configs = self.config.bound, self.sizes, self.configs
-        return [configs[j] for j, _ in self.row(self.intern(c))[1] if sizes[j] <= bound]
+    def cone_roots(self, i):
+        """The ids whose bounded cones make up i's, for i over the bound and
+        held by no exploration: explore(i) would prune every edge back to i,
+        so i's cone is i plus the cones of its successors within the bound,
+        and those are the roots, in first-reached order. Read from row(i),
+        which is cached, so a mass loop expanding i reuses it."""
+        bound, sizes = self.config.bound, self.sizes
+        return [j for j, _ in self.row(i)[1] if sizes[j] <= bound]
 
-    def can_reach(self, c, target):
-        """Can c reach `target`, a label or a frozenset of configurations?
-        For a label this is reaches_label(c, label).is_yes without a witness
-        path. In strict mode a No that rests on a pruned cone raises
+    def can_reach(self, i, target):
+        """Can id i reach `target`, a label or a frozenset of ids? For a
+        label this is reaches_label(configs[i], label).is_yes without a
+        witness path. In strict mode a No that rests on a pruned cone raises
         OracleUnknownError."""
-        ex = self._home.get(c)
-        if ex is None and semantics.size(c) <= self.config.bound:
-            ex = self.explore(c)
+        ex = self._home.get(i)
+        if ex is None and self.sizes[i] <= self.config.bound:
+            ex = self.explore(i)
         if ex is None:
-            # c is over the bound and no exploration holds it: decided from
+            # i is over the bound and no exploration holds it: decided from
             # its cone roots without exploring it. Its empty update word
             # leaves a successor over the bound, so a No is always pruned.
             # (Loops, not generators: a closure here would slow every call.)
-            if (c in target) if isinstance(target, frozenset) else (target in c.labels):
+            if (i in target) if isinstance(target, frozenset) else (target in self.configs[i].labels):
                 return True
-            for s in self.cone_roots(c):
+            for s in self.cone_roots(i):
                 if s in (self._home.get(s) or self.explore(s)).reaching(target):
                     return True
-        elif c in ex.reaching(target):
+        elif i in ex.reaching(target):
             return True
-        if self.config.strict and (ex is None or c in ex.reaching(ex.pruned_at)):
+        if self.config.strict and (ex is None or i in ex.reaching(ex.pruned_at)):
             what = "a configuration set" if isinstance(target, frozenset) else repr(target)
             raise OracleUnknownError(
                 f"reachability of {what} unknown at bound {self.config.bound}; "
@@ -365,11 +376,11 @@ class ReachOracle:
         4b, ..., bound_max). In strict mode a pruned No at the last bound
         raises OracleUnknownError.
         """
-        ex = self.explore(c)
-        hit = c if label in c.labels else min(
-            (node for node in ex.nodes if label in node.labels), default=None)
-        if hit is not None:
-            return ReachAnswer(ex.path_to(self.prog, hit), ex.bound, ex.pruned)
+        ex = self.explore(self.intern(c))
+        hits = [ex.root] if label in c.labels else ex.in_witness_order(
+            i for i in ex.nodes if label in self.configs[i].labels)
+        if hits:
+            return ReachAnswer(ex.path_to(self.prog, hits[0]), ex.bound, ex.pruned)
         if ex.pruned and bound_max is not None and ex.bound < bound_max:
             deeper = replace(self.config, bound=min(2 * ex.bound, bound_max))
             return ReachOracle(self.prog, deeper).reaches_label(c, label, bound_max)
@@ -381,16 +392,16 @@ class ReachOracle:
     # -- plain and B-plain enumeration --
 
     def bplain_configs(self, source=None):
-        """Plain configurations in bottom SCCs of the bounded step graph.
+        """The ids of the plain configurations in bottom SCCs of the bounded
+        step graph from id `source` (default the initial configuration), in
+        witness order.
 
         Equivalent to the definitional bottom SCCs of the plain-to-plain
         reachability relation: from any configuration some plain configuration
         is one flush-all step away, so a B-plain configuration's whole
         forward cone reaches back to it.
         """
-        source = semantics.initial_config(self.prog) if source is None else source
+        source = self.intern(semantics.initial_config(self.prog)) if source is None else source
         ex = self.checked(source, "B-plain set")
-        out = set()
-        for comp in ex.bottom_sccs():
-            out.update(c for c in comp if semantics.is_plain(c))
-        return sorted(out)
+        return ex.in_witness_order(i for comp in ex.bottom_sccs() for i in comp
+                                   if semantics.is_plain(self.configs[i]))

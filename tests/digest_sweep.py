@@ -6,17 +6,24 @@ every oracle subcommand over every label of the corpus programs.
 
 --out runs each query in-process through `cli.main` of the checkout that
 holds this file and writes {argv: [exit code, stdout sha256, seconds]} as
-JSON. A query still running after --alarm seconds (default 20) is recorded
-as ["alarm", null, seconds]. --compare lists the queries whose exit code or
+JSON, with the temporary directory of the --init files written as $TMP in
+each argv. A query still running after --alarm seconds (default 20) is
+recorded as ["alarm", null, seconds]. --compare lists the queries whose exit code or
 sha256 differ between two such files, and exits 1 if any do; it then prints
 each side's summed seconds per subcommand and the queries that alarmed.
 Files of two-field entries, [exit code, stdout sha256], compare too.
 
-The queries: qual-reach, qual-rep-reach, never-reach, never-rep-reach,
-quant-reach, quant-rep-reach, cost and eagerness, at --bound 1 and 3, each
-lax and --strict, with quant-* capped at 40 iterations and cost at 60
-layers; never-reach with --bound-max 4 at the same bounds and modes; and
-simulate with --runs 200 --horizon 100 at --seed 0 and 1.
+The queries, over every label of every corpus program: qual-reach,
+qual-rep-reach, never-reach, never-rep-reach, quant-reach, quant-rep-reach,
+cost and eagerness, at --bound 1 and 3, each lax and --strict, with quant-*
+capped at 40 iterations and cost at 60 layers; never-reach with --bound-max
+4 at the same bounds and modes; simulate with --runs 200 --horizon 100 at
+--seed 0 and 1; and, for each program that has one, the same eight oracle
+subcommands at --bound 1, lax and --strict, from an --init start over the
+bound: the first successor over bound 1, in configuration order, of the
+configurations reachable within bound 1 from the initial one. On the
+corpus that is 3,790 queries, 560 of them from the --init starts of
+loop_all, race_retry and writer_reader.
 """
 
 import argparse
@@ -29,12 +36,13 @@ import os
 import pathlib
 import signal
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ptso_verify import cli, lang  # noqa: E402
+from ptso_verify import cli, lang, semantics  # noqa: E402
 
 SUBCOMMANDS = ("qual-reach", "qual-rep-reach", "never-reach", "never-rep-reach",
                "quant-reach", "quant-rep-reach", "cost", "eagerness")
@@ -47,10 +55,31 @@ class Alarm(BaseException):
     """Raised by SIGALRM; a BaseException, so that cli.main does not catch it."""
 
 
-def queries():
+def over_bound_start(prog):
+    """The first successor over bound 1, in configuration order, of the
+    configurations reachable within bound 1 from the initial one; None if
+    there is none."""
+    init = semantics.initial_config(prog)
+    seen, queue = {init}, [init]
+    for c in queue:
+        for s in semantics.step_successors(prog, c):
+            if semantics.size(s) <= 1 and s not in seen:
+                seen.add(s)
+                queue.append(s)
+    return next((s for c in sorted(seen) for s in sorted(semantics.step_successors(prog, c))
+                 if semantics.size(s) > 1), None)
+
+
+def queries(tmp):
+    """Every query's argv; the --init files are written into directory tmp."""
     for path in sorted((ROOT / "tests" / "corpus").glob("*.ptso")):
         program = str(path.relative_to(ROOT))
-        for label in sorted(lang.parse_program(path.read_text()).labels()):
+        prog = lang.parse_program(path.read_text())
+        over = over_bound_start(prog)
+        init = tmp / f"{path.stem}.over1.json"
+        if over is not None:
+            init.write_text(json.dumps(semantics.config_to_json(prog, over)))
+        for label in sorted(prog.labels()):
             for bound in ("1", "3"):
                 for strict in ([], ["--strict"]):
                     common = [program, "--label", label, "--bound", bound, *strict]
@@ -60,6 +89,11 @@ def queries():
             for seed in ("0", "1"):
                 yield ["simulate", program, "--label", label, "--runs", "200",
                        "--horizon", "100", "--seed", seed]
+            if over is not None:
+                for strict in ([], ["--strict"]):
+                    for sub in SUBCOMMANDS:
+                        yield [sub, program, "--label", label, "--bound", "1", *strict,
+                               "--init", str(init), *CAPS.get(sub, [])]
 
 
 def run(argv, alarm):
@@ -119,7 +153,9 @@ def main(argv=None):
     signal.signal(signal.SIGALRM, on_alarm)
     out = pathlib.Path(args.out).resolve()
     os.chdir(ROOT)
-    got = {" ".join(q): run(q, args.alarm) for q in queries()}
+    with tempfile.TemporaryDirectory() as tmp:
+        got = {" ".join(q).replace(tmp, "$TMP"): run(q, args.alarm)
+               for q in queries(pathlib.Path(tmp))}
     out.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     codes = collections.Counter(entry[0] for entry in got.values())
     print(f"{len(got)} queries; exit codes {dict(codes)}")

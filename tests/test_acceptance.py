@@ -63,8 +63,9 @@ def _corpus_size5_configs(limit_per_program=400):
     for name in ("writer_reader", "loop_all"):
         prog = load_corpus(name)
         oracle = reach.ReachOracle(prog)
-        ex = oracle.explore(semantics.initial_config(prog))
-        found = [c for c in sorted(ex.nodes) if semantics.size(c) == 5]
+        ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+        found = sorted(c for c in map(oracle.configs.__getitem__, ex.nodes)
+                       if semantics.size(c) == 5)
         out.append((prog, found[:limit_per_program]))
     return out
 

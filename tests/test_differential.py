@@ -5,7 +5,9 @@ Each check runs on two generators: `test_lang.programs()`, whose CAS, `+`
 and backward jumps reach most of the analyses' code but whose probabilities
 are almost always 0 or 1, and `test_lang.racy_programs()` queried at its
 `branch_labels`, where 0 < P(reach) < 1 for about a quarter of the kept
-queries.
+queries. The repeated-reachability checks also run on
+`racy_programs(loops=True)`, whose reads choose between a loop and `term`,
+so that P(label infinitely often) is strictly between 0 and 1 too.
 
 A drawn program is kept when its full chain from the start configuration has
 at most MAX_STATES states and none of them holds more than the drawn bound of
@@ -34,11 +36,11 @@ RACE_SETTINGS = settings(SETTINGS, max_examples=50)    # a race's chain is large
 
 
 @st.composite
-def finite_queries(draw, racy=False):
+def finite_queries(draw, racy=False, loops=False):
     """(program, start, label, oracle at a bound that prunes nothing, the
     full chain as exhaustive.build_chain gives it); with `racy`, the program
-    is a racy_programs() race and the label one of its branch_labels."""
-    prog = draw(racy_programs() if racy else programs())
+    is a racy_programs(loops) race and the label one of its branch_labels."""
+    prog = draw(racy_programs(loops) if racy else programs())
     bound = draw(st.integers(1, 4))
     init = semantics.initial_config(prog)
     assume(_finite_within(prog, init, bound))
@@ -110,7 +112,7 @@ def test_cost_bracket_holds_exact_conditional_cost(query, data):
         prog, {lbl: data.draw(st.integers(1, 3)) for lbl in sorted(prog.labels())})
     p = exhaustive.reach_probability(prog, init, label, chain=chain)
     if p == 0:
-        assert not oracle.can_reach(init, label)
+        assert not oracle.can_reach(oracle.intern(init), label)
         return
     eager = eagerness.compute_eagerness(prog, label, oracle, source=init)
     if eager.n_threshold > cost.DEFAULT_MAX_LAYERS:
@@ -152,9 +154,11 @@ def test_simulate_hits_match_exact_bounded_probability(query, data):
         assert lo <= p <= hi, (est.hits, float(p))
 
 
-def _on_races(test, *more):
-    """`test`'s check, run on finite_queries(racy=True) (and `more`)."""
-    return RACE_SETTINGS(given(finite_queries(racy=True), *more)(test.hypothesis.inner_test))
+def _on_races(test, *more, loops=False):
+    """`test`'s check, run on finite_queries(racy=True, loops=loops) (and
+    `more`)."""
+    return RACE_SETTINGS(given(finite_queries(racy=True, loops=loops), *more)(
+        test.hypothesis.inner_test))
 
 
 test_quant_reach_bracket_on_races = _on_races(test_quant_reach_bracket_holds_exact_probability)
@@ -165,3 +169,7 @@ test_qualitative_verdicts_on_races = _on_races(
 test_cost_bracket_on_races = _on_races(test_cost_bracket_holds_exact_conditional_cost, st.data())
 test_simulate_hits_on_races = _on_races(test_simulate_hits_match_exact_bounded_probability,
                                         st.data())
+test_quant_rep_reach_bracket_on_looping_races = _on_races(
+    test_quant_rep_reach_bracket_holds_exact_probability, loops=True)
+test_qualitative_verdicts_on_looping_races = _on_races(
+    test_qualitative_verdicts_match_exact_probabilities, loops=True)

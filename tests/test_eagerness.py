@@ -230,9 +230,9 @@ def test_compute_mu_race_matches_witness_replay():
     assert 0 < mu <= 1
     # every recorded value is a genuine path probability: positive and the
     # product of one-step probabilities of some path, hence <= 1
-    for c, v in per.items():
+    for i, v in per.items():
         assert 0 < v <= 1
-        assert "W1" not in c.labels
+        assert "W1" not in oracle.configs[i].labels
     assert mu == min(per.values())
 
 
@@ -252,7 +252,10 @@ def test_compute_mu_matches_config_ordered_witness_bfs(name):
             with pytest.raises(ValueError, match="not reachable"):
                 compute_mu(p, label, reach.ReachOracle(p, config), init)
             continue
-        assert compute_mu(p, label, reach.ReachOracle(p, config), init) == want
+        oracle = reach.ReachOracle(p, config)
+        mu, per, a_set = compute_mu(p, label, oracle, init)
+        configs = oracle.configs
+        assert (mu, {configs[i]: v for i, v in per.items()}, [configs[i] for i in a_set]) == want
         checked += 1
     assert checked > 0
 

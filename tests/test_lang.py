@@ -158,14 +158,14 @@ def test_remove_term_label_still_terminates():
     p = lang.parse_program(MINIMAL)
     q = lang.remove_label(p, "1")
     oracle = reach.ReachOracle(q)
-    ex = oracle.explore(semantics.initial_config(q))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(q)))
     fresh = (set(q.labels()) - set(p.labels())).pop()
-    reached = {c for c in ex.nodes if fresh in c.labels}
+    reached = {i for i in ex.nodes if fresh in oracle.configs[i].labels}
     assert reached
     # every bottom SCC sits at the fresh term
     for comp in ex.bottom_sccs():
-        for c in comp:
-            assert fresh in c.labels
+        for i in comp:
+            assert fresh in oracle.configs[i].labels
 
 
 def test_remove_label_preserves_others():
@@ -224,18 +224,24 @@ def programs(draw):
 
 
 @st.composite
-def racy_programs(draw):
+def racy_programs(draw, loops=False):
     """Straight-line races whose outcomes are seldom certain: each of 2-3
     processes sets its register to a nonzero constant, then takes 1-3 steps,
     each a write of that register or a read into it followed by a forward
     `if` on what was read; at least one process reads. No loops, so no bound
-    prunes; pair with branch_labels, where the outcomes of the races show."""
+    prunes; pair with branch_labels, where the outcomes of the races show.
+
+    With `loops`, at least one process ends with a read, and each such
+    process's last `if` jumps to a loop through a label (an assignment and a
+    `goto` back to it) instead, falling through to `term` otherwise: the
+    read decides whether that label is visited infinitely often. The loop
+    writes nothing, so still no bound prunes."""
     domain = draw(st.integers(2, 4))
     variables = [f"x{i}" for i in range(draw(st.integers(1, 2)))]
     steps = st.lists(st.booleans(), min_size=1, max_size=3)     # True: read and branch
     procs = []
-    for pi, reads in enumerate(draw(st.lists(steps, min_size=2, max_size=3)
-                                    .filter(lambda ps: any(map(any, ps))))):
+    for pi, reads in enumerate(draw(st.lists(steps, min_size=2, max_size=3).filter(
+            lambda ps: any(p[-1] for p in ps) if loops else any(map(any, ps))))):
         reg = f"r{pi}"
         stmts = [Assign(reg, Const(draw(st.integers(1, domain - 1))))]
         branches = []          # index of each `if` in stmts
@@ -250,9 +256,14 @@ def racy_programs(draw):
         if reads[-1]:
             stmts.append(Assign(reg, Const(0)))    # the last `if` jumps past it
         stmts.append(Term())
+        loop = len(stmts) if loops and reads[-1] else None
+        if loop is not None:
+            stmts += [Assign(reg, Const(1)), Goto(f"p{pi}_{loop}")]
         labels = [f"p{pi}_{k}" for k in range(len(stmts))]
         for k in branches:
             stmts[k] = If(reg, labels[draw(st.integers(k + 2, len(stmts) - 1))])
+        if loop is not None:
+            stmts[branches[-1]] = If(reg, labels[loop])
         instrs = tuple(Instruction(lbl, stmt) for lbl, stmt in zip(labels, stmts))
         procs.append(lang.ProcessDef(f"P{pi}", draw(st.integers(1, 3)), (reg,), instrs))
     return lang.Program(domain, tuple(variables), tuple(procs))

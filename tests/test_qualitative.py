@@ -114,11 +114,11 @@ def test_never_rep_equals_bplain_characterization(corpus_mod, oracles):
         p = corpus_mod[name]
         oracle = oracles[name]
         init = semantics.initial_config(p)
-        ex = oracle.explore(init)
-        bplain = oracle.bplain_configs(init)
+        bplain = oracle.bplain_configs(oracle.intern(init))
         for lbl in sorted(p.labels()):
             expected = not any(
-                any(lbl in c.labels for c in oracle.explore(b).nodes) for b in bplain)
+                any(lbl in oracle.configs[i].labels for i in oracle.explore(b).nodes)
+                for b in bplain)
             got = qualitative.never_qual_rep_reach(p, init, lbl, oracle).verdict
             assert got == expected, (name, lbl)
 
@@ -129,13 +129,14 @@ def test_scan_equivalent_to_all_mode_guarded(corpus_mod, oracles):
     p = corpus_mod["once_then_term"]
     oracle = oracles["once_then_term"]
     init = semantics.initial_config(p)
-    ex = oracle.explore(init)
+    ex = oracle.explore(oracle.intern(init))
+    nodes = {oracle.configs[i]: i for i in ex.nodes}
     for lbl in sorted(p.labels()):
-        targets = {c for c in ex.nodes if lbl in c.labels}
+        targets = {i for c, i in nodes.items() if lbl in c.labels}
         can = ex.backward_set(targets)
         scan = True
         for c in exhaustive.all_plain_configs(p):
-            if c in ex.nodes and c not in can:
+            if c in nodes and nodes[c] not in can:
                 scan = False
         assert scan == qualitative.qual_rep_reach(p, init, lbl, oracle).verdict
 

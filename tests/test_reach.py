@@ -87,7 +87,7 @@ def test_all_plain_configs_count():
     allp = exhaustive.all_plain_configs(p)
     assert len(allp) == 2 * 2 * 2
     oracle = reach.ReachOracle(p)
-    reachable = {c for c in oracle.explore(semantics.initial_config(p)).nodes
+    reachable = {c for c in _explored(oracle, semantics.initial_config(p))
                  if semantics.is_plain(c)}
     assert reachable <= set(allp)
     with pytest.raises(ValueError, match="cap"):
@@ -97,9 +97,8 @@ def test_all_plain_configs_count():
 def naive_bplain(oracle, source):
     """Independent B-plain computation straight from the definition:
     pairwise reachability between plain configurations."""
-    ex = oracle.explore(source)
-    plains = [c for c in sorted(ex.nodes) if semantics.is_plain(c)]
-    reach_sets = {c: oracle.explore(c).nodes for c in plains}
+    plains = [c for c in sorted(_explored(oracle, source)) if semantics.is_plain(c)]
+    reach_sets = {c: set(_explored(oracle, c)) for c in plains}
     out = []
     for c in plains:
         if all(c in reach_sets[d] for d in plains if d in reach_sets[c]):
@@ -113,7 +112,8 @@ def test_bplain_matches_naive_definition(name, label):
     p = load_corpus(name)
     oracle = reach.ReachOracle(p)
     init = semantics.initial_config(p)
-    assert oracle.bplain_configs(init) == naive_bplain(oracle, init)
+    bplain = oracle.bplain_configs(oracle.intern(init))
+    assert [oracle.configs[i] for i in bplain] == naive_bplain(oracle, init)
 
 
 def test_bplain_straight_line():
@@ -121,27 +121,27 @@ def test_bplain_straight_line():
     oracle = reach.ReachOracle(p)
     bp = oracle.bplain_configs()
     assert bp
-    for c in bp:
-        assert c.labels == ("S2",)
+    for i in bp:
+        assert oracle.configs[i].labels == ("S2",)
 
 
 def test_bplain_single_term():
     p = lang.parse_program(SINGLE_TERM)
     oracle = reach.ReachOracle(p)
-    init = semantics.initial_config(p)
+    init = oracle.intern(semantics.initial_config(p))
     assert oracle.bplain_configs(init) == [init]
 
 
 def test_every_plain_reaches_bplain():
     p = load_corpus("two_sccs")
     oracle = reach.ReachOracle(p)
-    init = semantics.initial_config(p)
+    init = oracle.intern(semantics.initial_config(p))
     ex = oracle.explore(init)
     bplain = set(oracle.bplain_configs(init))
     back = ex.backward_set(bplain)
-    for c in ex.nodes:
-        if semantics.is_plain(c):
-            assert c in back
+    for i in ex.nodes:
+        if semantics.is_plain(oracle.configs[i]):
+            assert i in back
 
 
 def test_reachable_plain_excludes_impossible_valuations():
@@ -150,7 +150,7 @@ def test_reachable_plain_excludes_impossible_valuations():
     # configuration (brute-force over the explored plain set)
     p = load_corpus("writer_reader")
     oracle = reach.ReachOracle(p)
-    plains = sorted(c for c in oracle.explore(semantics.initial_config(p)).nodes
+    plains = sorted(c for c in _explored(oracle, semantics.initial_config(p))
                     if semantics.is_plain(c))
     a_ix = p.tables["reg_index"]["a"]
     x_ix = p.tables["var_index"]["x"]
@@ -176,35 +176,74 @@ def test_over_bound_root_prunes_its_self_edge():
     p = load_corpus("race_flag")
     root = make_config(p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1), ("x", 0)]})
     assert semantics.size(root) == 2
-    ex = reach.ReachOracle(p, reach.OracleConfig(bound=1)).explore(root)
-    assert ex.pruned_at == {root}
-    assert root not in ex.succs[root]
-    assert sorted(semantics.size(s) for s in ex.succs[root]) == [0, 1]
-    assert all(semantics.size(c) <= 1 for c in ex.nodes - {root})
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=1))
+    i = oracle.intern(root)
+    ex = oracle.explore(i)
+    assert ex.pruned_at == {i}
+    assert i not in ex.succs[i]
+    assert sorted(oracle.sizes[s] for s in ex.succs[i]) == [0, 1]
+    assert all(oracle.sizes[j] <= 1 for j in ex.nodes - {i})
     assert len(ex.nodes) == 3
 
 
+def _explored(oracle, c):
+    """The configurations of oracle's exploration from configuration c, in
+    BFS order."""
+    return [oracle.configs[i] for i in oracle.explore(oracle.intern(c)).nodes]
+
+
 def _explorations(prog, bounds=(1, 3, 8)):
-    """prog's explorations at each bound: from its start, and from the first
-    successor over the bound, an --init start whose edges back to itself are
-    pruned."""
+    """prog's explorations at each bound, each with its oracle: from its
+    start, and from the first successor over the bound, an --init start
+    whose edges back to itself are pruned."""
     for bound in bounds:
         oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=bound))
-        ex = oracle.explore(semantics.initial_config(prog))
-        yield ex
-        over = next((s for c in sorted(ex.nodes) for s in sorted(semantics.step_successors(prog, c))
+        ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+        yield oracle, ex
+        over = next((s for c in sorted(oracle.configs[i] for i in ex.nodes)
+                     for s in sorted(semantics.step_successors(prog, c))
                      if semantics.size(s) > bound), None)
         if over is not None:
-            yield oracle.explore(over)
+            yield oracle, oracle.explore(oracle.intern(over))
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_exploration_holds_each_configuration_once(name):
-    """Every successor listed in `succs` is the very node keying `succs`,
-    never an equal copy."""
-    for ex in _explorations(load_corpus(name)):
-        held = {id(c) for c in ex.succs}
-        assert all(id(s) in held for succs in ex.succs.values() for s in succs)
+    """Every successor listed in `succs` is a node keying `succs`, and no two
+    nodes hold one configuration."""
+    for oracle, ex in _explorations(load_corpus(name)):
+        assert all(s in ex.succs for succs in ex.succs.values() for s in succs)
+        assert len({oracle.configs[i] for i in ex.nodes}) == len(ex.nodes)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_explorations_hold_the_oracles_ids(name):
+    """One numbering: every id an exploration holds is the oracle's id of
+    its configuration, two explorations of one oracle give a shared
+    configuration one id, and witness order is configuration order."""
+    by_oracle = collections.defaultdict(list)
+    for oracle, ex in _explorations(load_corpus(name)):
+        by_oracle[oracle].append(ex)
+        configs = oracle.configs
+        held = {ex.root, *ex.pruned_at, *ex.succs, *(s for ss in ex.succs.values() for s in ss)}
+        assert all(oracle.intern(configs[i]) == i for i in held)
+        assert ([configs[i] for i in ex.in_witness_order(ex.nodes)]
+                == sorted(configs[i] for i in ex.nodes))
+    for oracle, explorations in by_oracle.items():
+        ids = [{oracle.configs[i]: i for i in ex.nodes} for ex in explorations]
+        for a, b in zip(ids, ids[1:]):
+            assert all(a[c] == b[c] for c in a.keys() & b.keys())
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_tarjan_emits_components_sinks_first(name):
+    """Every node lies in one component, and no exploration edge points to
+    a component emitted later: the order an SCC-by-SCC solve relies on."""
+    for _, ex in _explorations(load_corpus(name)):
+        comps = reach._tarjan(ex.nodes, ex.succs)
+        order = {i: k for k, comp in enumerate(comps) for i in comp}
+        assert sorted(order) == sorted(ex.nodes) == sorted(i for comp in comps for i in comp)
+        assert all(order[s] <= order[i] for i, succs in ex.succs.items() for s in succs)
 
 
 def _reference_exploration(prog, root, bound):
@@ -232,10 +271,12 @@ def _reference_exploration(prog, root, bound):
     return succs, pruned_at, found
 
 
-def _assert_explores_as_reference(prog, ex):
-    succs, pruned_at, _ = _reference_exploration(prog, ex.root, ex.bound)
-    assert list(ex.succs.items()) == list(succs.items())
-    assert ex.pruned_at == pruned_at
+def _assert_explores_as_reference(prog, oracle, ex):
+    configs = oracle.configs
+    succs, pruned_at, _ = _reference_exploration(prog, configs[ex.root], ex.bound)
+    assert [(configs[i], tuple(configs[s] for s in ss)) for i, ss in ex.succs.items()] == list(
+        succs.items())
+    assert {configs[i] for i in ex.pruned_at} == pruned_at
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -243,15 +284,15 @@ def test_exploration_matches_reference(name):
     """Same nodes in the same order, the same successor tuples and the same
     pruned set as the search over configurations."""
     prog = load_corpus(name)
-    for ex in _explorations(prog):
-        _assert_explores_as_reference(prog, ex)
+    for oracle, ex in _explorations(prog):
+        _assert_explores_as_reference(prog, oracle, ex)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(programs(), racy_programs()), st.integers(1, 3))
 def test_generated_explorations_match_reference(prog, bound):
-    for ex in _explorations(prog, (bound,)):
-        _assert_explores_as_reference(prog, ex)
+    for oracle, ex in _explorations(prog, (bound,)):
+        _assert_explores_as_reference(prog, oracle, ex)
 
 
 def test_successors_refuse_two_steps_to_one_local_part(monkeypatch):
@@ -281,8 +322,10 @@ def _bfs_paths(prog, root, bound):
 @pytest.mark.parametrize("name", corpus_names())
 def test_witness_paths_follow_first_discoverer(name):
     prog = load_corpus(name)
-    for ex in _explorations(prog):
-        assert {c: ex.path_to(prog, c) for c in ex.nodes} == _bfs_paths(prog, ex.root, ex.bound)
+    for oracle, ex in _explorations(prog):
+        configs = oracle.configs
+        assert ({configs[i]: ex.path_to(prog, i) for i in ex.nodes}
+                == _bfs_paths(prog, configs[ex.root], ex.bound))
 
 
 def test_iterative_mode_schedule(monkeypatch):
@@ -329,15 +372,15 @@ def test_can_reach_set_target():
     p = load_corpus("loop_all")
     init = semantics.initial_config(p)
     lax = reach.ReachOracle(p, reach.OracleConfig(bound=2))
-    ex = lax.explore(init)
-    target = frozenset(c for c in ex.nodes if "P1" in c.labels)
-    assert all(lax.can_reach(c, target) == lax.can_reach(c, "P1") for c in ex.nodes)
+    ex = lax.explore(lax.intern(init))
+    target = frozenset(i for i in ex.nodes if "P1" in lax.configs[i].labels)
+    assert all(lax.can_reach(i, target) == lax.can_reach(i, "P1") for i in ex.nodes)
     strict = reach.ReachOracle(p, reach.OracleConfig(bound=2, strict=True))
-    over = next(s for c in sorted(ex.nodes) for s in sorted(semantics.step_successors(p, c))
+    over = next(s for c in sorted(_explored(lax, init)) for s in sorted(semantics.step_successors(p, c))
                 if semantics.size(s) > 2)
     with pytest.raises(OracleUnknownError,
                        match=r"^reachability of a configuration set unknown at bound 2;"):
-        strict.can_reach(over, frozenset())
+        strict.can_reach(strict.intern(over), frozenset())
 
 
 def _outcome(ask):
@@ -369,20 +412,20 @@ def test_can_reach_matches_reaches_label(name, labels, config):
     labels = labels or sorted(p.labels())
     fast = reach.ReachOracle(p, config)
     slow = reach.ReachOracle(p, dataclasses.replace(config, bound=start))
-    ex = fast.explore(semantics.initial_config(p))
-    over = {s for c in ex.nodes for s in fast.distribution(c)} - ex.nodes
-    configs = set(ex.nodes) | over
+    nodes = set(_explored(fast, semantics.initial_config(p)))
+    over = {s for c in nodes for s in fast.distribution(c)} - nodes
+    configs = nodes | over
     for c in over:
         configs.update(fast.distribution(c))
     kinds = set()
     for c in sorted(configs):
         for label in labels:
             want = _outcome(lambda: slow.reaches_label(c, label, config.bound).is_yes)
-            assert _outcome(lambda: fast.can_reach(c, label)) == want, (c, label)
+            assert _outcome(lambda: fast.can_reach(fast.intern(c), label)) == want, (c, label)
             # deepening asks fresh oracles: the slow one still answers at its own bound
             here = want if start == config.bound else _outcome(
                 lambda: slow.reaches_label(c, label).is_yes)
-            assert _outcome(lambda: slow.can_reach(c, label)) == here, (c, label)
+            assert _outcome(lambda: slow.can_reach(slow.intern(c), label)) == here, (c, label)
             kinds.add(want)
     if config == reach.OracleConfig(bound=1, strict=True):
         assert kinds == {True, False, "unknown"}
@@ -429,9 +472,9 @@ def _writer_reader_run(monkeypatch):
         rows[c] += 1
         return original_row(prog, c)
 
-    def recording_roots(self, c):
-        rooted.append(c)
-        return original_roots(self, c)
+    def recording_roots(self, i):
+        rooted.append(i)
+        return original_roots(self, i)
 
     monkeypatch.setattr(reach.ReachOracle, "successors", counting_successors)
     monkeypatch.setattr(markov, "step_row", counting_row)
@@ -442,7 +485,7 @@ def _writer_reader_run(monkeypatch):
     with pytest.raises(BudgetExceededError):
         quantitative.quant_reach(p, init, "WIN", Fraction(1, 10), oracle, max_iterations=30)
     monkeypatch.undo()
-    return oracle, oracle.explore(init), successors, rows, rooted
+    return oracle, oracle.explore(oracle.intern(init)), successors, rows, rooted
 
 
 def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
@@ -451,9 +494,10 @@ def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
     them from its cached row and asks for no successors; no row is built
     twice."""
     oracle, ex, successors, rows, rooted = _writer_reader_run(monkeypatch)
+    nodes = {oracle.configs[i] for i in ex.nodes}
     assert rooted
-    assert {c: successors[c] for c in ex.nodes} == dict.fromkeys(ex.nodes, 1)
-    assert set(successors) == ex.nodes
+    assert {c: successors[c] for c in nodes} == dict.fromkeys(nodes, 1)
+    assert set(successors) == nodes
     assert set(rows.values()) == {1}
 
 
@@ -464,10 +508,11 @@ def test_cone_roots_are_successors_within_bound(monkeypatch):
     bound = oracle.config.bound
     p = oracle.prog
     assert rooted
-    for c in rooted:
+    for i in rooted:
+        c = oracle.configs[i]
         assert semantics.size(c) > bound
-        assert list(oracle.cone_roots(c)) == [s for s in semantics.step_successors(p, c)
-                                              if semantics.size(s) <= bound]
+        assert [oracle.configs[j] for j in oracle.cone_roots(i)] == [
+            s for s in semantics.step_successors(p, c) if semantics.size(s) <= bound]
 
 
 # A and B each buffer two writes and then read what the other wrote first;
@@ -532,21 +577,22 @@ def _rep_reach_exploring_each_escape(prog, init, label, config, max_iterations):
     B-plain configuration lies among the nodes. Returns the outcome and the
     set of escape verdicts."""
     oracle = reach.ReachOracle(prog, config)
-    ex = oracle.explore(init)
-    bad = {c for c in oracle.bplain_configs(init) if not oracle.can_reach(c, label)}
+    start = oracle.intern(init)
+    ex = oracle.explore(start)
+    bad = {i for i in oracle.bplain_configs(start) if not oracle.can_reach(i, label)}
     reach_bad = ex.backward_set(bad)
     seen = set()
 
-    def reaches_bad(c):
-        if c in ex.nodes:
-            return c in reach_bad
-        got = bool(oracle.explore(c).nodes & bad)
+    def reaches_bad(i):
+        if i in ex.nodes:
+            return i in reach_bad
+        got = bool(oracle.explore(i).nodes & bad)
         seen.add(got)
         return got
 
     got = _budgeted(lambda: quantitative._run(
         init, Fraction(1, 100), oracle,
-        pos_test=lambda c: not reaches_bad(c), neg_test=lambda c: not oracle.can_reach(c, label),
+        pos_test=lambda i: not reaches_bad(i), neg_test=lambda i: not oracle.can_reach(i, label),
         analysis="quant_rep_reach", max_iterations=max_iterations, pruned=ex.pruned))
     return got, seen
 
@@ -588,10 +634,10 @@ def test_generated_programs_over_bound_answers(prog, bound, data):
     asked = set()
     can_reach = fast.can_reach
 
-    def recording(c, target):
-        if semantics.size(c) > bound:
-            asked.add(c)
-        return can_reach(c, target)
+    def recording(i, target):
+        if fast.sizes[i] > bound:
+            asked.add(fast.configs[i])
+        return can_reach(i, target)
 
     fast.can_reach = recording
     got = _budgeted(lambda: quantitative.quant_rep_reach(
@@ -600,11 +646,12 @@ def test_generated_programs_over_bound_answers(prog, bound, data):
     assert got == want
     strict = reach.OracleConfig(bound=bound, strict=True)
     strict_oracle = reach.ReachOracle(prog, strict)
-    strict_oracle.explore(init)
-    for oracle_can_reach, config in ((can_reach, config), (strict_oracle.can_reach, strict)):
+    strict_oracle.explore(strict_oracle.intern(init))
+    for oracle, oracle_can_reach, config in ((fast, can_reach, config),
+                                             (strict_oracle, strict_oracle.can_reach, strict)):
         fresh = reach.ReachOracle(prog, config)
         for c in sorted(asked):
-            assert (_outcome(lambda: oracle_can_reach(c, label))
+            assert (_outcome(lambda: oracle_can_reach(oracle.intern(c), label))
                     == _outcome(lambda: fresh.reaches_label(c, label).is_yes)), (c, config)
 
 
@@ -615,7 +662,7 @@ def test_row_is_step_distribution_over_one_denominator(name):
     p = load_corpus(name)
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=4 if name == "writer_reader" else 8))
     configs = oracle.configs
-    for c in sorted(oracle.explore(semantics.initial_config(p)).nodes):
+    for c in sorted(_explored(oracle, semantics.initial_config(p))):
         i = oracle.intern(c)
         assert configs[i] == c and oracle.sizes[i] == semantics.size(c)
         den, weights = oracle.row(i)

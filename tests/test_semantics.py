@@ -332,12 +332,13 @@ def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     monkeypatch.setattr(semantics, "update_successors",
                         lambda p, c: pairs.add((c.bufs, c.mem)) or real_succ(p, c))
     oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
-    ex = oracle.explore(semantics.initial_config(prog))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
     after_explore = len(enumerated)
-    for c in sorted(ex.nodes):
+    nodes = sorted(oracle.configs[i] for i in ex.nodes)
+    for c in nodes:
         oracle.distribution(c)
     assert len(enumerated) == len(set(enumerated)) == len(pairs)
     assert len(enumerated) == after_explore    # distribution reuses every row
     names = {p.name for p in prog.processes} | {None}
-    assert all(proc in names for c in ex.nodes
+    assert all(proc in names for c in nodes
                for proc in semantics.step_successors(prog, c).values())

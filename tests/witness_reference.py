@@ -4,7 +4,7 @@ BFS, with no integer ids.
 Every search re-sorts each layer and each successor set as configurations
 and filters successors by the bound itself, straight from
 `semantics.step_successors`; `compute_mu` must find the same paths, and so the
-same per-configuration probabilities, over its numbered exploration.
+same per-configuration probabilities, over the oracle's ids.
 """
 
 from fractions import Fraction
@@ -41,8 +41,9 @@ def compute_mu(oracle, label, source):
     """(mu, per-configuration map, A) as `eagerness.compute_mu` defines them,
     or None when no small configuration reachable from `source` can reach
     `label`."""
-    ex = oracle.explore(source)
-    a_set = sorted(c for c in ex.reaching(label) if semantics.size(c) <= eagerness.SMALL_SIZE)
+    ex = oracle.explore(oracle.intern(source))
+    a_set = sorted(c for c in map(oracle.configs.__getitem__, ex.reaching(label))
+                   if semantics.size(c) <= eagerness.SMALL_SIZE)
     if not a_set:
         return None
     per = {}
