@@ -186,10 +186,10 @@ class ReachOracle:
     """Memoizing reachability oracle over the bounded transition system.
 
     One oracle serves one analysis at a time; its configuration, local and
-    store ids, transition rows and explorations are shared by every query
-    against the same program. Every analysis asks it, and only it, whether
-    a configuration can reach a label and whether a pruned exploration
-    makes an answer Unknown. Its queries take and give configuration ids:
+    store ids, step tables, transition rows and explorations are shared by
+    every query against the same program. Every analysis asks it, and only
+    it, whether a configuration can reach a label and whether a pruned
+    exploration makes an answer Unknown. Its queries take and give configuration ids:
     intern(c) is the one way in, configs[i] the one way out.
     """
 
@@ -201,6 +201,8 @@ class ReachOracle:
         self.sizes = []            # id -> semantics.size of its config
         self._rows = []            # id -> its row, or None until asked
         self._local_ids = {}       # local part (labels, regs) -> its id
+        self._locals = []          # local id -> local part
+        self._moves = []           # local id -> its process steps (_moves_of), or None
         self._store_ids = {}       # store part (bufs, mem) -> its id
         self._stores = []          # store id -> store part
         self._store_sizes = []     # store id -> buffered messages in it
@@ -219,24 +221,81 @@ class ReachOracle:
             self._store_succs.append(None)
         return got
 
+    def _local_of(self, c):
+        """The id of c's local part (labels, regs), given on first sight."""
+        local = (c.labels, c.regs)
+        got = self._local_ids.get(local)
+        if got is None:
+            got = self._local_ids[local] = len(self._locals)
+            self._locals.append(local)
+            self._moves.append(None)
+        return got
+
+    def _moves_of(self, lid, c):
+        """The process steps of local id lid, filled from c, a configuration
+        with that local part, and kept: which processes can move and what
+        each move does, by semantics.STORE_ACCESS. A tuple (local, writes,
+        reads, cas):
+        - local: the local ids that Assign, If and Goto steps give; the
+          store stays;
+        - writes: (process, local id, message) per Write, which pushes the
+          message onto the process's buffer;
+        - reads: (process, x, index of x, {value seen: local id}) per Read,
+          the dict filled as values are seen;
+        - cas: the processes at a CAS, each step taken by process_step.
+        A process at `term` has none."""
+        prog, local_of = self.prog, self._local_of
+        local, writes, reads, cas = [], [], [], []
+        for pi, label in enumerate(c.labels):
+            stmt = prog.stmt_at(label)
+            access = semantics.STORE_ACCESS[type(stmt)]
+            if access is semantics.LOCAL:
+                local.append(local_of(semantics.process_step(prog, c, pi)))
+            elif access is semantics.WRITE:
+                mid = semantics.process_step(prog, c, pi)
+                writes.append((pi, local_of(mid), mid.bufs[pi][0]))
+            elif access is semantics.READ:
+                reads.append((pi, stmt.var, prog.tables["var_index"][stmt.var], {}))
+            elif access is semantics.CAS:
+                cas.append(pi)
+        got = self._moves[lid] = (tuple(local), tuple(writes), tuple(reads), tuple(cas))
+        return got
+
     def successors(self, c):
         """c's process steps as (local part, local id, store id), sorted by
         local part: one per enabled process, or c itself when none is
         enabled. A configuration is its local part (labels, regs) joined
-        with its store part (bufs, mem). The update step leaves the local
-        part alone, and the stores it reaches are _store_succs[store id], in
-        store order; so each local part here, in turn joined with each of
-        its stores, gives sorted(step_successors(c))."""
-        prog, local_ids = self.prog, self._local_ids
-        out = []
-        for pi in semantics.enabled_indices(prog, c) or [None]:
-            mid = c if pi is None else semantics.process_step(prog, c, pi)
-            local = (mid.labels, mid.regs)
-            sid = self._store_id((mid.bufs, mid.mem))
-            if self._store_succs[sid] is None:
-                self._store_succs[sid] = tuple(
-                    map(self._store_id, sorted(semantics._update_row(prog, mid)[0])))
-            out.append((local, local_ids.setdefault(local, len(local_ids)), sid))
+        with its store part (bufs, mem). The steps are read from the table
+        of c's local id (_moves_of); process_step runs only for a value a
+        Read has not seen before and for a CAS. The update step leaves the
+        local part alone, and the stores it reaches are _store_succs[store
+        id], in store order; so each local part here, in turn joined with
+        each of its stores, gives sorted(step_successors(c))."""
+        prog, locals_, store_id, store_succs = (
+            self.prog, self._locals, self._store_id, self._store_succs)
+        lid, sid = self._local_of(c), store_id((c.bufs, c.mem))
+        local, writes, reads, cas = self._moves[lid] or self._moves_of(lid, c)
+        bufs, mem = c.bufs, c.mem
+        out = [(locals_[j], j, sid) for j in local]
+        for pi, j, msg in writes:
+            out.append((locals_[j], j, store_id((semantics.push(bufs, pi, msg), mem))))
+        for pi, x, xi, seen in reads:
+            v = semantics.seen_value(bufs[pi], mem, x, xi)
+            j = seen.get(v)
+            if j is None:
+                j = seen[v] = self._local_of(semantics.process_step(prog, c, pi))
+            out.append((locals_[j], j, sid))
+        for pi in cas:
+            if not bufs[pi]:       # a CAS waits for its own buffer to drain
+                mid = semantics.process_step(prog, c, pi)
+                j = self._local_of(mid)
+                out.append((locals_[j], j, store_id((mid.bufs, mid.mem))))
+        if not out:
+            out.append((locals_[lid], lid, sid))
+        for _, _, s in out:
+            if store_succs[s] is None:
+                store_succs[s] = tuple(
+                    map(store_id, sorted(semantics._update_row(prog, self._stores[s])[0])))
         out.sort()
         # Every process step moves its own process's label (no self-jumps),
         # so the local parts are distinct; sorting would otherwise need to
@@ -246,14 +305,15 @@ class ReachOracle:
                 raise AssertionError(f"two process steps from {c} give one local part")
         return out
 
-    def intern(self, c):
+    def intern(self, c, size=None):
         """The integer id of configuration c, given on first sight: c is
-        configs[id], and its size is sizes[id]."""
+        configs[id], and its size is sizes[id], semantics.size(c) unless the
+        caller already holds it as `size`."""
         got = self._ids.get(c)
         if got is None:
             got = self._ids[c] = len(self.configs)
             self.configs.append(c)
-            self.sizes.append(semantics.size(c))
+            self.sizes.append(semantics.size(c) if size is None else size)
             self._rows.append(None)
         return got
 
@@ -285,8 +345,7 @@ class ReachOracle:
         c = configs[root]
         start = self._store_id((c.bufs, c.mem))
         # Each discovered (local id, store id) -> the id of its node.
-        local_ids = self._local_ids
-        seen = {(local_ids.setdefault((c.labels, c.regs), len(local_ids)), start): root}
+        seen = {(self._local_of(c), start): root}
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
@@ -307,7 +366,7 @@ class ReachOracle:
                         pruned_at.add(i)
                         continue
                     else:
-                        node = seen[lid, s] = intern(new(Config, local + stores[s]))
+                        node = seen[lid, s] = intern(new(Config, local + stores[s]), sizes[s])
                         queue.append(node)
                     kept.append(node)
             succs[i] = tuple(kept)

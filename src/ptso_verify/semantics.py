@@ -42,17 +42,6 @@ def is_plain(c):
     return all(not b for b in c.bufs)
 
 
-def enabled_indices(prog, c):
-    """Indices of the processes that may take a step in c: every process
-    except those at `term` and those at a CAS with a nonempty buffer."""
-    out = []
-    for pi in range(len(prog.processes)):
-        stmt = prog.stmt_at(c.labels[pi])
-        if not (isinstance(stmt, Term) or (isinstance(stmt, Cas) and c.bufs[pi])):
-            out.append(pi)
-    return out
-
-
 def _resolve_proc(prog, proc):
     return proc if isinstance(proc, int) else prog.proc_index(proc)
 
@@ -69,6 +58,50 @@ def _eval_expr(prog, regs, expr):
         case lang.Eq(left=a, right=b):
             return 1 if regs[tb[a]] == regs[tb[b]] else 0
     raise AssertionError(expr)
+
+
+# What a process step takes from and gives to the store. A configuration is
+# its local part (labels, regs) and its store part (bufs, mem); process_step
+# below is the one definition of every statement, and STORE_ACCESS says, per
+# statement type, which part of the store a step needs, so that a caller may
+# keep the steps of a local part once (reach.ReachOracle.successors does):
+#   LOCAL  Assign, If, Goto: a new local part; the store is left as it is.
+#   WRITE  Write x := r: a new local part, and the message (x, regs[r])
+#          pushed onto the process's own buffer as its newest entry (push).
+#   READ   Read r := x: a new local part, which depends on one value seen,
+#          the newest entry for x in its own buffer, else mem[x] (seen_value).
+#   CAS    enabled only when its own buffer is empty; its outcome depends on
+#          mem[x], which it writes when the comparison holds.
+#   TERM   never enabled.
+# No process enabled means the update step runs alone.
+LOCAL, WRITE, READ, CAS, TERM = "local", "write", "read", "cas", "term"
+STORE_ACCESS = {Assign: LOCAL, If: LOCAL, Goto: LOCAL, Write: WRITE, Read: READ,
+                Cas: CAS, Term: TERM}
+
+
+def push(bufs, pi, msg):
+    """bufs with msg written by process pi: its buffer's newest entry."""
+    return bufs[:pi] + ((msg,) + bufs[pi],) + bufs[pi + 1:]
+
+
+def seen_value(buf, mem, x, xi):
+    """The value a read of variable x (index xi) sees: the newest entry for
+    x in the reader's own buffer buf, else mem[xi]."""
+    for bx, bv in buf:
+        if bx == x:
+            return bv
+    return mem[xi]
+
+
+def enabled_indices(prog, c):
+    """Indices of the processes that may take a step in c: every process
+    except those at `term` and those at a CAS with a nonempty buffer."""
+    out = []
+    for pi in range(len(prog.processes)):
+        access = STORE_ACCESS[type(prog.stmt_at(c.labels[pi]))]
+        if not (access is TERM or (access is CAS and c.bufs[pi])):
+            out.append(pi)
+    return out
 
 
 def process_step(prog, c, proc):
@@ -90,20 +123,11 @@ def process_step(prog, c, proc):
 
     match stmt:
         case Write(var=x, reg=r):
-            bufs = list(c.bufs)
-            bufs[pi] = ((x, c.regs[rix[r]]),) + bufs[pi]
-            return with_label(lang.next_label(prog, label), bufs=tuple(bufs))
+            return with_label(lang.next_label(prog, label),
+                              bufs=push(c.bufs, pi, (x, c.regs[rix[r]])))
         case Read(reg=r, var=x):
-            buf = c.bufs[pi]
-            val = None
-            for bx, bv in buf:
-                if bx == x:
-                    val = bv
-                    break
-            if val is None:
-                val = c.mem[vix[x]]
             regs = list(c.regs)
-            regs[rix[r]] = val
+            regs[rix[r]] = seen_value(c.bufs[pi], c.mem, x, vix[x])
             return with_label(lang.next_label(prog, label), regs=tuple(regs))
         case Assign(reg=r, expr=e):
             regs = list(c.regs)
@@ -218,14 +242,13 @@ def _count_updates(prog, bufs, mem):
     return row, total
 
 
-def _update_row(prog, c):
-    """The update step from c, counted once per (bufs, mem) pair and kept
-    on the program: labels and registers never affect it."""
+def _update_row(prog, store):
+    """The update step from a store part (bufs, mem), counted once per
+    store and kept on the program: labels and registers never affect it."""
     memo = prog.tables["update_rows"]
-    key = (c.bufs, c.mem)
-    got = memo.get(key)
+    got = memo.get(store)
     if got is None:
-        got = memo[key] = _count_updates(prog, c.bufs, c.mem)
+        got = memo[store] = _count_updates(prog, *store)
     return got
 
 
@@ -236,7 +259,7 @@ def update_successors(prog, c):
     number of update words reaching them and total is the number of feasible
     words.
     """
-    row, total = _update_row(prog, c)
+    row, total = _update_row(prog, (c.bufs, c.mem))
     # tuple.__new__ skips Config's keyword-handling constructor.
     new, head = tuple.__new__, (c.labels, c.regs)
     counts = {new(Config, head + key): entry[0] for key, entry in row.items()}
@@ -246,7 +269,7 @@ def update_successors(prog, c):
 def witness_schedule(prog, mid, succ):
     """The lexicographically first update word taking `mid` to its update
     successor `succ`, as process names."""
-    row, _ = _update_row(prog, mid)
+    row, _ = _update_row(prog, (mid.bufs, mid.mem))
     return tuple(prog.processes[pi].name for pi in row[(succ.bufs, succ.mem)][1])
 
 

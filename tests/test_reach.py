@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -12,6 +13,9 @@ from conftest import corpus_names, load_corpus, make_config
 from test_lang import programs, racy_programs
 from ptso_verify import cost, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+from racegen import race_program  # noqa: E402
 
 SINGLE_TERM = "domain 2\nvars x\nproc P weight 1\nregs a\n0: term\n"
 
@@ -303,6 +307,106 @@ def test_successors_refuse_two_steps_to_one_local_part(monkeypatch):
     monkeypatch.setattr(semantics, "process_step", lambda prog, c, proc: c)
     with pytest.raises(AssertionError, match="one local part"):
         reach.ReachOracle(p).successors(semantics.initial_config(p))
+
+
+def _reference_successors(prog, c):
+    """successors(c) rebuilt from enabled_indices and process_step, one step
+    per enabled process or c itself when none is: sorted (local part, store
+    part) pairs."""
+    mids = [semantics.process_step(prog, c, pi) for pi in semantics.enabled_indices(prog, c)]
+    return sorted(((m.labels, m.regs), (m.bufs, m.mem)) for m in mids or [c])
+
+
+def _assert_successors_as_reference(oracle, ex):
+    """Every node's successors, read from the per-local-id table, are the
+    reference steps, and carry the oracle's ids of their parts."""
+    for i in ex.nodes:
+        c = oracle.configs[i]
+        got = oracle.successors(c)
+        assert [(local, oracle._stores[sid]) for local, _, sid in got] == _reference_successors(
+            oracle.prog, c)
+        assert all(oracle._locals[lid] == local for local, lid, _ in got)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_successors_match_reference(name):
+    """At bounds 1, 3 and 8, from the start and from the first successor
+    over the bound."""
+    for oracle, ex in _explorations(load_corpus(name)):
+        _assert_successors_as_reference(oracle, ex)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(programs(), racy_programs(), racy_programs(loops=True)), st.integers(1, 3))
+def test_generated_successors_match_reference(prog, bound):
+    for oracle, ex in _explorations(prog, (bound,)):
+        _assert_successors_as_reference(oracle, ex)
+
+
+def _store_uses(prog, c):
+    """What c's processes take from the store: 'cas blocked' for a CAS with
+    a nonempty own buffer, 'read own' for a Read its own buffer serves,
+    'read mem' for one memory serves."""
+    for pi, label in enumerate(c.labels):
+        match prog.stmt_at(label):
+            case lang.Cas():
+                if c.bufs[pi]:
+                    yield "cas blocked"
+            case lang.Read(var=x):
+                yield "read own" if any(y == x for y, _ in c.bufs[pi]) else "read mem"
+
+
+def test_corpus_explorations_cover_the_store_uses():
+    """The per-node comparison above meets every way a step reads the store:
+    race_cas holds its CAS back behind a buffered write, and writer_reader's
+    R reads x from its own buffer as well as from memory."""
+    for name, uses in (("race_cas", {"cas blocked"}), ("writer_reader", {"read own", "read mem"})):
+        prog = load_corpus(name)
+        seen = {u for oracle, ex in _explorations(prog) for i in ex.nodes
+                for u in _store_uses(prog, oracle.configs[i])}
+        assert uses <= seen
+
+
+def test_process_steps_filled_once_per_key(monkeypatch):
+    """Exploring race seed 1 at bound 8 calls process_step at most once per
+    (local part, process, value a Read sees) key, and no more often than
+    there are such keys among the explored nodes' enabled processes."""
+    prog = lang.parse_program(race_program(1))
+    vix = prog.tables["var_index"]
+
+    def key(c, pi):
+        stmt = prog.stmt_at(c.labels[pi])
+        assert not isinstance(stmt, lang.Cas)      # race has none; a CAS is not tabled
+        seen = None
+        if isinstance(stmt, lang.Read):
+            seen = next((v for x, v in c.bufs[pi] if x == stmt.var), c.mem[vix[stmt.var]])
+        return (c.labels, c.regs), pi, seen
+
+    calls = collections.Counter()
+    original = semantics.process_step
+
+    def counting(prog_, c, proc):
+        calls[key(c, proc)] += 1
+        return original(prog_, c, proc)
+
+    monkeypatch.setattr(semantics, "process_step", counting)
+    oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+    monkeypatch.undo()
+    keys = {key(oracle.configs[i], pi) for i in ex.nodes
+            for pi in semantics.enabled_indices(prog, oracle.configs[i])}
+    assert set(calls.values()) == {1}
+    assert set(calls) <= keys
+    assert len(keys) < sum(len(semantics.enabled_indices(prog, oracle.configs[i]))
+                           for i in ex.nodes)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_sizes_are_the_configurations_sizes(name):
+    """One size rule: every id the oracle gave, explored or not, over-bound
+    roots included, is sized as semantics.size sizes its configuration."""
+    for oracle, _ in _explorations(load_corpus(name)):
+        assert oracle.sizes == [semantics.size(c) for c in oracle.configs]
 
 
 def _bfs_paths(prog, root, bound):
@@ -763,10 +867,12 @@ def test_quant_reach_decides_each_configuration_once(monkeypatch, prog, epsilon,
 
 def test_mass_loops_size_each_configuration_once(monkeypatch):
     """The quant and cost loops read sizes from the oracle's id table, which
-    sizes each configuration once. (The bounded search sizes successors on
-    its own and is not counted.)"""
+    sizes each configuration once: `intern` calls semantics.size, or is
+    handed the size of its store by the bounded search. (The bounded search
+    sizes stores on its own and is not counted.)"""
     calls = collections.Counter()
     original = semantics.size
+    original_intern = reach.ReachOracle.intern
     loops = {quantitative.__file__, cost.__file__}
 
     def counting(c):
@@ -775,7 +881,13 @@ def test_mass_loops_size_each_configuration_once(monkeypatch):
             calls[c] += 1
         return original(c)
 
+    def counting_intern(self, c, size=None):
+        if size is not None and c not in self._ids:
+            calls[c] += 1
+        return original_intern(self, c, size)
+
     monkeypatch.setattr(semantics, "size", counting)
+    monkeypatch.setattr(reach.ReachOracle, "intern", counting_intern)
     p = load_corpus("race_costs")
     init = semantics.initial_config(p)
     oracle = reach.ReachOracle(p)
