@@ -189,8 +189,9 @@ class ReachOracle:
     store ids, step tables, transition rows and explorations are shared by
     every query against the same program. Every analysis asks it, and only
     it, whether a configuration can reach a label and whether a pruned
-    exploration makes an answer Unknown. Its queries take and give configuration ids:
-    intern(c) is the one way in, configs[i] the one way out.
+    exploration makes an answer Unknown. Its queries take and give
+    configuration ids: intern(c) is the one way in, configs[i] the one way
+    out.
     """
 
     def __init__(self, prog, config=None):
