@@ -7,7 +7,7 @@ from .eagerness import (EagernessParams, GamblerParams, compute_eagerness,
                         srun_rate)
 from .errors import BudgetExceededError, OracleUnknownError
 from .lang import Program, ProgramError, next_label, parse_program, print_program, remove_label
-from .markov import step_distribution, step_row
+from .markov import step_distribution
 from .montecarlo import RunSampler, estimate_cond_cost, estimate_reach, sample_run
 from .qualitative import never_qual_reach, never_qual_rep_reach, qual_reach, qual_rep_reach
 from .quantitative import QuantResult, quant_reach, quant_rep_reach

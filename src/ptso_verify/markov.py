@@ -1,51 +1,10 @@
-"""PTSO probability layer: the one-step transition row of the chain, built
-from the scheduler weights and the update-word counts in integers, and its
-exact rational view."""
+"""PTSO probability layer: the exact rational view of a transition row
+(`ReachOracle.row`, built there in integers from the scheduler weights and
+the update-word counts) and the exact rendering and parsing of rationals."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-
-from . import semantics
-
-
-def step_row(prog, c):
-    """One full (process; update) step of the chain as integer weights over
-    one denominator: (den, ((succ, weight), ...)) with weight/den the exact
-    probability of succ, den the least common denominator, successors in
-    first-reached order (process by index, then update-word enumeration).
-
-    The process at index pi is scheduled with probability w_pi / W (W the
-    total weight of the enabled processes) and each update word from its
-    intermediate configuration with probability 1 / T_pi, so over the common
-    denominator W * lcm(T) the path through pi to succ weighs
-    w_pi * count * lcm(T) / T_pi; one gcd then reduces the row. With no
-    process enabled the update step runs alone, as a process of weight 1.
-    """
-    steps = [(prog.processes[pi].weight,
-              semantics.update_successors(prog, semantics.process_step(prog, c, pi)))
-             for pi in semantics.enabled_indices(prog, c)]
-    if not steps:
-        steps = [(1, semantics.update_successors(prog, c))]
-    words = math.lcm(*(total for _, (_, total) in steps))
-    acc = {}
-    for w, (counts, total) in steps:
-        scale = w * (words // total)
-        for succ, n in counts.items():
-            acc[succ] = acc.get(succ, 0) + n * scale
-    return _checked(sum(w for w, _ in steps) * words, acc)
-
-
-def _checked(den, acc):
-    """The reduced row over `den`; raises unless the weights are positive
-    and sum to `den` (the row is stochastic)."""
-    if sum(acc.values()) != den:
-        raise ValueError("distribution does not sum to 1")
-    if not all(n > 0 for n in acc.values()):
-        raise ValueError("distribution has nonpositive mass")
-    g = math.gcd(den, *acc.values())
-    return den // g, tuple((succ, n // g) for succ, n in acc.items())
 
 
 def step_distribution(row, configs):

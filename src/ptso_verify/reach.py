@@ -10,6 +10,7 @@ default, with the bound stamped on the answer) or Unknown under strict mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from . import markov, semantics
@@ -199,7 +200,9 @@ class ReachOracle:
         self.config = config or OracleConfig()
         self._ids = {}             # config -> its id
         self.configs = []          # id -> config
-        self.sizes = []            # id -> semantics.size of its config
+        self._lids = []            # id -> the local id of its config
+        self._sids = []            # id -> the store id of its config
+        self.sizes = []            # id -> its store's size, semantics.size of its config
         self._rows = []            # id -> its row, or None until asked
         self._local_ids = {}       # local part (labels, regs) -> its id
         self._locals = []          # local id -> local part
@@ -222,6 +225,13 @@ class ReachOracle:
             self._store_succs.append(None)
         return got
 
+    def _sorted_updates(self, sid):
+        """The store ids the update step reaches from store id sid, in store
+        order, kept."""
+        got = self._store_succs[sid] = tuple(map(self._store_id, sorted(
+            semantics.update_successors(self.prog, self._stores[sid])[0])))
+        return got
+
     def _local_of(self, c):
         """The id of c's local part (labels, regs), given on first sight."""
         local = (c.labels, c.regs)
@@ -235,98 +245,137 @@ class ReachOracle:
     def _moves_of(self, lid, c):
         """The process steps of local id lid, filled from c, a configuration
         with that local part, and kept: which processes can move and what
-        each move does, by semantics.STORE_ACCESS. A tuple (local, writes,
-        reads, cas):
-        - local: the local ids that Assign, If and Goto steps give; the
+        each move does, by semantics.STORE_ACCESS. One (process, access,
+        what) per process that can move, in process order:
+        - LOCAL (Assign, If, Goto): what is the local id the step gives; the
           store stays;
-        - writes: (process, local id, message) per Write, which pushes the
-          message onto the process's buffer;
-        - reads: (process, x, index of x, {value seen: local id}) per Read,
-          the dict filled as values are seen;
-        - cas: the processes at a CAS, each step taken by process_step.
+        - WRITE: (local id, message); the step pushes the message onto the
+          process's buffer;
+        - READ: (x, index of x, {value seen: local id}), the dict filled as
+          values are seen;
+        - CAS: None; each step is taken by process_step.
         A process at `term` has none."""
         prog, local_of = self.prog, self._local_of
-        local, writes, reads, cas = [], [], [], []
+        moves = []
         for pi, label in enumerate(c.labels):
             stmt = prog.stmt_at(label)
             access = semantics.STORE_ACCESS[type(stmt)]
             if access is semantics.LOCAL:
-                local.append(local_of(semantics.process_step(prog, c, pi)))
+                what = local_of(semantics.process_step(prog, c, pi))
             elif access is semantics.WRITE:
                 mid = semantics.process_step(prog, c, pi)
-                writes.append((pi, local_of(mid), mid.bufs[pi][0]))
+                what = (local_of(mid), mid.bufs[pi][0])
             elif access is semantics.READ:
-                reads.append((pi, stmt.var, prog.tables["var_index"][stmt.var], {}))
+                what = (stmt.var, prog.tables["var_index"][stmt.var], {})
             elif access is semantics.CAS:
-                cas.append(pi)
-        got = self._moves[lid] = (tuple(local), tuple(writes), tuple(reads), tuple(cas))
+                what = None
+            else:
+                continue
+            moves.append((pi, access, what))
+        got = self._moves[lid] = tuple(moves)
         return got
 
-    def successors(self, c):
-        """c's process steps as (local part, local id, store id), sorted by
-        local part: one per enabled process, or c itself when none is
-        enabled. A configuration is its local part (labels, regs) joined
-        with its store part (bufs, mem). The steps are read from the table
-        of c's local id (_moves_of); process_step runs only for a value a
-        Read has not seen before and for a CAS. The update step leaves the
-        local part alone, and the stores it reaches are _store_succs[store
-        id], in store order; so each local part here, in turn joined with
-        each of its stores, gives sorted(step_successors(c))."""
-        prog, locals_, store_id, store_succs = (
-            self.prog, self._locals, self._store_id, self._store_succs)
-        lid, sid = self._local_of(c), store_id((c.bufs, c.mem))
-        local, writes, reads, cas = self._moves[lid] or self._moves_of(lid, c)
+    def successors(self, i):
+        """The process steps of configs[i] in process order, as (local part,
+        local id, store id, process): one per enabled process, or configs[i]
+        itself with process None when none is enabled. A configuration is its
+        local part (labels, regs) joined with its store part (bufs, mem). The
+        steps are read from the table of its local id (_moves_of);
+        process_step runs only for a value a Read has not seen before and for
+        a CAS. The update step leaves the local part alone, so each local
+        part here, in turn joined with each store the update step reaches
+        from its store, gives step_successors(configs[i])."""
+        prog, locals_, store_id, local_of = (
+            self.prog, self._locals, self._store_id, self._local_of)
+        c, lid, sid = self.configs[i], self._lids[i], self._sids[i]
+        moves = self._moves[lid]
+        if moves is None:
+            moves = self._moves_of(lid, c)
         bufs, mem = c.bufs, c.mem
-        out = [(locals_[j], j, sid) for j in local]
-        for pi, j, msg in writes:
-            out.append((locals_[j], j, store_id((semantics.push(bufs, pi, msg), mem))))
-        for pi, x, xi, seen in reads:
-            v = semantics.seen_value(bufs[pi], mem, x, xi)
-            j = seen.get(v)
-            if j is None:
-                j = seen[v] = self._local_of(semantics.process_step(prog, c, pi))
-            out.append((locals_[j], j, sid))
-        for pi in cas:
-            if not bufs[pi]:       # a CAS waits for its own buffer to drain
+        out = []
+        for pi, access, what in moves:
+            if access is semantics.LOCAL:
+                j, s = what, sid
+            elif access is semantics.WRITE:
+                j, msg = what
+                s = store_id((semantics.push(bufs, pi, msg), mem))
+            elif access is semantics.READ:
+                x, xi, seen = what
+                v = semantics.seen_value(bufs[pi], mem, x, xi)
+                j, s = seen.get(v), sid
+                if j is None:
+                    j = seen[v] = local_of(semantics.process_step(prog, c, pi))
+            elif bufs[pi]:         # a CAS waits for its own buffer to drain
+                continue
+            else:
                 mid = semantics.process_step(prog, c, pi)
-                j = self._local_of(mid)
-                out.append((locals_[j], j, store_id((mid.bufs, mid.mem))))
+                j, s = local_of(mid), store_id((mid.bufs, mid.mem))
+            out.append((locals_[j], j, s, pi))
         if not out:
-            out.append((locals_[lid], lid, sid))
-        for _, _, s in out:
-            if store_succs[s] is None:
-                store_succs[s] = tuple(
-                    map(store_id, sorted(semantics._update_row(prog, self._stores[s])[0])))
-        out.sort()
+            return [(locals_[lid], lid, sid, None)]
         # Every process step moves its own process's label (no self-jumps),
-        # so the local parts are distinct; sorting would otherwise need to
-        # merge two groups' stores.
-        for (a, _, _), (b, _, _) in zip(out, out[1:]):
-            if a == b:
-                raise AssertionError(f"two process steps from {c} give one local part")
+        # so the local parts are distinct; explore's sort by local part
+        # would otherwise need to merge two steps' stores.
+        if len({j for _, j, _, _ in out}) < len(out):
+            raise AssertionError(f"two process steps from {c} give one local part")
         return out
 
-    def intern(self, c, size=None):
+    def intern(self, c):
         """The integer id of configuration c, given on first sight: c is
-        configs[id], and its size is sizes[id], semantics.size(c) unless the
-        caller already holds it as `size`."""
+        configs[id], and its size is sizes[id]."""
+        got = self._ids.get(c)
+        if got is None:
+            got = self._intern(c, self._local_of(c), self._store_id((c.bufs, c.mem)))
+        return got
+
+    def _intern(self, c, lid, sid):
+        """intern(c) for a c whose local id lid and store id sid the caller
+        holds."""
         got = self._ids.get(c)
         if got is None:
             got = self._ids[c] = len(self.configs)
             self.configs.append(c)
-            self.sizes.append(semantics.size(c) if size is None else size)
+            self._lids.append(lid)
+            self._sids.append(sid)
+            self.sizes.append(self._store_sizes[sid])
             self._rows.append(None)
         return got
 
     def row(self, i):
         """The step distribution at configs[i] as integer weights over one
-        denominator, markov.step_row over successor ids: (den, ((succ_id,
-        weight), ...)) with weight/den the exact probability of the step;
-        the mass-propagation loops run on these."""
+        denominator: (den, ((succ_id, weight), ...)) with weight/den the
+        exact probability of the step, den the least common denominator and
+        successors in first-reached order (process by index, then update
+        order); the mass-propagation loops run on these.
+
+        The process at index pi is scheduled with probability w_pi / W (W the
+        total weight of the enabled processes) and each update word from its
+        intermediate store with probability 1 / T_pi, so over the common
+        denominator W * lcm(T) the path through pi to a successor weighs
+        w_pi * count * lcm(T) / T_pi; one gcd then reduces the row. With no
+        process enabled the update step runs alone, as a process of weight
+        1."""
         got = self._rows[i]
-        if got is None:
-            den, weights = markov.step_row(self.prog, self.configs[i])
-            got = self._rows[i] = (den, tuple((self.intern(s), w) for s, w in weights))
+        if got is not None:
+            return got
+        prog, stores, intern, new = self.prog, self._stores, self.intern, tuple.__new__
+        steps = [(1 if pi is None else prog.processes[pi].weight, local,
+                  semantics.update_successors(prog, stores[s]))
+                 for local, _, s, pi in self.successors(i)]
+        words = math.lcm(*(total for _, _, (_, total) in steps))
+        acc = {}
+        for w, local, (updates, total) in steps:
+            scale = w * (words // total)
+            for store, (n, _) in updates.items():
+                j = intern(new(Config, local + store))
+                acc[j] = acc.get(j, 0) + n * scale
+        den = sum(w for w, _, _ in steps) * words
+        if sum(acc.values()) != den:
+            raise ValueError("distribution does not sum to 1")
+        if not all(n > 0 for n in acc.values()):
+            raise ValueError("distribution has nonpositive mass")
+        g = math.gcd(den, *acc.values())
+        got = self._rows[i] = (den // g, tuple((j, n // g) for j, n in acc.items()))
         return got
 
     def distribution(self, c):
@@ -343,21 +392,19 @@ class ReachOracle:
             return got
         bound, sizes, stores, store_succs, configs = (
             self.config.bound, self._store_sizes, self._stores, self._store_succs, self.configs)
-        c = configs[root]
-        start = self._store_id((c.bufs, c.mem))
         # Each discovered (local id, store id) -> the id of its node.
-        seen = {(self._local_of(c), start): root}
+        seen = {(self._lids[root], self._sids[root]): root}
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
         # Every node was sized when first kept, except a root over the bound
         # (an --init start), whose edges back to it are still pruned.
-        root_over = sizes[start] > bound
-        intern, new = self.intern, tuple.__new__   # skips Config's keyword-handling constructor
+        root_over = self.sizes[root] > bound
+        intern, updates, new = self._intern, self._sorted_updates, tuple.__new__
         for i in queue:
             kept = []
-            for local, lid, sid in self.successors(configs[i]):
-                for s in store_succs[sid]:
+            for local, lid, sid, _ in sorted(self.successors(i)):
+                for s in store_succs[sid] or updates(sid):
                     node = seen.get((lid, s))
                     if node is not None:
                         if root_over and node == root:
@@ -367,7 +414,8 @@ class ReachOracle:
                         pruned_at.add(i)
                         continue
                     else:
-                        node = seen[lid, s] = intern(new(Config, local + stores[s]), sizes[s])
+                        # tuple.__new__ skips Config's keyword-handling constructor
+                        node = seen[lid, s] = intern(new(Config, local + stores[s]), lid, s)
                         queue.append(node)
                     kept.append(node)
             succs[i] = tuple(kept)

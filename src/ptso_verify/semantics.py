@@ -242,9 +242,12 @@ def _count_updates(prog, bufs, mem):
     return row, total
 
 
-def _update_row(prog, store):
-    """The update step from a store part (bufs, mem), counted once per
-    store and kept on the program: labels and registers never affect it."""
+def update_successors(prog, store):
+    """The update step from a store part (bufs, mem): labels and registers
+    never affect it, so it is counted once per store and kept on the
+    program. Returns (row, total) as _count_updates does: row maps each
+    successor store part to [number of update words reaching it, first such
+    word], and total is the number of feasible words."""
     memo = prog.tables["update_rows"]
     got = memo.get(store)
     if got is None:
@@ -252,24 +255,10 @@ def _update_row(prog, store):
     return got
 
 
-def update_successors(prog, c):
-    """All update-step successors of c with their schedule counts.
-
-    Returns (counts, total) where counts maps successor configurations to the
-    number of update words reaching them and total is the number of feasible
-    words.
-    """
-    row, total = _update_row(prog, (c.bufs, c.mem))
-    # tuple.__new__ skips Config's keyword-handling constructor.
-    new, head = tuple.__new__, (c.labels, c.regs)
-    counts = {new(Config, head + key): entry[0] for key, entry in row.items()}
-    return counts, total
-
-
 def witness_schedule(prog, mid, succ):
     """The lexicographically first update word taking `mid` to its update
     successor `succ`, as process names."""
-    row, _ = _update_row(prog, (mid.bufs, mid.mem))
+    row, _ = update_successors(prog, (mid.bufs, mid.mem))
     return tuple(prog.processes[pi].name for pi in row[(succ.bufs, succ.mem)][1])
 
 
@@ -280,11 +269,13 @@ def step_successors(prog, c):
     reaches it, or None when c is disabled and only the update step runs.
     """
     out = {}
+    new = tuple.__new__        # skips Config's keyword-handling constructor
     for pi in enabled_indices(prog, c) or [None]:
         mid = c if pi is None else process_step(prog, c, pi)
         name = None if pi is None else prog.processes[pi].name
-        for succ in update_successors(prog, mid)[0]:
-            out.setdefault(succ, name)
+        local = (mid.labels, mid.regs)
+        for store in update_successors(prog, (mid.bufs, mid.mem))[0]:
+            out.setdefault(new(Config, local + store), name)
     return out
 
 

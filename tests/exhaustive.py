@@ -13,6 +13,15 @@ from ptso_verify import semantics
 MAX_STATES = 10_000
 
 
+def update_successors(prog, c):
+    """The update step at configuration c: (counts, total), counts mapping
+    each successor configuration to the number of update words reaching it
+    and total the number of feasible words; semantics.update_successors of
+    c's store part, joined with c's labels and registers."""
+    row, total = semantics.update_successors(prog, (c.bufs, c.mem))
+    return {semantics.Config(c.labels, c.regs, *store): n for store, (n, _) in row.items()}, total
+
+
 def step_distribution(prog, c):
     """One full (process; update) step at c, composed here in Fractions from
     the process and update steps: process pi with probability weight/total
@@ -25,7 +34,7 @@ def step_distribution(prog, c):
              for pi in enabled] or [(Fraction(1), c)]
     dist = {}
     for p_sched, mid in moves:
-        counts, words = semantics.update_successors(prog, mid)
+        counts, words = update_successors(prog, mid)
         for succ, n in counts.items():
             dist[succ] = dist.get(succ, 0) + p_sched * Fraction(n, words)
     assert sum(dist.values()) == 1

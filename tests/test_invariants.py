@@ -1,7 +1,9 @@
 """Package-wide invariants: checks hold under `python -O`, which strips
 `assert` statements (the package raises explicitly instead); only `reach`
 decides whether a reachability answer is Unknown; only `reach` builds step
-rows, so every analysis reads its one row cache; only `reach` runs backward
+rows, so every analysis reads its one row cache; only `semantics` and
+`reach` take the update step, and `markov` imports nothing from
+`semantics`, so exploration and rows share one step; only `reach` runs backward
 searches and the over-bound cone rule, so every analysis asks `can_reach`;
 every analysis rejects an unknown target label."""
 
@@ -20,27 +22,28 @@ from ptso_verify import cost, eagerness, lang, montecarlo, qualitative, quantita
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 DOCTORED_COUNTS = """
-from ptso_verify import lang, markov, semantics
+from ptso_verify import lang, reach, semantics
 
 original = semantics.update_successors
 
 def doctored(shift):
-    # move one word count off the first successor: to nowhere (the row no
-    # longer sums to its denominator) or onto the second (a zero weight)
-    def update_successors(prog, c):
-        counts, total = original(prog, c)
-        counts = dict(counts)
-        first, second = list(counts)[:2]
-        counts[first] -= 1
-        counts[second] += shift
-        return counts, total
+    # move one word count off the first successor store: to nowhere (the row
+    # no longer sums to its denominator) or onto the second (a zero weight)
+    def update_successors(prog, store):
+        row, total = original(prog, store)
+        row = {succ: list(entry) for succ, entry in row.items()}
+        first, second = list(row)[:2]
+        row[first][0] -= 1
+        row[second][0] += shift
+        return row, total
     return update_successors
 
 prog = lang.parse_program("domain 2\\nvars x\\nproc P weight 1\\nregs a\\nA0: x := a\\nA1: term\\n")
 for shift in (0, 1):
     semantics.update_successors = doctored(shift)
+    oracle = reach.ReachOracle(prog)
     try:
-        markov.step_row(prog, semantics.initial_config(prog))
+        oracle.row(oracle.intern(semantics.initial_config(prog)))
     except ValueError as exc:
         print("raised:", exc)
     else:
@@ -91,6 +94,20 @@ def test_step_distributions_built_in_reach_only():
              if path.name != "reach.py"
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Call) and _name(node.func) in ("step_row", "step_distribution")]
+    assert found == []
+
+
+def test_update_step_taken_in_semantics_and_reach_only():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "ptso_verify").glob("*.py"))
+             if path.name not in ("semantics.py", "reach.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _name(node.func) == "update_successors"]
+    markov = ast.parse((SRC / "ptso_verify" / "markov.py").read_text())
+    found += [f"markov.py:{node.lineno}" for node in ast.walk(markov)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and any(name.endswith("semantics") for name in
+                      [getattr(node, "module", None) or "", *(a.name for a in node.names)])]
     assert found == []
 
 

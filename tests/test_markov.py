@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import exhaustive
 from conftest import load_corpus, make_config
 from ptso_verify import lang, markov, reach, semantics
 
@@ -41,8 +42,8 @@ def sched(prog, c):
 
 def update(prog, c):
     """The update step at c, uniform over the feasible words: each
-    successor's word count over the total (semantics.update_successors)."""
-    counts, total = semantics.update_successors(prog, c)
+    successor's word count over the total (exhaustive.update_successors)."""
+    counts, total = exhaustive.update_successors(prog, c)
     return {succ: F(n, total) for succ, n in counts.items()}
 
 

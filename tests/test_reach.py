@@ -196,6 +196,14 @@ def _explored(oracle, c):
     return [oracle.configs[i] for i in oracle.explore(oracle.intern(c)).nodes]
 
 
+def _first_over_bound(prog, oracle, ex):
+    """The first successor over the bound, in configuration order, of the
+    configurations ex explored; None if there is none."""
+    return next((s for c in sorted(oracle.configs[i] for i in ex.nodes)
+                 for s in sorted(semantics.step_successors(prog, c))
+                 if semantics.size(s) > ex.bound), None)
+
+
 def _explorations(prog, bounds=(1, 3, 8)):
     """prog's explorations at each bound, each with its oracle: from its
     start, and from the first successor over the bound, an --init start
@@ -204,9 +212,7 @@ def _explorations(prog, bounds=(1, 3, 8)):
         oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=bound))
         ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
         yield oracle, ex
-        over = next((s for c in sorted(oracle.configs[i] for i in ex.nodes)
-                     for s in sorted(semantics.step_successors(prog, c))
-                     if semantics.size(s) > bound), None)
+        over = _first_over_bound(prog, oracle, ex)
         if over is not None:
             yield oracle, oracle.explore(oracle.intern(over))
 
@@ -306,26 +312,26 @@ def test_successors_refuse_two_steps_to_one_local_part(monkeypatch):
     p = load_corpus("race_flag")           # P and Q are both enabled at the start
     monkeypatch.setattr(semantics, "process_step", lambda prog, c, proc: c)
     with pytest.raises(AssertionError, match="one local part"):
-        reach.ReachOracle(p).successors(semantics.initial_config(p))
+        oracle = reach.ReachOracle(p)
+        oracle.successors(oracle.intern(semantics.initial_config(p)))
 
 
 def _reference_successors(prog, c):
-    """successors(c) rebuilt from enabled_indices and process_step, one step
-    per enabled process or c itself when none is: sorted (local part, store
-    part) pairs."""
-    mids = [semantics.process_step(prog, c, pi) for pi in semantics.enabled_indices(prog, c)]
-    return sorted(((m.labels, m.regs), (m.bufs, m.mem)) for m in mids or [c])
+    """successors of c rebuilt from enabled_indices and process_step: one
+    (local part, store part, process) step per enabled process, in process
+    order, or c itself with None when none is."""
+    steps = [(semantics.process_step(prog, c, pi), pi) for pi in semantics.enabled_indices(prog, c)]
+    return [((m.labels, m.regs), (m.bufs, m.mem), pi) for m, pi in steps or [(c, None)]]
 
 
 def _assert_successors_as_reference(oracle, ex):
     """Every node's successors, read from the per-local-id table, are the
     reference steps, and carry the oracle's ids of their parts."""
     for i in ex.nodes:
-        c = oracle.configs[i]
-        got = oracle.successors(c)
-        assert [(local, oracle._stores[sid]) for local, _, sid in got] == _reference_successors(
-            oracle.prog, c)
-        assert all(oracle._locals[lid] == local for local, lid, _ in got)
+        got = oracle.successors(i)
+        assert [(local, oracle._stores[sid], pi) for local, _, sid, pi in got] == (
+            _reference_successors(oracle.prog, oracle.configs[i]))
+        assert all(oracle._locals[lid] == local for local, lid, _, _ in got)
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -368,9 +374,11 @@ def test_corpus_explorations_cover_the_store_uses():
 
 
 def test_process_steps_filled_once_per_key(monkeypatch):
-    """Exploring race seed 1 at bound 8 calls process_step at most once per
-    (local part, process, value a Read sees) key, and no more often than
-    there are such keys among the explored nodes' enabled processes."""
+    """Exploring race seed 1 at bound 8, then building every explored node's
+    row, calls process_step at most once per (local part, process, value a
+    Read sees) key, and no more often than there are such keys among the
+    explored nodes' enabled processes: rows read the steps exploration
+    tabled. (race has no CAS, whose steps are not tabled.)"""
     prog = lang.parse_program(race_program(1))
     vix = prog.tables["var_index"]
 
@@ -392,11 +400,14 @@ def test_process_steps_filled_once_per_key(monkeypatch):
     monkeypatch.setattr(semantics, "process_step", counting)
     oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
     ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+    for i in ex.nodes:
+        oracle.row(i)
     monkeypatch.undo()
     keys = {key(oracle.configs[i], pi) for i in ex.nodes
             for pi in semantics.enabled_indices(prog, oracle.configs[i])}
     assert set(calls.values()) == {1}
     assert set(calls) <= keys
+    assert sum(calls.values()) <= len(keys)
     assert len(keys) < sum(len(semantics.enabled_indices(prog, oracle.configs[i]))
                            for i in ex.nodes)
 
@@ -560,28 +571,29 @@ def test_over_bound_frontier_needs_no_exploration():
 
 def _writer_reader_run(monkeypatch):
     """quant-reach writer_reader WIN at epsilon 1/10 for 30 layers, counting
-    `successors` and `markov.step_row` calls per configuration and recording
-    the configurations whose cone roots were asked. Returns the oracle, the
-    start exploration, the two counters and the asked configurations."""
+    `successors` calls and row builds per configuration and recording the
+    ids whose cone roots were asked. Returns the oracle, the start
+    exploration, the two counters and the asked ids."""
     successors, rows, rooted = collections.Counter(), collections.Counter(), []
     original_successors = reach.ReachOracle.successors
-    original_row = markov.step_row
+    original_row = reach.ReachOracle.row
     original_roots = reach.ReachOracle.cone_roots
 
-    def counting_successors(self, c):
-        successors[c] += 1
-        return original_successors(self, c)
+    def counting_successors(self, i):
+        successors[self.configs[i]] += 1
+        return original_successors(self, i)
 
-    def counting_row(prog, c):
-        rows[c] += 1
-        return original_row(prog, c)
+    def counting_row(self, i):
+        if self._rows[i] is None:
+            rows[self.configs[i]] += 1
+        return original_row(self, i)
 
     def recording_roots(self, i):
         rooted.append(i)
         return original_roots(self, i)
 
     monkeypatch.setattr(reach.ReachOracle, "successors", counting_successors)
-    monkeypatch.setattr(markov, "step_row", counting_row)
+    monkeypatch.setattr(reach.ReachOracle, "row", counting_row)
     monkeypatch.setattr(reach.ReachOracle, "cone_roots", recording_roots)
     p = load_corpus("writer_reader")
     init = semantics.initial_config(p)
@@ -594,14 +606,15 @@ def _writer_reader_run(monkeypatch):
 
 def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
     """Each configuration of the start exploration asks for its successors
-    once; an over-bound configuration decided from its cone roots reads
-    them from its cached row and asks for no successors; no row is built
+    once when explored, and every configuration once more when its row is
+    built; an over-bound configuration decided from its cone roots is
+    explored by none, and reads them from its cached row; no row is built
     twice."""
     oracle, ex, successors, rows, rooted = _writer_reader_run(monkeypatch)
     nodes = {oracle.configs[i] for i in ex.nodes}
     assert rooted
-    assert {c: successors[c] for c in nodes} == dict.fromkeys(nodes, 1)
-    assert set(successors) == nodes
+    assert all(oracle.configs[i] in rows and oracle.configs[i] not in nodes for i in rooted)
+    assert successors == collections.Counter(nodes) + rows
     assert set(rows.values()) == {1}
 
 
@@ -759,36 +772,56 @@ def test_generated_programs_over_bound_answers(prog, bound, data):
                     == _outcome(lambda: fresh.reaches_label(c, label).is_yes)), (c, config)
 
 
-@pytest.mark.parametrize("name", corpus_names())
-def test_row_is_step_distribution_over_one_denominator(name):
+def _assert_row_is_step_distribution(oracle, c):
     # differential: the integer row against the tests' own Fraction
     # composition of the step (exhaustive.step_distribution)
+    p, configs = oracle.prog, oracle.configs
+    i = oracle.intern(c)
+    assert configs[i] == c and oracle.sizes[i] == semantics.size(c)
+    den, weights = oracle.row(i)
+    assert all(type(j) is int and type(w) is int and w > 0 for j, w in weights)
+    assert sum(w for _, w in weights) == den
+    dist = exhaustive.step_distribution(p, c)
+    assert den == math.lcm(*(q.denominator for q in dist.values()))
+    assert [configs[j] for j, _ in weights] == list(dist)
+    assert {configs[j]: Fraction(w, den) for j, w in weights} == dist
+    assert oracle.distribution(c) == dist
+    assert markov.step_distribution(oracle.row(i), configs) == dist
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_row_is_step_distribution_over_one_denominator(name, monkeypatch):
+    """At every explored configuration, and over the bound, where the row is
+    built for an id that intern gave and no exploration holds: the first
+    successor over the bound (as _explorations finds it) and, on
+    writer_reader, the configurations whose cone roots a quant-reach run
+    asked."""
     p = load_corpus(name)
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=4 if name == "writer_reader" else 8))
-    configs = oracle.configs
-    for c in sorted(_explored(oracle, semantics.initial_config(p))):
-        i = oracle.intern(c)
-        assert configs[i] == c and oracle.sizes[i] == semantics.size(c)
-        den, weights = oracle.row(i)
-        assert all(type(j) is int and type(w) is int and w > 0 for j, w in weights)
-        assert sum(w for _, w in weights) == den
-        dist = exhaustive.step_distribution(p, c)
-        assert den == math.lcm(*(q.denominator for q in dist.values()))
-        assert [configs[j] for j, _ in weights] == list(dist)
-        assert {configs[j]: Fraction(w, den) for j, w in weights} == dist
-        assert oracle.distribution(c) == dist
-        assert markov.step_distribution(oracle.row(i), configs) == dist
+    ex = oracle.explore(oracle.intern(semantics.initial_config(p)))
+    over = _first_over_bound(p, oracle, ex)
+    assert over not in oracle._ids     # exploration keeps no configuration over the bound
+    for c in sorted(oracle.configs[i] for i in ex.nodes):
+        _assert_row_is_step_distribution(oracle, c)
+    if over is not None:
+        _assert_row_is_step_distribution(oracle, over)
+    if name == "writer_reader":
+        run_oracle, _, _, _, rooted = _writer_reader_run(monkeypatch)
+        assert rooted
+        for i in rooted:
+            _assert_row_is_step_distribution(run_oracle, run_oracle.configs[i])
 
 
 def test_analyses_share_one_row_per_configuration(monkeypatch):
     calls = collections.Counter()
-    original = markov.step_row
+    original = reach.ReachOracle.row
 
-    def counting(prog, c):
-        calls[c] += 1
-        return original(prog, c)
+    def counting(self, i):
+        if self._rows[i] is None:
+            calls[self.configs[i]] += 1
+        return original(self, i)
 
-    monkeypatch.setattr(markov, "step_row", counting)
+    monkeypatch.setattr(reach.ReachOracle, "row", counting)
     p = load_corpus("race_costs")
     init = semantics.initial_config(p)
     oracle = reach.ReachOracle(p)
@@ -866,28 +899,20 @@ def test_quant_reach_decides_each_configuration_once(monkeypatch, prog, epsilon,
 
 
 def test_mass_loops_size_each_configuration_once(monkeypatch):
-    """The quant and cost loops read sizes from the oracle's id table, which
-    sizes each configuration once: `intern` calls semantics.size, or is
-    handed the size of its store by the bounded search. (The bounded search
-    sizes stores on its own and is not counted.)"""
-    calls = collections.Counter()
+    """The quant and cost loops size no configuration themselves: they read
+    sizes[i] from the oracle's id table, which holds the size of each id's
+    store, sized once per store, and that is semantics.size of its
+    configuration."""
+    calls = []
     original = semantics.size
-    original_intern = reach.ReachOracle.intern
     loops = {quantitative.__file__, cost.__file__}
 
     def counting(c):
-        caller = sys._getframe(1).f_code
-        if caller.co_filename in loops or caller.co_name == "intern":
-            calls[c] += 1
+        if sys._getframe(1).f_code.co_filename in loops:
+            calls.append(c)
         return original(c)
 
-    def counting_intern(self, c, size=None):
-        if size is not None and c not in self._ids:
-            calls[c] += 1
-        return original_intern(self, c, size)
-
     monkeypatch.setattr(semantics, "size", counting)
-    monkeypatch.setattr(reach.ReachOracle, "intern", counting_intern)
     p = load_corpus("race_costs")
     init = semantics.initial_config(p)
     oracle = reach.ReachOracle(p)
@@ -895,8 +920,10 @@ def test_mass_loops_size_each_configuration_once(monkeypatch):
     with pytest.raises(BudgetExceededError):
         cost.expected_avg_cost(p, init, "HI", cost.CostFunction.uniform(p),
                                Fraction(1, 10), oracle, max_layers=50)
-    assert set(calls.values()) == {1}
-    assert len(calls) == len(oracle.configs) > 1
+    monkeypatch.undo()
+    assert calls == []
+    assert len(oracle.configs) > 1
+    assert oracle.sizes == [semantics.size(c) for c in oracle.configs]
 
 
 def test_rows_hold_integer_ids():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exhaustive
 from conftest import make_config
 from ptso_verify import lang, semantics
 from update_reference import enumerate_updates
@@ -122,7 +123,7 @@ def test_if_false_advances():
 def test_disabled_step(prog):
     """With no process enabled, the step is the update step alone."""
     done = make_config(prog, labels={"P": "P1", "Q": "Q1"}, bufs={"P": [("x", 1)]})
-    counts, _ = semantics.update_successors(prog, done)
+    counts, _ = exhaustive.update_successors(prog, done)
     assert semantics.step_successors(prog, done) == dict.fromkeys(counts)
     with pytest.raises(ValueError):
         semantics.process_step(prog, done, "P")
@@ -158,7 +159,7 @@ def test_apply_schedule_infeasible(prog):
 
 def test_update_successors_counts(prog):
     c = make_config(prog, bufs={"P": [("x", 1), ("x", 2)], "Q": [("y", 1)]})
-    counts, total = semantics.update_successors(prog, c)
+    counts, total = exhaustive.update_successors(prog, c)
     assert total == 9
     flushed = sum(n for cc, n in counts.items() if semantics.is_plain(cc))
     assert flushed == 3
@@ -167,7 +168,7 @@ def test_update_successors_counts(prog):
 
 def test_update_successors_empty(prog):
     c = semantics.initial_config(prog)
-    counts, total = semantics.update_successors(prog, c)
+    counts, total = exhaustive.update_successors(prog, c)
     assert total == 1 and counts == {c: 1}
 
 
@@ -179,7 +180,7 @@ def test_update_successors_empty(prog):
 ])
 def test_update_successors_vs_brute_force(prog, bufs):
     c = make_config(prog, bufs=bufs)
-    counts, total = semantics.update_successors(prog, c)
+    counts, total = exhaustive.update_successors(prog, c)
     bcounts, btotal = brute_force_update_words(prog, c)
     assert total == btotal
     assert counts == bcounts
@@ -244,7 +245,7 @@ def test_config_json_round_trip(prog):
 def test_update_counts_property(bufp, bufq):
     prog = lang.parse_program(TWO_WRITERS)
     c = make_config(prog, bufs={"P": bufp, "Q": bufq})
-    counts, total = semantics.update_successors(prog, c)
+    counts, total = exhaustive.update_successors(prog, c)
     assert sum(counts.values()) == total
     assert total == sum(semantics.update_word_counts_by_length([len(bufp), len(bufq)]).values())
     # every successor only shrinks buffers and keeps labels/regs
@@ -330,7 +331,7 @@ def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     pairs = set()
     real_succ = semantics.update_successors
     monkeypatch.setattr(semantics, "update_successors",
-                        lambda p, c: pairs.add((c.bufs, c.mem)) or real_succ(p, c))
+                        lambda p, store: pairs.add(store) or real_succ(p, store))
     oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
     ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
     after_explore = len(enumerated)
