@@ -211,6 +211,8 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         den, (cost_num, prob_num), frontier = quantitative.advance(
             den, (cost_num, prob_num), expand)
         max_size = max(max_size, max((sizes[i] for i, _ in frontier), default=0))
+        if prob_num + sum(frontier.values()) != den:
+            raise AssertionError(f"expected_avg_cost: mass not conserved at layer {n}")
 
         if n >= n_threshold and prob_num > 0 and done(n):
             return result(n, False)
@@ -219,9 +221,6 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
             # All mass was absorbed at the target (entries never vanish
             # otherwise), so CostApprx/ProbApprx are final and only the error
             # terms keep decaying: jump to the first terminating layer.
-            if prob_num != den:
-                raise AssertionError(
-                    f"frontier empty with absorbed mass {Fraction(prob_num, den)} != 1")
             start = max(n + 1, n_threshold)
             if start > max_layers or not done(max_layers):
                 n = max_layers

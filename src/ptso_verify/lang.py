@@ -169,7 +169,6 @@ def _build_tables(prog):
         "reg_index": reg_index,
         "var_index": var_index,
         "proc_index": proc_index,
-        "update_rows": {},    # semantics: (bufs, mem) -> update-step row
     }
 
 

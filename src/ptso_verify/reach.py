@@ -210,7 +210,7 @@ class ReachOracle:
         self._store_ids = {}       # store part (bufs, mem) -> its id
         self._stores = []          # store id -> store part
         self._store_sizes = []     # store id -> buffered messages in it
-        self._store_succs = []     # store id -> update-successor store ids, or None
+        self._updates = []         # store id -> its update step (_update_step), or None
         self._explorations = {}    # root id -> its exploration
         self._home = {}            # id -> an exploration holding it
 
@@ -222,14 +222,18 @@ class ReachOracle:
             got = self._store_ids[store] = len(self._stores)
             self._stores.append(store)
             self._store_sizes.append(sum(map(len, store[0])))
-            self._store_succs.append(None)
+            self._updates.append(None)
         return got
 
-    def _sorted_updates(self, sid):
-        """The store ids the update step reaches from store id sid, in store
-        order, kept."""
-        got = self._store_succs[sid] = tuple(map(self._store_id, sorted(
-            semantics.update_successors(self.prog, self._stores[sid])[0])))
+    def _update_step(self, sid):
+        """The update step from store id sid, kept, from one
+        semantics.update_successors call: (its successor store ids in store
+        order, which explore walks; the same ids in update order, their word
+        counts and the number of words, which row reads)."""
+        row, total = semantics.update_successors(self.prog, self._stores[sid])
+        ordered = tuple(map(self._store_id, sorted(row)))
+        got = self._updates[sid] = (ordered, tuple(map(self._store_ids.__getitem__, row)),
+                                    tuple(n for n, _ in row.values()), total)
         return got
 
     def _local_of(self, c):
@@ -346,7 +350,8 @@ class ReachOracle:
         denominator: (den, ((succ_id, weight), ...)) with weight/den the
         exact probability of the step, den the least common denominator and
         successors in first-reached order (process by index, then update
-        order); the mass-propagation loops run on these.
+        order); the mass-propagation loops run on these. Each step's update
+        step is the one explore walks (_update_step).
 
         The process at index pi is scheduled with probability w_pi / W (W the
         total weight of the enabled processes) and each update word from its
@@ -358,18 +363,19 @@ class ReachOracle:
         got = self._rows[i]
         if got is not None:
             return got
-        prog, stores, intern, new = self.prog, self._stores, self.intern, tuple.__new__
-        steps = [(1 if pi is None else prog.processes[pi].weight, local,
-                  semantics.update_successors(prog, stores[s]))
-                 for local, _, s, pi in self.successors(i)]
-        words = math.lcm(*(total for _, _, (_, total) in steps))
+        prog, stores, updates, intern, new = (
+            self.prog, self._stores, self._updates, self._intern, tuple.__new__)
+        steps = [(1 if pi is None else prog.processes[pi].weight, local, lid,
+                  updates[s] or self._update_step(s))
+                 for local, lid, s, pi in self.successors(i)]
+        words = math.lcm(*(total for *_, (_, _, _, total) in steps))
         acc = {}
-        for w, local, (updates, total) in steps:
+        for w, local, lid, (_, sids, counts, total) in steps:
             scale = w * (words // total)
-            for store, (n, _) in updates.items():
-                j = intern(new(Config, local + store))
+            for s, n in zip(sids, counts):
+                j = intern(new(Config, local + stores[s]), lid, s)
                 acc[j] = acc.get(j, 0) + n * scale
-        den = sum(w for w, _, _ in steps) * words
+        den = sum(w for w, *_ in steps) * words
         if sum(acc.values()) != den:
             raise ValueError("distribution does not sum to 1")
         if not all(n > 0 for n in acc.values()):
@@ -390,8 +396,8 @@ class ReachOracle:
         got = self._explorations.get(root)
         if got is not None:
             return got
-        bound, sizes, stores, store_succs, configs = (
-            self.config.bound, self._store_sizes, self._stores, self._store_succs, self.configs)
+        bound, sizes, stores, updates, configs = (
+            self.config.bound, self._store_sizes, self._stores, self._updates, self.configs)
         # Each discovered (local id, store id) -> the id of its node.
         seen = {(self._lids[root], self._sids[root]): root}
         queue = [root]             # FIFO, appended to while it is walked
@@ -400,11 +406,11 @@ class ReachOracle:
         # Every node was sized when first kept, except a root over the bound
         # (an --init start), whose edges back to it are still pruned.
         root_over = self.sizes[root] > bound
-        intern, updates, new = self._intern, self._sorted_updates, tuple.__new__
+        intern, update_step, new = self._intern, self._update_step, tuple.__new__
         for i in queue:
             kept = []
             for local, lid, sid, _ in sorted(self.successors(i)):
-                for s in store_succs[sid] or updates(sid):
+                for s in (updates[sid] or update_step(sid))[0]:
                     node = seen.get((lid, s))
                     if node is not None:
                         if root_over and node == root:

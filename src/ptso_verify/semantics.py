@@ -192,9 +192,11 @@ def update_word_counts_by_length(buffer_lengths):
     return counts
 
 
-def _count_updates(prog, bufs, mem):
-    """Count the feasible update words from (bufs, mem) on the lattice of
-    pop-count vectors j <= lens, without walking the words.
+def update_successors(prog, store):
+    """The update step from a store part (bufs, mem); labels and registers
+    never affect it. Counts the feasible update words on the lattice of
+    pop-count vectors j <= lens, without walking the words, and keeps
+    nothing between calls.
 
     A state (j, m) carries [number of words reaching it, lexicographically
     first such word]; popping process p's next-oldest message (x, v) moves
@@ -202,10 +204,12 @@ def _count_updates(prog, bufs, mem):
     and the letters in process order, so a state is first met through its
     first word, and the next level comes out in first-word order too.
 
-    Returns (row, total): row maps each successor (bufs, mem) to
-    [number of words reaching it, first such word as process indices], in
-    product order of the suffix-length vectors, then by first word.
+    Returns (row, total): row maps each successor store part to [number of
+    words reaching it, first such word as process indices], in product
+    order of the suffix-length vectors, then by first word; total is the
+    number of feasible words.
     """
+    bufs, mem = store
     vix = prog.tables["var_index"]
     lens = [len(b) for b in bufs]
     # Oldest-first pop streams per process, as (variable index, value).
@@ -240,19 +244,6 @@ def _count_updates(prog, bufs, mem):
         for m, entry in by_j[ks]:
             row[(succ_bufs, m)] = entry
     return row, total
-
-
-def update_successors(prog, store):
-    """The update step from a store part (bufs, mem): labels and registers
-    never affect it, so it is counted once per store and kept on the
-    program. Returns (row, total) as _count_updates does: row maps each
-    successor store part to [number of update words reaching it, first such
-    word], and total is the number of feasible words."""
-    memo = prog.tables["update_rows"]
-    got = memo.get(store)
-    if got is None:
-        got = memo[store] = _count_updates(prog, *store)
-    return got
 
 
 def witness_schedule(prog, mid, succ):

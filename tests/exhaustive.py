@@ -13,32 +13,45 @@ from ptso_verify import semantics
 MAX_STATES = 10_000
 
 
-def update_successors(prog, c):
+def update_successors(prog, c, kept=None):
     """The update step at configuration c: (counts, total), counts mapping
     each successor configuration to the number of update words reaching it
     and total the number of feasible words; semantics.update_successors of
-    c's store part, joined with c's labels and registers."""
-    row, total = semantics.update_successors(prog, (c.bufs, c.mem))
-    return {semantics.Config(c.labels, c.regs, *store): n for store, (n, _) in row.items()}, total
+    c's store part, joined with c's labels and registers. `kept`, a dict one
+    search passes to each call, keeps the update step per store part."""
+    store = (c.bufs, c.mem)
+    kept = {} if kept is None else kept
+    if store not in kept:
+        kept[store] = semantics.update_successors(prog, store)
+    row, total = kept[store]
+    return {semantics.Config(c.labels, c.regs, *succ): n for succ, (n, _) in row.items()}, total
 
 
-def step_distribution(prog, c):
+def step_distribution(prog, c, kept=None):
     """One full (process; update) step at c, composed here in Fractions from
     the process and update steps: process pi with probability weight/total
     over the enabled processes, then each update word from its intermediate
     configuration with probability 1/words. Successors in first-reached
-    order; no process enabled means the update step alone."""
+    order; no process enabled means the update step alone. `kept` as
+    update_successors takes it."""
     enabled = semantics.enabled_indices(prog, c)
     total = sum(prog.processes[pi].weight for pi in enabled)
     moves = [(Fraction(prog.processes[pi].weight, total), semantics.process_step(prog, c, pi))
              for pi in enabled] or [(Fraction(1), c)]
     dist = {}
     for p_sched, mid in moves:
-        counts, words = update_successors(prog, mid)
+        counts, words = update_successors(prog, mid, kept)
         for succ, n in counts.items():
             dist[succ] = dist.get(succ, 0) + p_sched * Fraction(n, words)
     assert sum(dist.values()) == 1
     return dist
+
+
+def successors(prog, c, kept=None):
+    """The support of step_distribution(prog, c), as a set, without its
+    probabilities. `kept` as update_successors takes it."""
+    mids = [semantics.process_step(prog, c, pi) for pi in semantics.enabled_indices(prog, c)]
+    return {succ for mid in mids or [c] for succ in update_successors(prog, mid, kept)[0]}
 
 
 def build_chain(prog, init, max_states=MAX_STATES):
@@ -47,11 +60,12 @@ def build_chain(prog, init, max_states=MAX_STATES):
     states = [init]
     trans = []
     todo = [init]
+    kept = {}
     while todo:
         nxt = []
         for c in todo:
             row = {}
-            for succ, p in step_distribution(prog, c).items():
+            for succ, p in step_distribution(prog, c, kept).items():
                 j = index.get(succ)
                 if j is None:
                     if len(states) >= max_states:

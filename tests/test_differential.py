@@ -55,10 +55,11 @@ def _finite_within(prog, init, bound):
     configuration over either limit, so a rejected program costs little."""
     seen = {init}
     layer = [init]
+    kept = {}
     while layer:
         nxt = []
         for c in layer:
-            for succ in semantics.step_successors(prog, c):
+            for succ in exhaustive.successors(prog, c, kept):
                 if succ not in seen:
                     if semantics.size(succ) > bound or len(seen) == MAX_STATES:
                         return False

@@ -60,6 +60,45 @@ def test_step_distribution_checks_survive_optimize():
                                        "raised: distribution has nonpositive mass"]
 
 
+DOCTORED_ADVANCE = """
+from fractions import Fraction
+from ptso_verify import cost, lang, quantitative, semantics
+
+original = quantitative.advance
+
+def advance(den, banked, expand):
+    # drop one frontier entry, and its mass with it
+    den, banked, frontier = original(den, banked, expand)
+    frontier.pop(next(iter(frontier), None), None)
+    return den, banked, frontier
+
+quantitative.advance = advance
+# P loops for ever and Q's one write reaches DONE: the first layer already
+# loses mass, and each analysis must stop there, not when its frontier empties.
+prog = lang.parse_program("domain 2\\nvars x\\nproc P weight 1\\nregs a\\nA0: a := 1\\n"
+                          "A1: if a then A0\\nA2: term\\nproc Q weight 1\\nregs b\\nB0: x := b\\nDONE: term\\n")
+init = semantics.initial_config(prog)
+for run in (lambda: quantitative.quant_reach(prog, init, "DONE", Fraction(1, 10)),
+            lambda: cost.expected_avg_cost(prog, init, "DONE", cost.CostFunction.uniform(prog),
+                                           Fraction(1, 10))):
+    try:
+        run()
+    except AssertionError as exc:
+        print("raised:", exc)
+    else:
+        print("accepted")
+"""
+
+
+def test_mass_conservation_checks_survive_optimize():
+    out = subprocess.run([sys.executable, "-O", "-c", DOCTORED_ADVANCE],
+                         capture_output=True, text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["raised: quant_reach: mass not conserved at layer 1",
+                                       "raised: expected_avg_cost: mass not conserved at layer 1"]
+
+
 def test_no_assert_statements_in_package():
     found = [f"{path.name}:{node.lineno}"
              for path in sorted((SRC / "ptso_verify").glob("*.py"))

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import pathlib
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -412,6 +413,42 @@ def test_process_steps_filled_once_per_key(monkeypatch):
                            for i in ex.nodes)
 
 
+def test_update_step_counted_once_per_store_id(monkeypatch):
+    """Exploring writer_reader at bound 8, then building every explored
+    node's row, calls semantics.update_successors exactly once per store id
+    whose update step the oracle keeps: rows count no store of their own."""
+    prog = load_corpus("writer_reader")
+    asked = []
+    original = semantics.update_successors
+    monkeypatch.setattr(semantics, "update_successors",
+                        lambda prog_, store: asked.append(store) or original(prog_, store))
+    oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+    for i in ex.nodes:
+        oracle.row(i)
+    assert len(asked) == len(set(asked))
+    assert sorted(asked) == sorted(oracle._stores[s] for s, step in enumerate(oracle._updates)
+                                   if step is not None)
+
+
+def test_exploration_memory_ceiling():
+    """The traced peak of exploring writer_reader from its start at bound 12
+    (2,976 nodes) stays under 5 MiB. Keeping each store's update step once,
+    as store ids and word counts, peaks at 3.3 MiB on CPython 3.11; keeping
+    it a second time with each successor's store part and first word peaked
+    at 6.9 MiB."""
+    prog = load_corpus("writer_reader")
+    tracemalloc.start()
+    try:
+        oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=12))
+        ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ex.nodes) == 2976
+    assert peak < 5 * 2**20
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_sizes_are_the_configurations_sizes(name):
     """One size rule: every id the oracle gave, explored or not, over-bound
@@ -434,8 +471,26 @@ def _bfs_paths(prog, root, bound):
     return paths
 
 
+def _keep_per_argument(monkeypatch, name):
+    """Make semantics.<name>(prog, x), a pure function, keep its result per
+    x for the rest of the test, which asks of one program only."""
+    kept, real = {}, getattr(semantics, name)
+
+    def keeping(prog, x):
+        got = kept.get(x)
+        if got is None:
+            got = kept[x] = real(prog, x)
+        return got
+
+    monkeypatch.setattr(semantics, name, keeping)
+
+
 @pytest.mark.parametrize("name", corpus_names())
-def test_witness_paths_follow_first_discoverer(name):
+def test_witness_paths_follow_first_discoverer(name, monkeypatch):
+    # path_to asks step_successors and witness_schedule again for every step
+    # of every node's path; what they return does not depend on being kept
+    _keep_per_argument(monkeypatch, "step_successors")
+    _keep_per_argument(monkeypatch, "update_successors")
     prog = load_corpus(name)
     for oracle, ex in _explorations(prog):
         configs = oracle.configs

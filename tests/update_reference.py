@@ -1,8 +1,8 @@
 """Reference update-step enumerator: every feasible word, one letter at a time.
 
-`semantics._count_updates` counts the same words on the lattice of pop-count
-vectors; its `(row, total)` must equal `enumerate_updates`'s, entry order and
-first words included. This walks every word, so keep the buffers small.
+`semantics.update_successors` counts the same words on the lattice of
+pop-count vectors; its `(row, total)` must equal `enumerate_updates`'s, entry
+order and first words included. This walks every word, so keep the buffers small.
 """
 
 import itertools
