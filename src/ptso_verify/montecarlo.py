@@ -24,9 +24,12 @@ while the result is at least n. So the stream of a `random.Random` and
 every sampled run are those of `randrange`, without its per-call checks.
 
 The run loops walk ids. `estimate_reach` and `estimate_cond_cost` end a run
-early in an absorbing configuration (no enabled process, every buffer
-empty), whose only successor is itself, and decide that stop test once per
-id; `sample_run` records every step.
+at its first hit, in an absorbing configuration (no enabled process, every
+buffer empty), whose only successor is itself, or in a provably dead one,
+whose label owner `semantics.may_reach_label` shows can no longer reach the
+label. A dead run cannot hit, and each run draws from its own stream, so no
+estimate changes. The stop test is decided once per id; `sample_run` records
+every step.
 """
 
 from __future__ import annotations
@@ -242,37 +245,42 @@ def _check_budget(runs, horizon):
 def _first_hit_costs(prog, init, label, runs, horizon, seed, cost=None):
     """Per run: its cost up to the first configuration bearing `label` (0
     without a cost function), or None when it meets none within `horizon`
-    steps. A run ends at its first hit or in an absorbing configuration;
-    both tests are decided once per configuration id."""
+    steps. A run ends at its first hit, in an absorbing configuration, or in
+    a dead one, from which semantics.may_reach_label proves the label
+    unreachable. Whether a run ends at a configuration is decided once per
+    id, and at init before any draw."""
     sampler = RunSampler(prog)
     step, configs, limit = sampler.step, sampler.configs, TABLE_LIMIT
+    live = semantics.may_reach_label(prog, init, label)
+
+    def ends_at(cid):
+        c = configs[cid]
+        return label in c.labels or not live(c) or sampler.absorbing(cid)
+
+    if ends_at(sampler.intern(init)):
+        yield from [0 if label in init.labels else None] * runs     # no run leaves init
+        return
     ends = []       # id -> whether a run ends there, or None until decided
     for idx in range(runs):
-        if label in init.labels:
-            yield 0
-            continue
         rng = random.Random(_per_run_seed(seed, idx))
         cid = sampler.intern(init)
         acc = 0
-        hit = None
         for _ in range(horizon):
             if len(configs) >= limit:
                 cid = sampler.refill(cid)
                 ends.clear()
-            pi, _, succ = step(cid, rng)
-            if cost is not None and pi is not None:
-                acc += cost[configs[cid].labels[pi]]
-            cid = succ
             if cid >= len(ends):
                 ends += [None] * (len(configs) - len(ends))
             end = ends[cid]
             if end is None:
-                end = ends[cid] = label in configs[cid].labels or sampler.absorbing(cid)
+                end = ends[cid] = ends_at(cid)
             if end:
-                if label in configs[cid].labels:
-                    hit = acc
                 break
-        yield hit
+            pi, _, succ = step(cid, rng)
+            if cost is not None and pi is not None:
+                acc += cost[configs[cid].labels[pi]]
+            cid = succ
+        yield acc if label in configs[cid].labels else None
 
 
 def estimate_reach(prog, init, label, runs, horizon, seed):

@@ -496,8 +496,14 @@ class ReachOracle:
         if hits:
             return ReachAnswer(ex.path_to(self.prog, hits[0]), ex.bound, ex.pruned)
         if ex.pruned and bound_max is not None and ex.bound < bound_max:
-            deeper = replace(self.config, bound=min(2 * ex.bound, bound_max))
-            return ReachOracle(self.prog, deeper).reaches_label(c, label, bound_max)
+            deeper = ReachOracle(self.prog, replace(self.config, bound=min(2 * ex.bound, bound_max)))
+            # Local and store parts and their steps do not depend on the
+            # bound: the deeper oracle shares this one's tables of them.
+            deeper._local_ids, deeper._locals, deeper._moves = (
+                self._local_ids, self._locals, self._moves)
+            deeper._store_ids, deeper._stores, deeper._store_sizes, deeper._updates = (
+                self._store_ids, self._stores, self._store_sizes, self._updates)
+            return deeper.reaches_label(c, label, bound_max)
         if ex.pruned and self.config.strict:
             raise OracleUnknownError(
                 f"reachability unknown at bound {ex.bound}; rerun with a larger --bound")

@@ -155,6 +155,73 @@ def process_step(prog, c, proc):
     raise AssertionError(stmt)
 
 
+def may_reach_label(prog, init, label):
+    """A sound over-approximation of label reachability (Kuperstein, Vechev
+    & Yahav, PLDI 2011): a predicate on the configurations reachable from
+    init, False only where no configuration bearing `label` is reachable.
+
+    Each process's local part is explored exactly and alone, with one
+    may-value set per variable for the store, seeded from init's memory and
+    buffers. A step is process_step with empty buffers and, for a Read or a
+    CAS, each may-value in memory, so a CAS may both succeed and fail; what
+    a step leaves in the store joins the may-sets, and the readers of a
+    grown set step again, to a fixpoint. The predicate holds at c when the
+    label owner's label and registers in c can reach the label in the
+    owner's abstract steps.
+    """
+    vix, owner = prog.tables["var_index"], prog.tables["label_pos"][label][0]
+    lo = sum(len(p.regs) for p in prog.processes[:owner])
+    hi = lo + len(prog.processes[owner].regs)
+    may = [set() for _ in prog.vars]
+    readers = [[] for _ in prog.vars]      # variable index -> nodes reading it
+    empty = ((),) * len(prog.processes)
+    work = []                              # (node, value read or None)
+    preds = {}                             # node (process, local part) -> its predecessors
+
+    def add(xi, v):
+        if v not in may[xi]:
+            may[xi].add(v)
+            work.extend((node, v) for node in readers[xi])
+
+    def visit(node):
+        if node not in preds:
+            preds[node] = set()
+            stmt = prog.stmt_at(node[1][0][node[0]])
+            access = STORE_ACCESS[type(stmt)]
+            if access is READ or access is CAS:
+                readers[vix[stmt.var]].append(node)
+                work.extend((node, v) for v in may[vix[stmt.var]])
+            elif access is not TERM:
+                work.append((node, None))
+
+    for x, v in itertools.chain(zip(prog.vars, init.mem), *init.bufs):
+        add(vix[x], v)
+    for pi in range(len(prog.processes)):
+        visit((pi, (init.labels, init.regs)))
+    while work:
+        node, v = work.pop()
+        pi, (labels, regs) = node
+        mem = init.mem
+        if v is not None:
+            xi = vix[prog.stmt_at(labels[pi]).var]
+            mem = mem[:xi] + (v,) + mem[xi + 1:]
+        nxt = process_step(prog, Config(labels, regs, empty, mem), pi)
+        for x, w in itertools.chain(zip(prog.vars, nxt.mem), nxt.bufs[pi]):
+            add(vix[x], w)
+        succ = (pi, (nxt.labels, nxt.regs))
+        visit(succ)
+        preds[succ].add(node)
+    reaching = {node for node in preds if node[0] == owner and node[1][0][owner] == label}
+    stack = list(reaching)
+    while stack:
+        for p in preds[stack.pop()]:
+            if p not in reaching:
+                reaching.add(p)
+                stack.append(p)
+    live = {(labels[owner], regs[lo:hi]) for _, (labels, regs) in reaching}
+    return lambda c: (c.labels[owner], c.regs[lo:hi]) in live
+
+
 def apply_schedule(prog, c, word):
     """Execute an update schedule: each letter pops the named process's oldest
     message into memory, front of the word first."""

@@ -18,10 +18,13 @@ answer.
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 import exhaustive
+from conftest import corpus_names, load_corpus
 from test_lang import branch_labels, programs, racy_programs
+from test_reach import _explorations
 from ptso_verify import (cost, eagerness, montecarlo, qualitative, quantitative, reach,
                          semantics)
 from ptso_verify.errors import BudgetExceededError
@@ -155,6 +158,32 @@ def test_simulate_hits_match_exact_bounded_probability(query, data):
         assert lo <= p <= hi, (est.hits, float(p))
 
 
+@SETTINGS
+@given(finite_queries())
+def test_dead_configurations_cannot_reach_the_label(query):
+    """semantics.may_reach_label is sound: a state of the full chain that it
+    calls dead has probability 0 of reaching the label."""
+    prog, init, label, _, chain = query
+    states, _, x = exhaustive.reach_probabilities(prog, init, label, chain=chain)
+    live = semantics.may_reach_label(prog, init, label)
+    dead = [i for i, c in enumerate(states) if not live(c)]
+    event(f"dead states {'none' if not dead else 'all' if len(dead) == len(states) else 'some'}")
+    assert all(x[i] == 0 for i in dead)
+
+
+@pytest.mark.parametrize("name", corpus_names())
+def test_dead_configurations_reach_no_label_on_the_corpus(name):
+    """No configuration that may_reach_label calls dead lies in the bounded
+    exploration's backward set of the label, at bounds 1, 3 and 8, from the
+    start and from an --init start over the bound."""
+    prog = load_corpus(name)
+    for oracle, ex in _explorations(prog):
+        root = oracle.configs[ex.root]
+        for label in sorted(prog.labels()):
+            live = semantics.may_reach_label(prog, root, label)
+            assert all(live(oracle.configs[i]) for i in ex.reaching(label)), label
+
+
 def _on_races(test, *more, loops=False):
     """`test`'s check, run on finite_queries(racy=True, loops=loops) (and
     `more`)."""
@@ -174,3 +203,6 @@ test_quant_rep_reach_bracket_on_looping_races = _on_races(
     test_quant_rep_reach_bracket_holds_exact_probability, loops=True)
 test_qualitative_verdicts_on_looping_races = _on_races(
     test_qualitative_verdicts_match_exact_probabilities, loops=True)
+test_dead_configurations_on_races = _on_races(test_dead_configurations_cannot_reach_the_label)
+test_dead_configurations_on_looping_races = _on_races(
+    test_dead_configurations_cannot_reach_the_label, loops=True)

@@ -331,7 +331,8 @@ def test_letter_totals_pass_64_bits_on_heavy_buffers():
 def _full_horizon_estimates(p, init, label, cost, runs, horizon, seed):
     """estimate_reach and estimate_cond_cost recomputed over the
     letter-by-letter reference: every run walks the whole horizon, with no
-    absorbing stop, and its first hit is read off the walk."""
+    absorbing or dead stop, and its first hit is read off the walk. The cost
+    estimate is None when no run hits."""
     ref = LetterSampler(p)
     samples = []
     for idx in range(runs):
@@ -349,17 +350,28 @@ def _full_horizon_estimates(p, init, label, cost, runs, horizon, seed):
         if hit is not None:
             samples.append(hit)
     hits = len(samples)
+    reach = ReachEstimate(hits / runs, wilson_interval(hits, runs), hits, runs, horizon,
+                          runs - hits, seed)
+    if not hits:
+        return reach, None
     mean = sum(samples) / hits
     half = 1.96 * math.sqrt(sum((s - mean) ** 2 for s in samples) / (hits - 1) / hits)
-    return (ReachEstimate(hits / runs, wilson_interval(hits, runs), hits, runs, horizon,
-                          runs - hits, seed),
-            CondCostEstimate(mean, (mean - half, mean + half), hits, runs, horizon, seed))
+    return reach, CondCostEstimate(mean, (mean - half, mean + half), hits, runs, horizon, seed)
 
 
-@pytest.mark.parametrize("name,label", [("race_retry", "WIN"), ("race_flag", "W1")])
-def test_absorbing_stop_keeps_estimates(monkeypatch, name, label):
+# The last start is an --init start whose buffer holds the only 1 that Q's
+# read of x can see: the may-value sets must be seeded from the buffers.
+@pytest.mark.parametrize("name,label,start", [
+    ("race_retry", "WIN", None), ("race_flag", "W1", None), ("loop_all", "PT", None),
+    ("dead_label", "DEAD", None),
+    ("race_flag", "W1", {"labels": {"P": "P2", "Q": "Q0"}, "bufs": {"P": [("x", 1)]}})],
+    ids=["race_retry-WIN", "race_flag-W1", "loop_all-PT", "dead_label-DEAD",
+         "race_flag-W1-buffered"])
+def test_absorbing_stop_keeps_estimates(monkeypatch, name, label, start):
+    """The runs that end early, at an absorbing or a dead configuration,
+    leave both estimates as the full-horizon walk gives them."""
     p = load_corpus(name)
-    init = semantics.initial_config(p)
+    init = make_config(p, **start) if start else semantics.initial_config(p)
     cf = CostFunction.uniform(p)
     runs, horizon = 150, 200
     calls = [0]
@@ -369,13 +381,21 @@ def test_absorbing_stop_keeps_estimates(monkeypatch, name, label):
         calls[0] += 1
         return table_step(self, cid, rng)
 
+    want_reach, want_cost = _full_horizon_estimates(p, init, label, cf, runs, horizon, 4)
     with monkeypatch.context() as m:
         m.setattr(RunSampler, "step", counted)
         reach = estimate_reach(p, init, label, runs, horizon, 4)
         reach_calls = calls[0]
-        cost = estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
-    assert (reach, cost) == _full_horizon_estimates(p, init, label, cf, runs, horizon, 4)
-    assert 0 < reach.hits < runs
+        if want_cost is None:
+            with pytest.raises(ValueError, match="no sampled run"):
+                estimate_cond_cost(p, init, label, cf, runs, horizon, 4)
+        else:
+            assert estimate_cond_cost(p, init, label, cf, runs, horizon, 4) == want_cost
+    assert reach == want_reach
+    if name in ("loop_all", "dead_label"):
+        assert reach.hits == 0 and calls[0] == 0
+    else:
+        assert 0 < reach.hits < runs
     if name == "race_retry":
         assert reach_calls < runs * horizon
         assert calls[0] - reach_calls < runs * horizon

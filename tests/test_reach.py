@@ -522,6 +522,37 @@ def test_iterative_mode_schedule(monkeypatch):
         reach.OracleConfig(bound=0)
 
 
+@pytest.mark.parametrize("name,label,start,bound_max",
+                         [("loop_all", "PT", 2, 12), ("writer_reader", "L3", 1, 16)])
+def test_deepening_counts_each_update_step_once(monkeypatch, name, label, start, bound_max):
+    """The update step does not depend on the bound, so iterative deepening
+    counts it once per distinct store over all its bounds, and steps each
+    local part once."""
+    p = load_corpus(name)
+    init = semantics.initial_config(p)
+    stores, locals_ = collections.Counter(), collections.Counter()
+    update_successors, process_step = semantics.update_successors, semantics.process_step
+
+    def counted_update(prog, store):
+        stores[store] += 1
+        return update_successors(prog, store)
+
+    def counted_step(prog, c, proc):
+        locals_[c.labels, c.regs, proc] += 1
+        return process_step(prog, c, proc)
+
+    monkeypatch.setattr(semantics, "update_successors", counted_update)
+    monkeypatch.setattr(semantics, "process_step", counted_step)
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=start))
+    ans = oracle.reaches_label(init, label, bound_max)
+    assert not ans.is_yes and ans.bound == bound_max
+    assert set(stores.values()) == {1}
+    assert len(stores) == len(oracle._stores) > 400
+    # A Read is stepped once per value seen and a CAS at every store.
+    assert all(n == 1 for (labels, _, pi), n in locals_.items()
+               if semantics.STORE_ACCESS[type(p.stmt_at(labels[pi]))] is semantics.LOCAL)
+
+
 def test_strict_mode_unknown():
     p = load_corpus("loop_all")
     init = semantics.initial_config(p)
