@@ -248,16 +248,15 @@ def _validate_structure(prog):
                     if not 0 <= v < prog.domain_size:
                         raise ProgramError(
                             f"label {instr.label!r}: constant {v} outside domain 0..{prog.domain_size - 1}")
-                case If(target=t):
+                case If(target=t) | Goto(target=t):
+                    kind, what = ("if", "branch") if isinstance(instr.stmt, If) else ("goto", "goto")
                     if t not in seen_labels:
-                        raise ProgramError(f"label {instr.label!r}: unknown branch target {t!r}")
+                        raise ProgramError(f"label {instr.label!r}: unknown {what} target {t!r}")
                     if t == instr.label:
-                        raise ProgramError(f"label {instr.label!r}: `if` may not target its own label")
-                case Goto(target=t):
-                    if t not in seen_labels:
-                        raise ProgramError(f"label {instr.label!r}: unknown goto target {t!r}")
-                    if t == instr.label:
-                        raise ProgramError(f"label {instr.label!r}: `goto` may not target its own label")
+                        raise ProgramError(f"label {instr.label!r}: `{kind}` may not target its own label")
+                    if seen_labels[t] != proc.name:
+                        raise ProgramError(f"label {instr.label!r}: `{kind}` target {t!r} belongs to "
+                                           f"process {seen_labels[t]!r}, not {proc.name!r}")
 
 
 def _validate_surface(prog):

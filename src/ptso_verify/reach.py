@@ -10,6 +10,7 @@ default, with the bound stamped on the answer) or Unknown under strict mode.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -109,18 +110,16 @@ class Exploration:
     def path_to(self, prog, target):
         """BFS-tree witness path from the root to id `target`, replayable. A
         node's parent is its first predecessor (`succs` is in BFS order), its
-        process the one step_successors gives; schedules are looked up here."""
+        process and schedule the witness step step_successors gives."""
         preds, configs = self.preds(), self.configs
         steps = []
         c = target
         while c != self.root:
             pred = preds[c][0]
-            a, b = configs[pred], configs[c]
-            proc = semantics.step_successors(prog, a)[b]
-            mid = a if proc is None else semantics.process_step(prog, a, proc)
+            proc, word = semantics.step_successors(prog, configs[pred])[configs[c]]
             steps.append({"proc": proc,
-                          "schedule": list(semantics.witness_schedule(prog, mid, b)),
-                          "config": semantics.config_to_json(prog, b)})
+                          "schedule": [prog.processes[pi].name for pi in word],
+                          "config": semantics.config_to_json(prog, configs[c])})
             c = pred
         steps.reverse()
         return steps
@@ -228,11 +227,10 @@ class ReachOracle:
     def _update_step(self, sid):
         """The update step from store id sid, kept, from one
         semantics.update_successors call: (its successor store ids in store
-        order, which explore walks; the same ids in update order, their word
-        counts and the number of words, which row reads)."""
+        order, their word counts, the number of words). explore walks the
+        ids; row reads all three."""
         row, total = semantics.update_successors(self.prog, self._stores[sid])
-        ordered = tuple(map(self._store_id, sorted(row)))
-        got = self._updates[sid] = (ordered, tuple(map(self._store_ids.__getitem__, row)),
+        got = self._updates[sid] = (tuple(map(self._store_id, row)),
                                     tuple(n for n, _ in row.values()), total)
         return got
 
@@ -349,7 +347,7 @@ class ReachOracle:
         """The step distribution at configs[i] as integer weights over one
         denominator: (den, ((succ_id, weight), ...)) with weight/den the
         exact probability of the step, den the least common denominator and
-        successors in first-reached order (process by index, then update
+        successors in first-reached order (process by index, then store
         order); the mass-propagation loops run on these. Each step's update
         step is the one explore walks (_update_step).
 
@@ -368,9 +366,9 @@ class ReachOracle:
         steps = [(1 if pi is None else prog.processes[pi].weight, local, lid,
                   updates[s] or self._update_step(s))
                  for local, lid, s, pi in self.successors(i)]
-        words = math.lcm(*(total for *_, (_, _, _, total) in steps))
+        words = math.lcm(*(total for *_, (_, _, total) in steps))
         acc = {}
-        for w, local, lid, (_, sids, counts, total) in steps:
+        for w, local, lid, (sids, counts, total) in steps:
             scale = w * (words // total)
             for s, n in zip(sids, counts):
                 j = intern(new(Config, local + stores[s]), lid, s)
@@ -496,13 +494,11 @@ class ReachOracle:
         if hits:
             return ReachAnswer(ex.path_to(self.prog, hits[0]), ex.bound, ex.pruned)
         if ex.pruned and bound_max is not None and ex.bound < bound_max:
-            deeper = ReachOracle(self.prog, replace(self.config, bound=min(2 * ex.bound, bound_max)))
-            # Local and store parts and their steps do not depend on the
-            # bound: the deeper oracle shares this one's tables of them.
-            deeper._local_ids, deeper._locals, deeper._moves = (
-                self._local_ids, self._locals, self._moves)
-            deeper._store_ids, deeper._stores, deeper._store_sizes, deeper._updates = (
-                self._store_ids, self._stores, self._store_sizes, self._updates)
+            # Only explorations depend on the bound: the deeper oracle shares
+            # every other table of this one, ids, steps and rows included.
+            deeper = copy.copy(self)
+            deeper.config = replace(self.config, bound=min(2 * ex.bound, bound_max))
+            deeper._explorations, deeper._home = {}, {}
             return deeper.reaches_label(c, label, bound_max)
         if ex.pruned and self.config.strict:
             raise OracleUnknownError(

@@ -272,9 +272,8 @@ def update_successors(prog, store):
     first word, and the next level comes out in first-word order too.
 
     Returns (row, total): row maps each successor store part to [number of
-    words reaching it, first such word as process indices], in product
-    order of the suffix-length vectors, then by first word; total is the
-    number of feasible words.
+    words reaching it, first such word as process indices], sorted by store
+    part; total is the number of feasible words.
     """
     bufs, mem = store
     vix = prog.tables["var_index"]
@@ -282,9 +281,8 @@ def update_successors(prog, store):
     # Oldest-first pop streams per process, as (variable index, value).
     streams = [[(vix[x], v) for x, v in reversed(b)] for b in bufs]
     procs = range(len(bufs))
-    j0 = (0,) * len(bufs)
-    level = {(j0, mem): [1, ()]}
-    by_j = {j0: [(mem, level[(j0, mem)])]}     # j -> [(m, entry)], first-word order
+    level = {((0,) * len(bufs), mem): [1, ()]}
+    row = {(bufs, mem): [1, ()]}
     total = 1
     for _ in range(sum(lens)):
         nxt = {}
@@ -302,29 +300,19 @@ def update_successors(prog, store):
                 else:
                     entry[0] += n
         for (j, m), entry in nxt.items():
-            by_j.setdefault(j, []).append((m, entry))
+            row[tuple(b[: len(b) - k] if k else b for b, k in zip(bufs, j)), m] = entry
             total += entry[0]
         level = nxt
-    row = {}
-    for ks in itertools.product(*[range(n + 1) for n in lens]):
-        succ_bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(bufs, ks))
-        for m, entry in by_j[ks]:
-            row[(succ_bufs, m)] = entry
-    return row, total
-
-
-def witness_schedule(prog, mid, succ):
-    """The lexicographically first update word taking `mid` to its update
-    successor `succ`, as process names."""
-    row, _ = update_successors(prog, (mid.bufs, mid.mem))
-    return tuple(prog.processes[pi].name for pi in row[(succ.bufs, succ.mem)][1])
+    return dict(sorted(row.items())), total
 
 
 def step_successors(prog, c):
     """Successor set of the full (process; update) transition relation.
 
-    Returns a dict successor -> the first process (by index) whose step
-    reaches it, or None when c is disabled and only the update step runs.
+    Returns a dict mapping each successor to its witness step (process,
+    word): the name of the first process (by index) whose step reaches it,
+    or None when c is disabled and only the update step runs, and the first
+    update word from that step, as process indices.
     """
     out = {}
     new = tuple.__new__        # skips Config's keyword-handling constructor
@@ -332,8 +320,8 @@ def step_successors(prog, c):
         mid = c if pi is None else process_step(prog, c, pi)
         name = None if pi is None else prog.processes[pi].name
         local = (mid.labels, mid.regs)
-        for store in update_successors(prog, (mid.bufs, mid.mem))[0]:
-            out.setdefault(new(Config, local + store), name)
+        for store, (_, word) in update_successors(prog, (mid.bufs, mid.mem))[0].items():
+            out.setdefault(new(Config, local + store), (name, word))
     return out
 
 

@@ -19,11 +19,11 @@ cost and eagerness, at --bound 1 and 3, each lax and --strict, with quant-*
 capped at 40 iterations and cost at 60 layers; never-reach with --bound-max
 4 at the same bounds and modes; simulate with --runs 200 --horizon 100 at
 --seed 0 and 1; and, for each program that has one, the same eight oracle
-subcommands at --bound 1, lax and --strict, from an --init start over the
-bound: the first successor over bound 1, in configuration order, of the
-configurations reachable within bound 1 from the initial one. On the
-corpus that is 3,790 queries, 560 of them from the --init starts of
-loop_all, race_retry and writer_reader.
+subcommands at --bound 1, lax and --strict, and simulate at both seeds, from
+an --init start over the bound: the first successor over bound 1, in
+configuration order, of the configurations reachable within bound 1 from the
+initial one. On the corpus that is 3,860 queries, 630 of them from the
+--init starts of loop_all, race_retry and writer_reader.
 """
 
 import argparse
@@ -94,6 +94,9 @@ def queries(tmp):
                     for sub in SUBCOMMANDS:
                         yield [sub, program, "--label", label, "--bound", "1", *strict,
                                "--init", str(init), *CAPS.get(sub, [])]
+                for seed in ("0", "1"):
+                    yield ["simulate", program, "--label", label, "--runs", "200",
+                           "--horizon", "100", "--seed", seed, "--init", str(init)]
 
 
 def run(argv, alarm):

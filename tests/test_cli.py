@@ -35,6 +35,15 @@ def test_parse_error_exit_2(tmp_path):
     assert "error" in r.stderr
 
 
+def test_branch_into_another_process_exit_2(tmp_path):
+    bad = tmp_path / "cross.ptso"
+    bad.write_text("domain 2\nvars x\nproc P weight 1\nregs a\nP0: a := 1\nP1: if a then Q2\n"
+                   "P2: term\nproc Q weight 1\nregs b\nQ0: b := 1\nQ1: if b then Q0\nQ2: term\n")
+    r = run_cli("simulate", str(bad), "--label", "Q2")
+    assert r.returncode == 2 and not r.stdout
+    assert "label 'P1': `if` target 'Q2' belongs to process 'Q', not 'P'" in r.stderr
+
+
 def test_missing_file_exit_2():
     assert run_cli("parse", "no_such_file.ptso").returncode == 2
 

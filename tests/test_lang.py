@@ -61,6 +61,15 @@ def test_goto_self_target_rejected():
             Instruction("0", Goto("0")), Instruction("1", Term()))),))
 
 
+def test_goto_into_another_process_rejected():
+    # a process running another's code would run it with the other's
+    # registers, and bear a label the label's owner alone may bear
+    with pytest.raises(ProgramError, match="label '0': `goto` target '2' belongs to process 'Q'"):
+        lang.Program(2, ("x",), (
+            lang.ProcessDef("P", 1, ("a",), (Instruction("0", Goto("2")), Instruction("1", Term()))),
+            lang.ProcessDef("Q", 1, ("b",), (Instruction("2", Term()),))))
+
+
 def test_register_collision_across_processes():
     text = ("domain 2\nvars x\nproc P weight 1\nregs a\n0: x := a\n1: term\n"
             "proc Q weight 1\nregs a\n2: x := a\n3: term\n")
@@ -75,6 +84,9 @@ def test_register_collision_across_processes():
     ("domain 2\nvars x\nproc P weight 1\nregs x\n0: term\n", "variable and register"),
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: a := 5\n1: term\n", "outside domain"),
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: if a then nowhere\n1: term\n", "unknown branch target"),
+    ("domain 2\nvars x\nproc P weight 1\nregs a\n0: if a then 3\n1: term\n"
+     "proc Q weight 1\nregs b\n2: b := 1\n3: term\n",
+     "label '0': `if` target '3' belongs to process 'Q', not 'P'"),
     ("domain 2\nvars x\nproc P weight 0\nregs a\n0: x := a\n1: term\n", "weight"),
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: x := a\n", "end with `term`"),
     ("domain 2\nvars x\nproc P weight 1\nregs a\n0: term\n1: x := a\n2: term\n", "exactly one"),

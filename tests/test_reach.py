@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import math
 import pathlib
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import exhaustive
 from conftest import corpus_names, load_corpus, make_config
 from test_lang import programs, racy_programs
+from update_reference import enumerate_updates
 from ptso_verify import cost, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
@@ -459,38 +461,32 @@ def test_sizes_are_the_configurations_sizes(name):
 
 def _bfs_paths(prog, root, bound):
     """The witness path to every node of root's bounded exploration, rebuilt
-    from the reference search: a node's step comes from the node that first
-    reached it, with the process step_successors gives."""
+    from the reference search without step_successors: a node's step comes
+    from the node that first reached it. Its mover is the one enabled
+    process whose process_step gives the node's local part, or None when no
+    process is enabled; its schedule is the first word, in the word-by-word
+    reference, of the update step from that process step to the node."""
+    names = [p.name for p in prog.processes]
+    updates = functools.cache(functools.partial(enumerate_updates, prog))
     paths = {root: []}
     for succ, c in _reference_exploration(prog, root, bound)[2].items():
-        proc = semantics.step_successors(prog, c)[succ]
-        mid = c if proc is None else semantics.process_step(prog, c, proc)
+        movers = [(pi, semantics.process_step(prog, c, pi))
+                  for pi in semantics.enabled_indices(prog, c)] or [(None, c)]
+        (pi, mid), = [(pi, mid) for pi, mid in movers if mid[:2] == succ[:2]]
+        _, word = updates(mid.bufs, mid.mem)[0][succ.bufs, succ.mem]
         paths[succ] = paths[c] + [{
-            "proc": proc, "schedule": list(semantics.witness_schedule(prog, mid, succ)),
+            "proc": None if pi is None else names[pi], "schedule": [names[q] for q in word],
             "config": semantics.config_to_json(prog, succ)}]
     return paths
 
 
-def _keep_per_argument(monkeypatch, name):
-    """Make semantics.<name>(prog, x), a pure function, keep its result per
-    x for the rest of the test, which asks of one program only."""
-    kept, real = {}, getattr(semantics, name)
-
-    def keeping(prog, x):
-        got = kept.get(x)
-        if got is None:
-            got = kept[x] = real(prog, x)
-        return got
-
-    monkeypatch.setattr(semantics, name, keeping)
-
-
 @pytest.mark.parametrize("name", corpus_names())
 def test_witness_paths_follow_first_discoverer(name, monkeypatch):
-    # path_to asks step_successors and witness_schedule again for every step
-    # of every node's path; what they return does not depend on being kept
-    _keep_per_argument(monkeypatch, "step_successors")
-    _keep_per_argument(monkeypatch, "update_successors")
+    # path_to asks step_successors again for every step of every node's
+    # path; what it returns does not depend on being kept
+    kept, real = {}, semantics.step_successors
+    monkeypatch.setattr(semantics, "step_successors",
+                        lambda prog, c: kept.get(c) or kept.setdefault(c, real(prog, c)))
     prog = load_corpus(name)
     for oracle, ex in _explorations(prog):
         configs = oracle.configs
@@ -551,6 +547,23 @@ def test_deepening_counts_each_update_step_once(monkeypatch, name, label, start,
     # A Read is stepped once per value seen and a CAS at every store.
     assert all(n == 1 for (labels, _, pi), n in locals_.items()
                if semantics.STORE_ACCESS[type(p.stmt_at(labels[pi]))] is semantics.LOCAL)
+
+
+def test_deepening_leaves_the_callers_oracle_whole():
+    """The deeper oracle is a shallow copy with explorations of its own: the
+    caller's keeps its bound, its one exploration and that exploration's
+    homes, and shares the deeper one's numbering, one id per configuration."""
+    p = load_corpus("loop_all")
+    init = semantics.initial_config(p)
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=2))
+    ans = oracle.reaches_label(init, "PT", 8)
+    assert not ans.is_yes and ans.bound == 8
+    assert oracle.config.bound == 2
+    ex = oracle._explorations[oracle.intern(init)]
+    assert list(oracle._explorations.values()) == [ex] and ex.bound == 2
+    assert oracle._home == dict.fromkeys(ex.nodes, ex)
+    assert len(oracle.configs) > len(ex.nodes)
+    assert len(set(oracle.configs)) == len(oracle.configs)
 
 
 def test_strict_mode_unknown():

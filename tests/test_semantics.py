@@ -124,7 +124,10 @@ def test_disabled_step(prog):
     """With no process enabled, the step is the update step alone."""
     done = make_config(prog, labels={"P": "P1", "Q": "Q1"}, bufs={"P": [("x", 1)]})
     counts, _ = exhaustive.update_successors(prog, done)
-    assert semantics.step_successors(prog, done) == dict.fromkeys(counts)
+    popped = semantics.apply_schedule(prog, done, ["P"])
+    assert set(counts) == {done, popped}
+    # each successor's witness step: no mover, and its first update word
+    assert semantics.step_successors(prog, done) == {done: (None, ()), popped: (None, (0,))}
     with pytest.raises(ValueError):
         semantics.process_step(prog, done, "P")
 
@@ -289,13 +292,14 @@ def update_rows(draw):
 @settings(max_examples=100, deadline=None)
 @given(update_rows())
 def test_count_updates_matches_word_enumeration(case):
-    """The lattice count equals the word-by-word reference: same successors
-    in the same order, same counts, same first words, same total."""
+    """The lattice count equals the word-by-word reference sorted by
+    successor store part: same successors in the same order, same counts,
+    same first words, same total."""
     bufs, mem = case
     prog = lang.parse_program(THREE_PROCS)
     row, total = semantics.update_successors(prog, (bufs, mem))
     ref_row, ref_total = enumerate_updates(prog, bufs, mem)
-    assert list(row.items()) == list(ref_row.items())
+    assert list(row.items()) == sorted(ref_row.items())
     assert total == ref_total
     assert total == sum(semantics.update_word_counts_by_length([len(b) for b in bufs]).values())
 
@@ -317,9 +321,10 @@ def test_count_updates_does_not_enumerate():
 
 def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     """explore, then distribution on every explored configuration: update
-    words are counted once per distinct (bufs, mem) pair, and the moving
-    process that step_successors gives each explored step (the one a
-    witness path prints) is a process name, never a schedule."""
+    words are counted once per distinct (bufs, mem) pair, and the witness
+    step that step_successors gives each explored step (the one a witness
+    path prints) is a process name, never a schedule, and an update word
+    that takes that process's step to the successor."""
     from conftest import load_corpus
     from ptso_verify import reach
 
@@ -337,5 +342,8 @@ def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
     assert len(enumerated) == len(set(enumerated))
     assert len(enumerated) == after_explore    # distribution reuses every row
     names = {p.name for p in prog.processes} | {None}
-    assert all(proc in names for c in nodes
-               for proc in semantics.step_successors(prog, c).values())
+    for c in nodes:
+        for succ, (proc, word) in semantics.step_successors(prog, c).items():
+            assert proc in names
+            mid = c if proc is None else semantics.process_step(prog, c, proc)
+            assert semantics.apply_schedule(prog, mid, word) == succ

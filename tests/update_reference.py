@@ -1,8 +1,9 @@
 """Reference update-step enumerator: every feasible word, one letter at a time.
 
 `semantics.update_successors` counts the same words on the lattice of
-pop-count vectors; its `(row, total)` must equal `enumerate_updates`'s, entry
-order and first words included. This walks every word, so keep the buffers small.
+pop-count vectors; its `(row, total)` must equal `enumerate_updates`'s with
+the row sorted by successor store part, entry for entry, first words
+included. This walks every word, so keep the buffers small.
 """
 
 import itertools
