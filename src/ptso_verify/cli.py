@@ -133,7 +133,8 @@ def main(argv=None):
         if args.command in _QUAL:
             deepen = {"bound_max": args.bound_max} if "bound_max" in args else {}
             res = _QUAL[args.command](prog, init, args.label, oracle, **deepen)
-            _emit(res.to_json(), f"{res.analysis}({args.label}) = {res.verdict}")
+            _emit(res.to_json(), f"{res.analysis}({args.label}) = {res.verdict}"
+                                 f"{reach.pruned_note(res.pruned, res.bound_used)}")
             return EXIT_OK if res.verdict else EXIT_FALSE
 
         if args.command in ("quant-reach", "quant-rep-reach"):
@@ -142,7 +143,8 @@ def main(argv=None):
             res = fn(prog, init, args.label, eps, oracle, max_iterations=args.max_iterations)
             _emit(res.to_json(),
                   f"{res.analysis}({args.label}) in [{float(res.value):.6f}, "
-                  f"{float(res.value + res.epsilon):.6f}] after {res.iterations} layers")
+                  f"{float(res.value + res.epsilon):.6f}] after {res.iterations} layers"
+                  f"{reach.pruned_note(res.pruned, res.bound_used)}")
             return EXIT_OK
 
         if args.command == "cost":

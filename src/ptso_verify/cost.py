@@ -7,8 +7,8 @@ exact path mass, held as integers over one denominator per layer (see
 target; CError/PError are the geometric tail bounds kappa*alpha^n/(1-alpha)^2
 and alpha^n/(1-alpha), valid once n reaches the eagerness threshold. The gap
 they leave grows with alpha^n, so whether a layer closes it is decided on a
-certified interval for alpha^n (`eagerness.pow_decide`); the exact terms are
-computed only for the result.
+certified interval for alpha^n (`eagerness.pow_decide` on one squaring
+ladder of alpha per call); the exact terms are computed only for the result.
 """
 
 from __future__ import annotations
@@ -157,12 +157,14 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
     oracle = oracle or reach.ReachOracle(prog)
     start = oracle.intern(init)
     if not oracle.can_reach(start, label):
-        raise ValueError(f"label {label!r} is unreachable{reach.pruned_note(oracle.explore(start))}; "
+        ex = oracle.explore(start)
+        raise ValueError(f"label {label!r} is unreachable{reach.pruned_note(ex.pruned, ex.bound)}; "
                          "the conditional expected cost is undefined")
     if eager is None:
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
 
     alpha = eager.alpha
+    alpha_pow = eag.PowLadder(alpha, alpha)    # one squaring ladder for every done(m)
     n_threshold = eager.n_threshold
     base_c = Fraction(cost.max_cost) / (1 - alpha) ** 2
     base_p = 1 / (1 - alpha)
@@ -182,7 +184,7 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         """Do the error terms at layer m close the gap below epsilon? The gap
         grows with alpha^m, so a certified interval decides nearly always."""
         cost_apprx, prob_apprx = Fraction(cost_num, den), Fraction(prob_num, den)
-        return eag.pow_decide(alpha, m, lambda t: _gap_below(
+        return eag.pow_decide(alpha_pow, m, lambda t: _gap_below(
             cost_apprx, base_c * t, prob_apprx, base_p * t, epsilon))
 
     def result(m, aborted):

@@ -123,33 +123,98 @@ def round_up(x, bits=POW_BITS):
     return -round_down(-x, bits)
 
 
+def _round_frac(n, d, up):
+    """round_down(n/d), or round_up with `up`, for a reduced n/d >= 0, as
+    (m, e) meaning m * 2**e."""
+    if up:
+        n = -n
+    shift = POW_BITS - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        m, e = (n << shift) // d, -shift
+    else:
+        m, e = n // (d << -shift), -shift
+    return (-m, e) if up else (m, e)
+
+
+def _round_mul(a, b, up):
+    """round_down, or round_up with `up`, of the product of two dyadics
+    (m, e) >= 0: the top POW_BITS + 1 bits of the mantissa kept, the rest
+    floored or ceiled away."""
+    m, e = a[0] * b[0], a[1] + b[1]
+    k = m.bit_length() - 1 - POW_BITS
+    if k > 0:
+        m = -(-m >> k) if up else m >> k
+        e += k
+    return m, e
+
+
+def _to_frac(r):
+    m, e = r
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+class PowLadder:
+    """[lo, hi]^n for 0 <= lo <= hi and any n >= 0, with outward relative
+    rounding: the squaring ladder of each bound on dyadic mantissas.
+
+    Rung k of a bound is its 2**k-th power, rounded outward to POW_BITS + 1
+    bits: rung 0 the bound rounded, rung 1 its exact square rounded, rung
+    k + 1 rung k squared and rounded. pow(n) multiplies the rungs of the
+    bits of n from the lowest up, rounding each product, and converts to
+    Fraction only the two results. Rungs are squared once, on first need,
+    so one ladder answers any number of exponents.
+    """
+
+    def __init__(self, lo, hi):
+        if not 0 <= lo <= hi:
+            raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
+        self.lo, self.hi = lo, hi
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        self._rungs = ([_round_frac(ln, ld, False), _round_frac(ln * ln, ld * ld, False)],
+                       [_round_frac(hn, hd, True), _round_frac(hn * hn, hd * hd, True)])
+
+    def _side(self, up, n):
+        rungs = self._rungs[up]
+        while len(rungs) < n.bit_length():
+            rungs.append(_round_mul(rungs[-1], rungs[-1], up))
+        k = (n & -n).bit_length() - 1
+        acc = rungs[k]
+        n >>= k + 1
+        while n:
+            k += 1
+            if n & 1:
+                acc = _round_mul(acc, rungs[k], up)
+            n >>= 1
+        return _to_frac(acc)
+
+    def pow(self, n):
+        """Certified (lo, hi) with lo <= lo_bound**n and hi_bound**n <= hi."""
+        if n < 0:
+            raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
+        if n == 0:
+            return Fraction(1), Fraction(1)
+        return self._side(False, n), self._side(True, n)
+
+
 def iv_pow(lo, hi, n):
     """[lo, hi]^n for 0 <= lo <= hi, with outward relative rounding."""
-    if not (0 <= lo <= hi and n >= 0):
-        raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
-    rlo, rhi = Fraction(1), Fraction(1)
-    blo, bhi = lo, hi
-    while n:
-        if n & 1:
-            rlo = round_down(rlo * blo)
-            rhi = round_up(rhi * bhi)
-        n >>= 1
-        if n:
-            blo = round_down(blo * blo)
-            bhi = round_up(bhi * bhi)
-    return rlo, rhi
+    return PowLadder(lo, hi).pow(n)
 
 
 def pow_decide(x, n, pred):
-    """pred(x**n) for x >= 0 and a predicate monotone in its argument.
+    """pred(x**n) for x >= 0 and a predicate monotone in its argument; x is
+    a number or a point PowLadder of it, which answers every n of a search.
 
-    Decided on iv_pow's certified interval when pred agrees at both ends, so
-    the exact power, which can run to millions of bits, is computed only
-    when the interval straddles pred's switching point.
+    Decided on the ladder's certified interval when pred agrees at both
+    ends, so the exact power, which can run to millions of bits, is computed
+    only when the interval straddles pred's switching point.
     """
-    lo, hi = iv_pow(x, x, n)
+    ladder = x if isinstance(x, PowLadder) else PowLadder(x, x)
+    if ladder.lo != ladder.hi:
+        raise ValueError("pow_decide needs a point base")
+    lo, hi = ladder.pow(n)
     got = pred(lo)
-    return got if got == pred(hi) else pred(x ** n)
+    return got if got == pred(hi) else pred(ladder.lo ** n)
 
 
 def least_n(pred, n_min=1, hint=None):
@@ -265,20 +330,23 @@ class EagernessParams:
         }
 
 
-def _witness_bfs(ex, label, start):
-    """Shortest path of ids from `start` to a configuration bearing `label`
-    that never revisits `start`: BFS over `ex.succs` (bound-filtered, in
-    configuration order), each layer expanded in witness order."""
+def _witness_bfs(ex, hits, start, rank):
+    """Shortest path of ids from `start` to one of the ids `hits` (those
+    bearing the label) that never revisits `start`: BFS over `ex.succs`
+    (bound-filtered, in configuration order), each layer expanded in
+    witness order, read from `rank` (explored id -> its place in
+    `ex.in_witness_order`)."""
+    succs = ex.succs
     parent = {start: start}
     layer = [start]
     while layer:
         nxt = []
-        for c in ex.in_witness_order(layer):
-            for succ in ex.succs[c]:
+        for c in sorted(layer, key=rank.__getitem__):
+            for succ in succs[c]:
                 if succ in parent:
                     continue
                 parent[succ] = c
-                if label in ex.configs[succ].labels:
+                if succ in hits:
                     path = [succ]
                     while path[-1] != start:
                         path.append(parent[path[-1]])
@@ -298,23 +366,34 @@ def compute_mu(prog, label, oracle=None, source=None):
     witness (they cannot occur strictly before a first hit) and are skipped.
     Returns (mu, per-id map, A as ids in witness order) over `oracle`'s ids,
     searched in its final-bound exploration from the configuration `source`.
+    The explored ids are ranked in witness order once, and each path
+    source's distribution is read once.
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
     ex, configs = oracle.checked(oracle.intern(source), "A-set"), oracle.configs
-    a_set = ex.in_witness_order(i for i in ex.reaching(label) if oracle.sizes[i] <= SMALL_SIZE)
+    rank = {i: k for k, i in enumerate(ex.in_witness_order(ex.nodes))}
+    a_set = sorted((i for i in ex.reaching(label) if oracle.sizes[i] <= SMALL_SIZE),
+                   key=rank.__getitem__)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from the start configuration"
-                         f"{reach.pruned_note(ex)}")
+                         f"{reach.pruned_note(ex.pruned, ex.bound)}")
+    hits = {i for i in ex.nodes if label in configs[i].labels}
     per = {}
+    dists = {}                     # path source id -> its distribution
     for i in a_set:
-        if label in configs[i].labels:
+        if i in hits:
             continue
-        path = _witness_bfs(ex, label, i)
-        prob = Fraction(1)
+        path = _witness_bfs(ex, hits, i, rank)
+        num = den = 1
         for a, b in zip(path, path[1:]):
-            prob *= oracle.distribution(configs[a])[configs[b]]
-        per[i] = prob
+            dist = dists.get(a)
+            if dist is None:
+                dist = dists[a] = oracle.distribution(configs[a])
+            p = dist[configs[b]]
+            num *= p.numerator
+            den *= p.denominator
+        per[i] = Fraction(num, den)
     mu = min(per.values()) if per else Fraction(1)
     return mu, per, a_set
 
@@ -358,8 +437,10 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
         ratio = alpha_d / base_hi
         hint = int(_ln_frac(const_hi) / _ln_frac(ratio)) + 1 if const_hi > 1 else 1
 
+        ratio_pow = PowLadder(ratio, ratio)
+
         def dcheck(n):
-            return iv_pow(ratio, ratio, n)[0] >= const_hi
+            return ratio_pow.pow(n)[0] >= const_hi
 
         n_d = least_n(dcheck, 1, hint)
 
@@ -367,8 +448,10 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     rs = alpha_s[1] / alpha_hat
     rd = alpha_d / alpha_hat
 
+    rs_pow, rd_pow = PowLadder(rs, rs), PowLadder(rd, rd)
+
     def hcheck(n):
-        return iv_pow(rs, rs, n)[1] + iv_pow(rd, rd, n)[1] <= 1
+        return rs_pow.pow(n)[1] + rd_pow.pow(n)[1] <= 1
 
     n_hat = least_n(hcheck, 1, 64)
 
@@ -377,8 +460,10 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
     lim = 1 / (1 - alpha_hat)
     hint = int(_ln_frac(lim) / _ln_frac(ra)) + 1
 
+    ra_pow = PowLadder(ra, ra)
+
     def tcheck(n):
-        return iv_pow(ra, ra, n)[0] >= lim
+        return ra_pow.pow(n)[0] >= lim
 
     # The S-run bound holds only for n >= 2*beta.
     n_threshold = least_n(tcheck, max(n_d, 2 * beta, n_hat), hint)

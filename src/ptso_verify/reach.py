@@ -125,12 +125,12 @@ class Exploration:
         return steps
 
 
-def pruned_note(ex):
-    """What a No decided on exploration `ex` rests on, to append to its
-    message: nothing if nothing was pruned, else the bound."""
-    if not ex.pruned:
+def pruned_note(pruned, bound):
+    """What an answer decided on an exploration at `bound` rests on, to
+    append to its message: nothing if nothing was pruned, else the bound."""
+    if not pruned:
         return ""
-    return f" within bound {ex.bound} (exploration pruned; rerun with a larger --bound)"
+    return f" within bound {bound} (exploration pruned; rerun with a larger --bound)"
 
 
 def _tarjan(nodes, succs):

@@ -272,6 +272,30 @@ def test_pruned_unreachable_label_names_the_bound(argv, bound):
     assert r.stdout == ""
 
 
+PRUNED_8 = " within bound 8 (exploration pruned; rerun with a larger --bound)"
+
+
+@pytest.mark.parametrize("argv,summary", [
+    (["never-reach", prog("loop_all"), "--label", "QT"], "never_qual_reach(QT) = True" + PRUNED_8),
+    (["quant-reach", prog("loop_all"), "--label", "PT"],
+     "quant_reach(PT) in [0.000000, 0.010000] after 1 layers" + PRUNED_8),
+    (["qual-reach", prog("race_flag"), "--label", "W1"], "qual_reach(W1) = False"),
+    (["quant-reach", prog("race_flag"), "--label", "W1", "--epsilon", "1/2"], None),
+], ids=["never-reach-pruned", "quant-reach-pruned", "qual-reach", "quant-reach"])
+def test_verdict_resting_on_the_bound_says_so_on_stderr(argv, summary):
+    # a pruned exploration stamps the stderr summary with the bound; an
+    # unpruned one does not, and stdout carries no stamp either way
+    r = run_cli(*argv)
+    assert r.returncode in (0, 1), r.stderr
+    doc = json.loads(r.stdout)
+    if summary is not None:
+        assert r.stderr == summary + "\n"
+    if summary is None or PRUNED_8 not in summary:
+        assert "within bound" not in r.stderr
+        assert doc.get("oracle_pruned") in (None, False)
+    assert "within bound" not in r.stdout
+
+
 def test_epsilon_zero_denominator_exit_2():
     for command in ("quant-reach", "cost"):
         r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", "1/0")

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import witness_reference
 from conftest import corpus_names, load_corpus
 from ptso_verify import lang, reach, semantics
-from ptso_verify.eagerness import (GamblerParams, compute_eagerness, compute_mu,
+from ptso_verify.eagerness import (GamblerParams, PowLadder, compute_eagerness, compute_mu,
                                    gambler_first_passage, gambler_tail_bound,
                                    gamma_bounds, iv_pow, least_n, nth_root_bounds, pow_decide,
                                    round_down, round_up, sqrt_bounds, srun_rate)
@@ -152,6 +152,76 @@ def test_iv_pow_contains_exact():
         assert plo <= F(2, 3) ** n <= phi
 
 
+def fraction_iv_pow(lo, hi, n):
+    """Reference: [lo, hi]^n by square-and-multiply on Fractions, each
+    product rounded outward by round_down / round_up."""
+    if not (0 <= lo <= hi and n >= 0):
+        raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
+    rlo, rhi = F(1), F(1)
+    blo, bhi = lo, hi
+    while n:
+        if n & 1:
+            rlo = round_down(rlo * blo)
+            rhi = round_up(rhi * bhi)
+        n >>= 1
+        if n:
+            blo = round_down(blo * blo)
+            bhi = round_up(bhi * bhi)
+    return rlo, rhi
+
+
+RATIONALS = st.fractions(min_value=0, max_value=2, max_denominator=10**30)
+# within 2**-30 of 1, so the reference's exact squares stay small at n ~ 1e9
+NEAR_ONE = st.integers(-2**20, 2**20).map(lambda k: 1 + F(k, 2**50))
+
+
+@st.composite
+def pow_cases(draw):
+    """(lo, hi, n): a point or proper interval, lo = 0 among them, of
+    rationals in [0, 2] with n <= 3,000 or of bases near 1 with n <= 1e9;
+    n = 0, 1, 2 drawn often. A small base with a huge n is never drawn: the
+    reference would need a 2**n-bit denominator."""
+    near = draw(st.booleans())
+    a, b = sorted(draw(st.lists(NEAR_ONE if near else RATIONALS, min_size=2, max_size=2)))
+    lo = draw(st.sampled_from([a, b, F(0)]))
+    hi = max(lo, b)
+    n = draw(st.one_of(st.sampled_from([0, 1, 2]),
+                       st.integers(0, 10**9 if near else 3000)))
+    return lo, hi, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(pow_cases())
+@example((F(0), F(0), 5))
+@example((F(1), F(1), 10**9))
+@example((F(0), F(1, 3), 0))
+def test_pow_ladder_equals_fraction_iv_pow(case):
+    lo, hi, n = case
+    want = fraction_iv_pow(lo, hi, n)
+    assert iv_pow(lo, hi, n) == PowLadder(lo, hi).pow(n) == want
+    assert all(type(x) is F for x in want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(RATIONALS, RATIONALS).map(sorted),
+       st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+def test_pow_ladder_reused_across_exponents(bounds, ns):
+    # one ladder, asked for n descending and then ascending, gives what a
+    # fresh ladder gives for each n
+    lo, hi = bounds
+    ladder = PowLadder(lo, hi)
+    order = sorted(ns, reverse=True) + sorted(ns)
+    assert [ladder.pow(n) for n in order] == [PowLadder(lo, hi).pow(n) for n in order]
+
+
+def test_pow_ladder_rejects_bad_input():
+    for lo, hi, n in ((F(1, 2), F(1, 3), 1), (F(-1), F(1), 1), (F(1), F(2), -1)):
+        with pytest.raises(ValueError):
+            iv_pow(lo, hi, n)
+    with pytest.raises(ValueError, match="point base"):
+        pow_decide(PowLadder(F(1, 3), F(1, 2)), 3, lambda p: p < 1)
+
+
 def _decide(x, n, pred):
     """pow_decide(x, n, pred), and whether it fell back to the exact power
     (pred is then asked a third time)."""
@@ -258,6 +328,19 @@ def test_compute_mu_matches_config_ordered_witness_bfs(name):
         assert (mu, {configs[i]: v for i, v in per.items()}, [configs[i] for i in a_set]) == want
         checked += 1
     assert checked > 0
+
+
+def test_compute_mu_reads_each_distribution_once(monkeypatch):
+    # a witness path's edge probabilities come from its source's
+    # distribution, read once per configuration and kept for the call
+    p = load_corpus("writer_reader")
+    oracle = reach.ReachOracle(p)
+    reads = []
+    real = oracle.distribution
+    monkeypatch.setattr(oracle, "distribution", lambda c: reads.append(c) or real(c))
+    mu, per, _ = compute_mu(p, "WIN", oracle)
+    assert len(reads) == len(set(reads)) == 534
+    assert 0 < mu == min(per.values())
 
 
 def test_compute_mu_unreachable_label():
