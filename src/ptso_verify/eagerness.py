@@ -148,11 +148,6 @@ def _round_mul(a, b, up):
     return m, e
 
 
-def _to_frac(r):
-    m, e = r
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
 class PowLadder:
     """[lo, hi]^n for 0 <= lo <= hi and any n >= 0, with outward relative
     rounding: the squaring ladder of each bound on dyadic mantissas.
@@ -185,7 +180,8 @@ class PowLadder:
             if n & 1:
                 acc = _round_mul(acc, rungs[k], up)
             n >>= 1
-        return _to_frac(acc)
+        m, e = acc
+        return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
     def pow(self, n):
         """Certified (lo, hi) with lo <= lo_bound**n and hi_bound**n <= hi."""
