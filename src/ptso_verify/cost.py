@@ -13,11 +13,12 @@ ladder of alpha per call); the exact terms are computed only for the result.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import eagerness as eag
-from . import quantitative, reach, semantics
+from . import markov, quantitative, reach, semantics
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_LAYERS = 20_000
@@ -82,24 +83,24 @@ class CostResult:
     max_config_size_seen: int
 
     def to_json(self):
-        from .markov import frac_str
+        fs = functools.partial(markov.frac_str, memo={})   # one memo per document
         doc = {
             "analysis": "expected_avg_cost",
-            "value": frac_str(self.value),
+            "value": fs(self.value),
             "value_float": float(self.value),
-            "value_upper": None if self.value_upper is None else frac_str(self.value_upper),
-            "cost_apprx": frac_str(self.cost_apprx),
+            "value_upper": None if self.value_upper is None else fs(self.value_upper),
+            "cost_apprx": fs(self.cost_apprx),
             "cost_apprx_float": float(self.cost_apprx),
-            "prob_apprx": frac_str(self.prob_apprx),
+            "prob_apprx": fs(self.prob_apprx),
             "prob_apprx_float": float(self.prob_apprx),
-            "c_error": frac_str(self.c_error),
-            "p_error": frac_str(self.p_error),
+            "c_error": fs(self.c_error),
+            "p_error": fs(self.p_error),
             "p_error_float": float(self.p_error),
             "n": self.n,
-            "epsilon": frac_str(self.epsilon),
+            "epsilon": fs(self.epsilon),
             "n_threshold": self.n_threshold,
             "aborted": self.aborted,
-            "live_frontier_mass": frac_str(self.live_frontier_mass),
+            "live_frontier_mass": fs(self.live_frontier_mass),
             "max_config_size_seen": self.max_config_size_seen,
         }
         if self.value_upper is not None:

@@ -15,6 +15,7 @@ and interval powers with outward relative rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,7 +307,7 @@ class EagernessParams:
     n_threshold: int
 
     def to_json(self):
-        fs = markov.frac_str
+        fs = functools.partial(markov.frac_str, memo={})   # one memo per document
         return {
             "q_star": fs(self.q_star),
             "p_star": fs(self.p_star),
@@ -326,23 +327,38 @@ class EagernessParams:
         }
 
 
-def _witness_bfs(ex, hits, start, rank):
-    """Shortest path of ids from `start` to one of the ids `hits` (those
-    bearing the label) that never revisits `start`: BFS over `ex.succs`
-    (bound-filtered, in configuration order), each layer expanded in
-    witness order, read from `rank` (explored id -> its place in
-    `ex.in_witness_order`)."""
-    succs = ex.succs
+def _steps_to(ex, hits):
+    """Explored id -> its fewest steps to one of the ids `hits`, by one
+    backward BFS over `ex.preds()`: the ids that can reach `hits`."""
+    preds, steps = ex.preds(), dict.fromkeys(hits, 0)
+    queue = list(hits)
+    for c in queue:                 # grows while read: the BFS queue
+        for p in preds[c]:
+            if p not in steps:
+                steps[p] = steps[c] + 1
+                queue.append(p)
+    return steps
+
+
+def _witness_bfs(succs, steps, start, rank):
+    """Shortest path of ids from `start` to a label-bearing id that never
+    revisits `start`: the BFS over `succs` (bound-filtered, in configuration
+    order), each layer expanded in witness order, read from `rank` (explored
+    id -> its place in `ex.in_witness_order`), up to the first label-bearing
+    id found. It follows only successors one step nearer the label by
+    `steps` (`_steps_to`): every shortest path runs through them, and each
+    one's first discoverer in the full search is one of them."""
     parent = {start: start}
     layer = [start]
     while layer:
+        d = steps[layer[0]] - 1     # the ids of a layer are equally near
         nxt = []
         for c in sorted(layer, key=rank.__getitem__):
             for succ in succs[c]:
-                if succ in parent:
+                if steps.get(succ) != d or succ in parent:
                     continue
                 parent[succ] = c
-                if succ in hits:
+                if d == 0:
                     path = [succ]
                     while path[-1] != start:
                         path.append(parent[path[-1]])
@@ -362,25 +378,25 @@ def compute_mu(prog, label, oracle=None, source=None):
     witness (they cannot occur strictly before a first hit) and are skipped.
     Returns (mu, per-id map, A as ids in witness order) over `oracle`'s ids,
     searched in its final-bound exploration from the configuration `source`.
-    The explored ids are ranked in witness order once, and each path
-    source's distribution is read once.
+    The explored ids are ranked in witness order and their steps to the
+    label counted once, and each path source's distribution is read once.
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
     ex, configs = oracle.checked(oracle.intern(source), "A-set"), oracle.configs
     rank = {i: k for k, i in enumerate(ex.in_witness_order(ex.nodes))}
-    a_set = sorted((i for i in ex.reaching(label) if oracle.sizes[i] <= SMALL_SIZE),
-                   key=rank.__getitem__)
+    hits = {i for i in ex.nodes if label in configs[i].labels}
+    steps = _steps_to(ex, hits)     # keyed by ex.reaching(label)
+    a_set = sorted((i for i in steps if oracle.sizes[i] <= SMALL_SIZE), key=rank.__getitem__)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from the start configuration"
                          f"{reach.pruned_note(ex.pruned, ex.bound)}")
-    hits = {i for i in ex.nodes if label in configs[i].labels}
     per = {}
     dists = {}                     # path source id -> its distribution
     for i in a_set:
         if i in hits:
             continue
-        path = _witness_bfs(ex, hits, i, rank)
+        path = _witness_bfs(ex.succs, steps, i, rank)
         num = den = 1
         for a, b in zip(path, path[1:]):
             dist = dists.get(a)

@@ -12,11 +12,12 @@ integer identity PosApprx + NegApprx + frontier = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import reach
+from . import markov, reach
 from .errors import BudgetExceededError
 
 DEFAULT_MAX_ITERATIONS = 100_000
@@ -35,16 +36,16 @@ class QuantResult:
     pruned: bool
 
     def to_json(self):
-        from .markov import frac_str
+        fs = functools.partial(markov.frac_str, memo={})   # one memo per document
         return {
             "analysis": self.analysis,
-            "value": frac_str(self.value),
+            "value": fs(self.value),
             "value_float": float(self.value),
-            "neg": frac_str(self.neg),
+            "neg": fs(self.neg),
             "neg_float": float(self.neg),
-            "epsilon": frac_str(self.epsilon),
+            "epsilon": fs(self.epsilon),
             "iterations": self.iterations,
-            "frontier_mass_remaining": frac_str(self.frontier_mass_remaining),
+            "frontier_mass_remaining": fs(self.frontier_mass_remaining),
             "frontier_mass_remaining_float": float(self.frontier_mass_remaining),
             "max_config_size_seen": self.max_config_size_seen,
             "bound_used": self.bound_used,

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -302,6 +303,18 @@ def test_epsilon_zero_denominator_exit_2():
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("error: ") and "zero denominator" in r.stderr
         assert r.stdout == "" and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["quant-reach", "cost"])
+def test_epsilon_with_huge_exponent_exit_2(command):
+    # 10**999999999 as a denominator would take minutes to build; the
+    # exponent alone shows it is past the int-to-str digit limit
+    start = time.perf_counter()
+    r = run_cli(command, prog("race_flag"), "--label", "W1", "--epsilon", "1e-999999999")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "digits as num/den" in r.stderr
+    assert r.stdout == "" and "Traceback" not in r.stderr
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("command", ["quant-reach", "quant-rep-reach"])

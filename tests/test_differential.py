@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings, strategies as st
 
 import exhaustive
+import witness_reference
 from conftest import corpus_names, load_corpus
 from test_lang import branch_labels, programs, racy_programs
 from test_reach import _explorations
@@ -171,6 +172,15 @@ def test_dead_configurations_cannot_reach_the_label(query):
     assert all(x[i] == 0 for i in dead)
 
 
+@SETTINGS
+@given(finite_queries())
+def test_witness_paths_match_the_reference(query):
+    # compute_mu's witness search against the Config-ordered BFS, path by path
+    prog, init, label, oracle, _ = query
+    compared = witness_reference.assert_same_witnesses(prog, label, oracle.config, init)
+    event("witness paths compared" if compared else "no label-free A member")
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_dead_configurations_reach_no_label_on_the_corpus(name):
     """No configuration that may_reach_label calls dead lies in the bounded
@@ -206,3 +216,4 @@ test_qualitative_verdicts_on_looping_races = _on_races(
 test_dead_configurations_on_races = _on_races(test_dead_configurations_cannot_reach_the_label)
 test_dead_configurations_on_looping_races = _on_races(
     test_dead_configurations_cannot_reach_the_label, loops=True)
+test_witness_paths_on_races = _on_races(test_witness_paths_match_the_reference)

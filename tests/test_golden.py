@@ -37,6 +37,9 @@ GOLDEN = [
      "ffdf031e2105d97fd440f73175a1231d18428779c587a81822a24257931e0aca"),
     ("eagerness", "race_flag", ["--label", "W1"], 0,
      "b3bbda2c6249aea0611ad8fda38fcca6d672b1188fa7a00985fa7ed739ac01c7"),
+    # the 534-member certificate: one witness path per label-free A member
+    ("eagerness", "writer_reader", ["--label", "WIN"], 0,
+     "c358712dc1ea0ba33226660346fb6d1e5631c2a9e84076ac2e551c572ad6e36f"),
     # witness-bearing: every step prints its process and update schedule
     ("qual-reach", "race_flag", ["--label", "W1"], 1,
      "8aa4986a7093d6bb479a533b1b39d8d621f737734bbafb8de78dd4a7c4e650f4"),

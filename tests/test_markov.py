@@ -155,7 +155,7 @@ def test_left_biasedness_all_size5_shapes():
 def test_parse_frac():
     assert markov.parse_frac("1/100") == F(1, 100)
     assert markov.parse_frac("0.25") == F(1, 4)
-    for bad in ("1/0", " 3/-0 ", "x/2", "1/2/3"):
+    for bad in ("1/0", " 3/-0 ", "x/2", "1/2/3", "1e", "1e5x"):
         with pytest.raises(ValueError):
             markov.parse_frac(bad)
     assert markov.frac_str(F(5, 16)) == "5/16"
@@ -204,13 +204,17 @@ def test_frac_str_huge_keeps_int_digit_limit():
 # str() with the int-to-str digit limit lifted, in a child process so this
 # process's limit never moves; the int travels in hex, which has no limit
 LIFTED_STR = ("import sys; sys.set_int_max_str_digits(0); "
-              "sys.stdout.write(str(int(sys.stdin.read(), 16)))")
+              "sys.stdout.write(' '.join(str(int(h, 16)) for h in sys.stdin.read().split()))")
+
+
+def _lifted_strs(ns):
+    out = subprocess.run([sys.executable, "-c", LIFTED_STR], input=" ".join(map(hex, ns)),
+                         capture_output=True, text=True, timeout=120, check=True)
+    return out.stdout.split()
 
 
 def _lifted_str(n):
-    out = subprocess.run([sys.executable, "-c", LIFTED_STR], input=hex(n),
-                         capture_output=True, text=True, timeout=120, check=True)
-    return out.stdout
+    return _lifted_strs([n])[0]
 
 
 def _with_digits(digits, seed):
@@ -236,3 +240,53 @@ def test_int_str_matches_lifted_str(n, negative):
         assert markov._int_str(n) == digits
         assert markov.frac_str(Fraction(1, n)) == "1/" + digits
     assert sys.get_int_max_str_digits() == limit
+
+
+def _module_state():
+    """Names and container or functools-cache sizes of `markov`'s module
+    attributes and of its functions' defaults: where a cache that outlives a
+    call would live."""
+    state = {}
+    for name, value in vars(markov).items():
+        if hasattr(value, "cache_info"):
+            state[name] = value.cache_info().currsize
+        else:
+            state[name] = len(value) if isinstance(value, (dict, list, set)) else None
+        for k, default in enumerate(getattr(value, "__defaults__", None) or ()):
+            if isinstance(default, (dict, list, set)):
+                state[f"{name}.default{k}"] = len(default)
+    return state
+
+
+def _near_ints(base):
+    """`base`, ints of nearly its bit length, the 10**600 rendering boundary
+    and a small int: the pool a rendered list draws from."""
+    return [base, base + 1, base - 1, base << 3, base >> 2,
+            10 ** 600 - 1, 10 ** 600, 10 ** 600 + 1, 3]
+
+
+PICKS = st.tuples(st.integers(0, 8), st.integers(0, 8), st.booleans())
+
+
+@settings(max_examples=10, deadline=None)
+@given(base=st.builds(_with_digits, st.integers(590, 20_000), st.integers(0, 2**32)),
+       picks=st.lists(PICKS, min_size=1, max_size=8))
+@example(base=_with_digits(5_000, 1),
+         picks=[(i, 8, i % 2 == 1) for i in range(9)] + [(0, 8, False), (8, 1, True)])
+def test_frac_str_shared_memo_matches_each_alone(base, picks):
+    # one document's rationals through one memo, repeats and near-equal
+    # widths included, render as each does alone and as lifted str does
+    pool = _near_ints(base)
+    xs = [Fraction(-pool[i] if negative else pool[i], pool[j]) for i, j, negative in picks]
+    limit, state = sys.get_int_max_str_digits(), _module_state()
+    memo = {}
+    shared = [markov.frac_str(x, memo) for x in xs]
+    alone = [markov.frac_str(x) for x in xs]
+    ints = [abs(x.numerator) for x in xs] + [x.denominator for x in xs]
+    digits = dict(zip(ints, _lifted_strs(ints)))
+    lifted = [f"{'-' if x < 0 else ''}{digits[abs(x.numerator)]}/{digits[x.denominator]}"
+              for x in xs]
+    assert shared == alone == lifted
+    assert sys.get_int_max_str_digits() == limit
+    assert _module_state() == state
+
