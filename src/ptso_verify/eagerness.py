@@ -126,7 +126,9 @@ def round_up(x, bits=POW_BITS):
 
 def _round_frac(n, d, up):
     """round_down(n/d), or round_up with `up`, for a reduced n/d >= 0, as
-    (m, e) meaning m * 2**e."""
+    (m, e) meaning m * 2**e; zero is (0, 0), so its rungs keep e at 0."""
+    if not n:
+        return 0, 0
     if up:
         n = -n
     shift = POW_BITS - (n.bit_length() - d.bit_length())

@@ -202,6 +202,13 @@ def test_pow_ladder_equals_fraction_iv_pow(case):
     assert all(type(x) is F for x in want)
 
 
+def test_pow_ladder_zero_bound_stays_small():
+    # a zero bound's rungs stay (0, 0): an exponent that doubled with every
+    # squaring would make pow(n) build a 2**(129 * n)-sized denominator
+    assert iv_pow(F(0), F(1), 2**62) == (0, 1)
+    assert PowLadder(F(0), F(0)).pow(10**9) == (0, 0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(RATIONALS, RATIONALS).map(sorted),
        st.lists(st.integers(0, 3000), min_size=1, max_size=12))
