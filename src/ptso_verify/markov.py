@@ -50,7 +50,10 @@ def _int_to_decimal(n, pow2):
     whose large multiplications are fast: hi * 2**w + lo, with the powers of
     two memoized in `pow2` (width -> Decimal), which any number of ints can
     share. This is the algorithm of CPython 3.12's
-    `_pylong.int_to_decimal`; `decimal` is imported only here.
+    `_pylong.int_to_decimal`; `decimal` is imported only here. A dyadic n =
+    m * 2**t, t its trailing zero bits, is rendered as m times the power of
+    two from `pow2` when t is more than _BITLIM bits, so its zeros are not
+    split.
     """
     import decimal
 
@@ -83,6 +86,10 @@ def _int_to_decimal(n, pow2):
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = 1
+        t = (n & -n).bit_length() - 1
+        if t > _BITLIM:
+            m = n >> t
+            return inner(m, m.bit_length()) * w2pow(t)
         return inner(n, n.bit_length())
 
 

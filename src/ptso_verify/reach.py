@@ -197,7 +197,7 @@ class ReachOracle:
     def __init__(self, prog, config=None):
         self.prog = prog
         self.config = config or OracleConfig()
-        self._ids = {}             # config -> its id
+        self._ids = []             # store id -> {local id: the id of that pair's config}
         self.configs = []          # id -> config
         self._lids = []            # id -> the local id of its config
         self._sids = []            # id -> the store id of its config
@@ -222,6 +222,7 @@ class ReachOracle:
             self._stores.append(store)
             self._store_sizes.append(sum(map(len, store[0])))
             self._updates.append(None)
+            self._ids.append({})
         return got
 
     def _update_step(self, sid):
@@ -323,20 +324,22 @@ class ReachOracle:
         return out
 
     def intern(self, c):
-        """The integer id of configuration c, given on first sight: c is
-        configs[id], and its size is sizes[id]."""
-        got = self._ids.get(c)
-        if got is None:
-            got = self._intern(c, self._local_of(c), self._store_id((c.bufs, c.mem)))
-        return got
+        """The integer id of configuration c, given on first sight: c equals
+        configs[id], and its size is sizes[id]. c is looked up by the ids of
+        its local part and its store part."""
+        return self._node(self._local_of(c), self._store_id((c.bufs, c.mem)))
 
-    def _intern(self, c, lid, sid):
-        """intern(c) for a c whose local id lid and store id sid the caller
-        holds."""
-        got = self._ids.get(c)
+    def _node(self, lid, sid):
+        """The id of the configuration joining local id lid with store id
+        sid, given on first sight. Only here is a configuration built, and
+        only for a new id; row and explore look a known one up in _ids
+        inline and call this only when it is missing."""
+        ids = self._ids[sid]
+        got = ids.get(lid)
         if got is None:
-            got = self._ids[c] = len(self.configs)
-            self.configs.append(c)
+            got = ids[lid] = len(self.configs)
+            # tuple.__new__ skips Config's keyword-handling constructor
+            self.configs.append(tuple.__new__(Config, self._locals[lid] + self._stores[sid]))
             self._lids.append(lid)
             self._sids.append(sid)
             self.sizes.append(self._store_sizes[sid])
@@ -349,7 +352,9 @@ class ReachOracle:
         exact probability of the step, den the least common denominator and
         successors in first-reached order (process by index, then store
         order); the mass-propagation loops run on these. Each step's update
-        step is the one explore walks (_update_step).
+        step is the one explore walks (_update_step). Each successor is
+        looked up by its (local id, store id) pair; no configuration is built
+        for one that already has an id.
 
         The process at index pi is scheduled with probability w_pi / W (W the
         total weight of the enabled processes) and each update word from its
@@ -361,17 +366,18 @@ class ReachOracle:
         got = self._rows[i]
         if got is not None:
             return got
-        prog, stores, updates, intern, new = (
-            self.prog, self._stores, self._updates, self._intern, tuple.__new__)
-        steps = [(1 if pi is None else prog.processes[pi].weight, local, lid,
+        prog, ids, updates, node = self.prog, self._ids, self._updates, self._node
+        steps = [(1 if pi is None else prog.processes[pi].weight, lid,
                   updates[s] or self._update_step(s))
-                 for local, lid, s, pi in self.successors(i)]
+                 for _, lid, s, pi in self.successors(i)]
         words = math.lcm(*(total for *_, (_, _, total) in steps))
         acc = {}
-        for w, local, lid, (sids, counts, total) in steps:
+        for w, lid, (sids, counts, total) in steps:
             scale = w * (words // total)
             for s, n in zip(sids, counts):
-                j = intern(new(Config, local + stores[s]), lid, s)
+                j = ids[s].get(lid)
+                if j is None:
+                    j = node(lid, s)
                 acc[j] = acc.get(j, 0) + n * scale
         den = sum(w for w, *_ in steps) * words
         if sum(acc.values()) != den:
@@ -394,36 +400,31 @@ class ReachOracle:
         got = self._explorations.get(root)
         if got is not None:
             return got
-        bound, sizes, stores, updates, configs = (
-            self.config.bound, self._store_sizes, self._stores, self._updates, self.configs)
-        # Each discovered (local id, store id) -> the id of its node.
-        seen = {(self._lids[root], self._sids[root]): root}
+        bound, sizes, ids, updates = (
+            self.config.bound, self._store_sizes, self._ids, self._updates)
+        seen = {root}              # the ids discovered so far
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
-        # Every node was sized when first kept, except a root over the bound
-        # (an --init start), whose edges back to it are still pruned.
-        root_over = self.sizes[root] > bound
-        intern, update_step, new = self._intern, self._update_step, tuple.__new__
+        node, update_step = self._node, self._update_step
         for i in queue:
             kept = []
-            for local, lid, sid, _ in sorted(self.successors(i)):
+            for _, lid, sid, _ in sorted(self.successors(i)):
                 for s in (updates[sid] or update_step(sid))[0]:
-                    node = seen.get((lid, s))
-                    if node is not None:
-                        if root_over and node == root:
-                            pruned_at.add(i)
-                            continue
-                    elif sizes[s] > bound:
+                    # an edge is pruned exactly when it leads over the bound,
+                    # back to an over-bound --init root included
+                    if sizes[s] > bound:
                         pruned_at.add(i)
                         continue
-                    else:
-                        # tuple.__new__ skips Config's keyword-handling constructor
-                        node = seen[lid, s] = intern(new(Config, local + stores[s]), lid, s)
-                        queue.append(node)
-                    kept.append(node)
+                    j = ids[s].get(lid)
+                    if j is None:
+                        j = node(lid, s)
+                    if j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+                    kept.append(j)
             succs[i] = tuple(kept)
-        got = Exploration(root, bound, succs, frozenset(pruned_at), configs)
+        got = Exploration(root, bound, succs, frozenset(pruned_at), self.configs)
         self._explorations[root] = got
         # A node's forward cone does not depend on the root it was reached
         # from, so any exploration holding it answers for it.

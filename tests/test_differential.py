@@ -16,6 +16,7 @@ is exact for the whole chain. That filter reads the input only, never an
 answer.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ import witness_reference
 from conftest import corpus_names, load_corpus
 from test_lang import branch_labels, programs, racy_programs
 from test_reach import _explorations
-from ptso_verify import (cost, eagerness, montecarlo, qualitative, quantitative, reach,
+from ptso_verify import (cost, eagerness, lang, montecarlo, qualitative, quantitative, reach,
                          semantics)
 from ptso_verify.errors import BudgetExceededError
 
@@ -34,6 +35,7 @@ MAX_STATES = 1_500
 EPS = Fraction(1, 100)
 COST_FRONTIER = 3_000
 MC_RUNS, MC_HORIZON = 300, 25
+MC_FALSE_ALARM = Fraction(1, 10**6)    # per example, half in each binomial tail
 SETTINGS = settings(max_examples=200, deadline=None,
                     suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 RACE_SETTINGS = settings(SETTINGS, max_examples=50)    # a race's chain is larger
@@ -140,9 +142,10 @@ def test_cost_bracket_holds_exact_conditional_cost(query, data):
 def test_simulate_hits_match_exact_bounded_probability(query, data):
     """The sampled hits within H steps against the exact probability P_H of
     meeting the label within H steps: none when P_H = 0, every run when
-    P_H = 1, and otherwise P_H inside the z = 5 Wilson interval (a false
-    alarm has probability below 1e-6 per example). The label is drawn
-    again, away from the start's labels, which every run meets at step 0."""
+    P_H = 1, and otherwise a hit count in neither exact binomial tail at
+    P_H (a false alarm has probability below MC_FALSE_ALARM = 1e-6 per
+    example). The label is drawn again, away from the start's labels, which
+    every run meets at step 0."""
     prog, init, _, _, chain = query
     label = data.draw(st.sampled_from(sorted(prog.labels() - set(init.labels))))
     horizon = data.draw(st.integers(1, MC_HORIZON))
@@ -155,8 +158,52 @@ def test_simulate_hits_match_exact_bounded_probability(query, data):
     elif p == 1:
         assert est.hits == MC_RUNS
     else:
-        lo, hi = montecarlo.wilson_interval(est.hits, MC_RUNS, z=5)
-        assert lo <= p <= hi, (est.hits, float(p))
+        assert _hits_plausible(est.hits, MC_RUNS, p), (est.hits, float(p))
+
+
+def _hits_plausible(hits, runs, p):
+    """Does `hits` of `runs` independent draws, each a hit with probability
+    p (a Fraction strictly between 0 and 1), lie in neither binomial tail of
+    mass MC_FALSE_ALARM / 2 or less? Both tails, P(X <= hits) and
+    P(X >= hits), are summed exactly over the common denominator d**runs, so
+    a correct sampler fails this with probability at most MC_FALSE_ALARM."""
+    a, d = p.numerator, p.denominator
+    terms = [math.comb(runs, k) * a ** k * (d - a) ** (runs - k) for k in range(runs + 1)]
+    cut = MC_FALSE_ALARM / 2 * d ** runs
+    return sum(terms[:hits + 1]) > cut and sum(terms[hits:]) > cut
+
+
+# A program `programs()` drew, with P_H = 8191/8192 at horizon 13. At seed
+# 2**32 the sampler meets l5 in 299 of 300 runs; a miss or more happens with
+# probability about 3.6%, and the z = 5 Wilson interval (upper end 0.99988)
+# rejected it.
+NEAR_ONE = """
+domain 2
+vars x0
+proc P0 weight 3
+regs r0_0
+l0: r0_0 := x0
+l1: r0_0 := 1
+l2: if r0_0 then l0
+l3: term
+proc P1 weight 3
+regs r1_0
+l4: x0 := r1_0
+l5: term
+"""
+
+
+def test_simulate_one_miss_near_one_is_no_false_alarm():
+    prog = lang.parse_program(NEAR_ONE)
+    init = semantics.initial_config(prog)
+    p = exhaustive.reach_within(prog, init, "l5", 13)
+    est = montecarlo.estimate_reach(prog, init, "l5", MC_RUNS, 13, 2**32)
+    assert (p, est.hits) == (Fraction(8191, 8192), 299)
+    assert montecarlo.wilson_interval(est.hits, MC_RUNS, z=5)[1] < p
+    assert _hits_plausible(est.hits, MC_RUNS, p)
+    # lower tails at P_H: P(X <= 296) is about 7.1e-8, P(X <= 297) about 7.9e-6
+    assert not _hits_plausible(296, MC_RUNS, p)
+    assert _hits_plausible(297, MC_RUNS, p) and _hits_plausible(MC_RUNS, MC_RUNS, p)
 
 
 @SETTINGS

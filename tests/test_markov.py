@@ -290,3 +290,26 @@ def test_frac_str_shared_memo_matches_each_alone(base, picks):
     assert sys.get_int_max_str_digits() == limit
     assert _module_state() == state
 
+
+ODD_5000 = random.Random(5000).getrandbits(5000) | 1 << 4999 | 1    # odd, 5,000 bits
+
+
+@pytest.mark.parametrize("t", [markov._BITLIM, markov._BITLIM + 1, 97_947])
+def test_dyadic_ints_match_lifted_str(t):
+    # m * 2**t, alone and over an odd denominator, through one memo and each
+    # alone, against lifted str: at t = _BITLIM the int is split in full
+    ms = [1, 3, 2**61 - 1, ODD_5000]
+    odd = 5 ** 1500
+    limit, state = sys.get_int_max_str_digits(), _module_state()
+    xs = [Fraction(m << t, odd) for m in ms]
+    digits = dict(zip(ms + [odd], _lifted_strs([m << t for m in ms] + [odd])))
+    memo = {}
+    for m, x in zip(ms, xs):
+        want = digits[m]
+        assert markov._int_str(m << t) == want == markov._int_str(m << t, memo)
+        assert markov._int_str(-(m << t)) == "-" + want == markov._int_str(-(m << t), memo)
+        assert (x.numerator, x.denominator) == (m << t, odd)
+        assert markov.frac_str(x) == f"{want}/{digits[odd]}" == markov.frac_str(x, memo)
+        assert markov.frac_str(-x) == f"-{want}/{digits[odd]}" == markov.frac_str(-x, memo)
+    assert sys.get_int_max_str_digits() == limit
+    assert _module_state() == state

@@ -717,6 +717,26 @@ def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
     assert set(rows.values()) == {1}
 
 
+def test_ids_join_their_local_and_store_parts():
+    """Every id, the over-bound ones that row numbered included, holds its
+    local part joined with its store part; intern finds each configuration
+    at its id without numbering anything, and no two ids hold one
+    configuration."""
+    p = load_corpus("writer_reader")
+    oracle = reach.ReachOracle(p)
+    with pytest.raises(BudgetExceededError):
+        quantitative.quant_reach(p, semantics.initial_config(p), "WIN", Fraction(1, 10),
+                                 oracle, max_iterations=30)
+    configs, n = oracle.configs, len(oracle.configs)
+    assert max(oracle.sizes) > oracle.config.bound
+    for i, c in enumerate(configs):
+        assert type(c) is semantics.Config
+        assert c == oracle._locals[oracle._lids[i]] + oracle._stores[oracle._sids[i]]
+        assert oracle.intern(c) == i
+    assert len(configs) == n
+    assert len(set(configs)) == n
+
+
 def test_cone_roots_are_successors_within_bound(monkeypatch):
     """The cone roots read from the row are the successors within the bound,
     in step_successors' order."""
@@ -899,7 +919,7 @@ def test_row_is_step_distribution_over_one_denominator(name, monkeypatch):
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=4 if name == "writer_reader" else 8))
     ex = oracle.explore(oracle.intern(semantics.initial_config(p)))
     over = _first_over_bound(p, oracle, ex)
-    assert over not in oracle._ids     # exploration keeps no configuration over the bound
+    assert over not in oracle.configs  # exploration keeps no configuration over the bound
     for c in sorted(oracle.configs[i] for i in ex.nodes):
         _assert_row_is_step_distribution(oracle, c)
     if over is not None:
