@@ -8,20 +8,20 @@ of each word is 1/W where W counts the feasible words). Per-run streams are
 derived from (master seed, run index), so results are reproducible and
 independent of any parallel split.
 
-`RunSampler` gives each configuration it meets an integer id (`intern`,
-read back through `configs[id]`) and keeps two step tables per id, filled
-on first use. The process-choice table holds the enabled processes, their
-cumulative weights, the total weight and the mid-configuration id per
-choice. The update-letter table holds cumulative thresholds (1 for the
-stop, then W(lens - e_p) per nonempty buffer p in process order, summing to
-W(lens)) and the child id per letter. `step(id, rng)` draws exactly what
-the letter-by-letter definition draws: a number below the total weight when
-a process is enabled, then one below W(lens) at every intermediate
-configuration, including the final stop draw. Each draw below n is done
-inline as `Random.randrange(n)` does it on CPython 3.11
-(`_randbelow_with_getrandbits`): `getrandbits(n.bit_length())`, repeated
-while the result is at least n. So the stream of a `random.Random` and
-every sampled run are those of `randrange`, without its per-call checks.
+`RunSampler` walks the ids of one `reach.ReachOracle` (its `intern` and
+`configs[id]`) and keeps two step tables per id, filled on first use. The
+process-choice table holds the enabled processes, their cumulative weights,
+the total weight and the mid-configuration id per choice, read from the
+oracle's process steps (`successors`). The update-letter table holds
+cumulative thresholds (1 for the stop, then W(lens - e_p) per nonempty
+buffer p in process order, summing to W(lens)) and the child id per letter.
+`step(id, rng)` draws exactly what the letter-by-letter definition draws: a
+number below the total weight when a process is enabled, then one below
+W(lens) at every intermediate configuration, including the final stop draw.
+Each draw below n is done inline as `Random.randrange(n)` does it on CPython
+3.11 (`_randbelow_with_getrandbits`): `getrandbits(n.bit_length())`, repeated
+while the result is at least n. So the stream of a `random.Random` and every
+sampled run are those of `randrange`, without its per-call checks.
 
 The run loops walk ids. `estimate_reach` and `estimate_cond_cost` end a run
 at its first hit, in an absorbing configuration (no enabled process, every
@@ -38,53 +38,53 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import sqrt
+from math import isinf, sqrt
 
-from . import semantics
+from . import reach, semantics
 
 
-# The step tables are caches: once they hold this many configurations
-# (about 0.9 kB each), the run loops drop and refill them between two steps,
-# so memory stays bounded on programs whose runs keep visiting new
-# configurations.
+# The step tables and the oracle's are caches: once the oracle holds this
+# many configurations (about 0.87 kB each, with all its tables), the run loops
+# refill them all between two steps, so memory stays bounded on programs
+# whose runs keep visiting new configurations.
 TABLE_LIMIT = 1 << 16
 
 
-def _per_run_seed(seed, idx):
-    return (seed << 64) + idx
-
-
 class RunSampler:
-    """Per-program step tables over configuration ids; one instance serves
-    many runs."""
+    """Per-program step tables over the ids of one reach.ReachOracle; one
+    instance serves many runs."""
 
     def __init__(self, prog):
         self.prog = prog
         self._w_memo = {}
-        self._ids = {}          # Config -> id
-        self.configs = []       # id -> Config
+        self._start()
+
+    def _start(self):
+        self.oracle = reach.ReachOracle(self.prog)
+        self.configs = self.oracle.configs      # id -> Config, the oracle's
         # id -> (enabled, cum weights, total, its bit length, mid ids) or None
         self._choices = []
         # id -> (cum thresholds, W(lens), its bit length, letters, child ids) or None
         self._letters = []
 
+    def _grow(self):
+        """Give each id the oracle has handed out a slot in both tables."""
+        n = len(self.configs) - len(self._choices)
+        self._choices += [None] * n
+        self._letters += [None] * n
+
     def intern(self, c):
-        """The id of configuration c, given on first sight."""
-        got = self._ids.get(c)
-        if got is None:
-            got = self._ids[c] = len(self.configs)
-            self.configs.append(c)
-            self._choices.append(None)
-            self._letters.append(None)
+        """The oracle's id of configuration c."""
+        got = self.oracle.intern(c)
+        self._grow()
         return got
 
     def refill(self, cid):
-        """Drop every table, in place, and return the id of configuration
-        cid in the new ones; every other id is void. The run loops call it
-        between two steps once the tables hold TABLE_LIMIT ids."""
+        """Start a fresh oracle and tables, and return the id of configuration
+        cid in them; every other id is void and `configs` is a new list. The
+        run loops call it between two steps at TABLE_LIMIT ids."""
         c = self.configs[cid]
-        for table in (self._ids, self.configs, self._choices, self._letters):
-            table.clear()
+        self._start()
         return self.intern(c)
 
     def total_words(self, caps):
@@ -97,10 +97,11 @@ class RunSampler:
         return got
 
     def _fill_choices(self, cid):
-        c = self.configs[cid]
-        enabled = semantics.enabled_indices(self.prog, c)
+        steps = self.oracle.successors(cid)     # one (cid's parts, None) if none is enabled
+        enabled = [pi for *_, pi in steps if pi is not None]
+        mids = [self.oracle.node(lid, sid) for _, lid, sid, _ in steps]
+        self._grow()
         cum = list(itertools.accumulate(self.prog.processes[pi].weight for pi in enabled))
-        mids = [self.intern(semantics.process_step(self.prog, c, pi)) for pi in enabled]
         total = cum[-1] if cum else 0
         got = self._choices[cid] = (enabled, cum, total, total.bit_length(), mids)
         return got
@@ -154,9 +155,7 @@ class RunSampler:
     def absorbing(self, cid):
         """Whether configuration cid is its own only successor: no process
         is enabled and every buffer is empty."""
-        if any(self.configs[cid].bufs):
-            return False
-        return not (self._choices[cid] or self._fill_choices(cid))[2]
+        return not (self.oracle.sizes[cid] or (self._choices[cid] or self._fill_choices(cid))[2])
 
 
 @dataclass
@@ -167,7 +166,7 @@ class RunSample:
     total_cost: int | None
 
 
-def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
+def sample_run(prog, init, seed, horizon, label=None, cost=None):
     """Sample one run of `horizon` steps; records every step.
 
     first_hit is the step index of the first configuration containing
@@ -176,8 +175,7 @@ def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    sampler = sampler or RunSampler(prog)
-    configs = sampler.configs
+    sampler = RunSampler(prog)
     rng = random.Random(seed)
     c = init
     cid = sampler.intern(c)
@@ -186,14 +184,14 @@ def sample_run(prog, init, seed, horizon, label=None, cost=None, sampler=None):
     total_cost = 0 if (first_hit == 0 and cost is not None) else None
     running_cost = 0
     for i in range(1, horizon + 1):
-        if len(configs) >= TABLE_LIMIT:
+        if len(sampler.configs) >= TABLE_LIMIT:
             cid = sampler.refill(cid)
         pi, word, cid = sampler.step(cid, rng)
         name = None if pi is None else prog.processes[pi].name
         sched = tuple(prog.processes[w].name for w in word)
         if first_hit is None and cost is not None and pi is not None:
             running_cost += cost[c.labels[pi]]
-        c = configs[cid]
+        c = sampler.configs[cid]
         steps.append((name, sched, c))
         if first_hit is None and label is not None and label in c.labels:
             first_hit = i
@@ -257,17 +255,18 @@ def _first_hit_costs(prog, init, label, runs, horizon, seed, cost=None):
         c = configs[cid]
         return label in c.labels or not live(c) or sampler.absorbing(cid)
 
-    if ends_at(sampler.intern(init)):
+    start = sampler.intern(init)
+    if ends_at(start):
         yield from [0 if label in init.labels else None] * runs     # no run leaves init
         return
     ends = []       # id -> whether a run ends there, or None until decided
     for idx in range(runs):
-        rng = random.Random(_per_run_seed(seed, idx))
-        cid = sampler.intern(init)
-        acc = 0
+        rng = random.Random((seed << 64) + idx)       # run idx's own stream
+        cid, acc = start, 0
         for _ in range(horizon):
             if len(configs) >= limit:
                 cid = sampler.refill(cid)
+                configs, start = sampler.configs, sampler.intern(init)
                 ends.clear()
             if cid >= len(ends):
                 ends += [None] * (len(configs) - len(ends))
@@ -306,7 +305,7 @@ class CondCostEstimate:
         return {
             "analysis": "simulate_cost",
             "mean": self.mean,
-            "normal95": [self.interval[0], self.interval[1]],
+            "normal95": [None if isinf(end) else end for end in self.interval],
             "hitting_runs": self.hitting_runs,
             "runs": self.runs,
             "horizon": self.horizon,

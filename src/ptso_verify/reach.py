@@ -327,13 +327,13 @@ class ReachOracle:
         """The integer id of configuration c, given on first sight: c equals
         configs[id], and its size is sizes[id]. c is looked up by the ids of
         its local part and its store part."""
-        return self._node(self._local_of(c), self._store_id((c.bufs, c.mem)))
+        return self.node(self._local_of(c), self._store_id((c.bufs, c.mem)))
 
-    def _node(self, lid, sid):
+    def node(self, lid, sid):
         """The id of the configuration joining local id lid with store id
         sid, given on first sight. Only here is a configuration built, and
         only for a new id; row and explore look a known one up in _ids
-        inline and call this only when it is missing."""
+        inline and call this only when it is missing, Monte Carlo always."""
         ids = self._ids[sid]
         got = ids.get(lid)
         if got is None:
@@ -366,7 +366,7 @@ class ReachOracle:
         got = self._rows[i]
         if got is not None:
             return got
-        prog, ids, updates, node = self.prog, self._ids, self._updates, self._node
+        prog, ids, updates, node = self.prog, self._ids, self._updates, self.node
         steps = [(1 if pi is None else prog.processes[pi].weight, lid,
                   updates[s] or self._update_step(s))
                  for _, lid, s, pi in self.successors(i)]
@@ -406,7 +406,7 @@ class ReachOracle:
         queue = [root]             # FIFO, appended to while it is walked
         succs = {}
         pruned_at = set()
-        node, update_step = self._node, self._update_step
+        node, update_step = self.node, self._update_step
         for i in queue:
             kept = []
             for _, lid, sid, _ in sorted(self.successors(i)):

@@ -3,7 +3,9 @@
 decides whether a reachability answer is Unknown; only `reach` builds step
 rows, so every analysis reads its one row cache; only `semantics` and
 `reach` take the update step, and `markov` imports nothing from
-`semantics`, so exploration and rows share one step; only `reach` runs backward
+`semantics`, so exploration and rows share one step; only `semantics` and
+`reach` take process steps, and `montecarlo` reads its oracle's public
+tables only, so Monte Carlo samples that step too; only `reach` runs backward
 searches and the over-bound cone rule, so every analysis asks `can_reach`;
 every analysis rejects an unknown target label."""
 
@@ -147,6 +149,20 @@ def test_update_step_taken_in_semantics_and_reach_only():
               if isinstance(node, (ast.Import, ast.ImportFrom))
               and any(name.endswith("semantics") for name in
                       [getattr(node, "module", None) or "", *(a.name for a in node.names)])]
+    assert found == []
+
+
+def test_process_step_taken_in_semantics_and_reach_only():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "ptso_verify").glob("*.py"))
+             if path.name not in ("semantics.py", "reach.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and _name(node.func) in ("process_step", "enabled_indices")]
+    sampler = ast.parse((SRC / "ptso_verify" / "montecarlo.py").read_text())
+    found += [f"montecarlo.py:{node.lineno}" for node in ast.walk(sampler)
+              if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and _name(node.value) == "oracle"]
     assert found == []
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -187,6 +188,20 @@ def test_estimate_cond_cost_no_hits():
                            CostFunction.uniform(p), 10, 20, 0)
 
 
+def test_estimates_render_as_strict_json():
+    # one hitting run leaves the cost interval unbounded: its ends render as
+    # null, so no document needs JSON's non-standard Infinity
+    p = load_corpus("race_costs")
+    init = semantics.initial_config(p)
+    cf = CostFunction.uniform(p)
+    one = estimate_cond_cost(p, init, "HI", cf, runs=4, horizon=50, seed=3)
+    assert one.hitting_runs == 1 and one.to_json()["normal95"] == [None, None]
+    many = estimate_cond_cost(p, init, "HI", cf, runs=200, horizon=50, seed=3)
+    assert many.to_json()["normal95"] == list(many.interval)
+    for est in (one, many, estimate_reach(p, init, "HI", 4, 50, 3)):
+        json.dumps(est.to_json(), allow_nan=False)
+
+
 def test_wilson_interval():
     lo, hi = wilson_interval(50, 100)
     assert 0.4 < lo < 0.5 < hi < 0.6
@@ -246,6 +261,10 @@ def test_step_tables_refill_past_limit(monkeypatch):
         if len(tables.configs) >= montecarlo.TABLE_LIMIT:
             cid = tables.refill(cid)
             assert tables.configs == [c]
+            # the refill starts a fresh oracle: its shared tables hold c alone
+            oracle = tables.oracle
+            assert tables.configs is oracle.configs
+            assert (len(oracle._locals), len(oracle._stores)) == (1, 1)
         pi, word, cid = tables.step(cid, rng_t)
         got = ref.step(c, rng_r)
         assert (pi, word, tables.configs[cid]) == got
@@ -409,7 +428,7 @@ def test_sample_run_records_every_step_from_absorbing_start():
     assert not sampler.absorbing(sampler.intern(semantics.initial_config(p)))
     assert not sampler.absorbing(sampler.intern(make_config(
         p, labels={"P": "P2", "Q": "J"}, bufs={"P": [("x", 1)]})))
-    run = sample_run(p, done, seed=3, horizon=40, label="W1", sampler=sampler)
+    run = sample_run(p, done, seed=3, horizon=40, label="W1")
     assert run.steps == [(None, (), done)] * 40
     assert run.first_hit is None
 
