@@ -165,7 +165,7 @@ def expected_avg_cost(prog, init, label, cost, epsilon, oracle=None, eager=None,
         eager = eag.compute_eagerness(prog, label, oracle, source=init)
 
     alpha = eager.alpha
-    alpha_pow = eag.PowLadder(alpha, alpha)    # one squaring ladder for every done(m)
+    alpha_pow = eag.PowLadder(alpha)    # one squaring ladder for every done(m)
     n_threshold = eager.n_threshold
     base_c = Fraction(cost.max_cost) / (1 - alpha) ** 2
     base_p = 1 / (1 - alpha)

@@ -10,7 +10,8 @@ the target (rate alpha_d, from a positive single-visit hit probability mu).
 
 Irrational quantities are handled as certified rational intervals: float
 seeds verified by exact integer arithmetic, Bernoulli bounds as fallback,
-and interval powers with outward relative rounding.
+and powers of a rational bracketed by one squaring ladder per base whose
+every product is rounded outward (`_round_frac`, `PowLadder`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DEFAULT_BETA = 150
 
 SQRT_BITS = 96          # sqrt_bounds: hi - lo = 1/(den * 2^SQRT_BITS)
 ROOT_REL_BITS = 48      # nth_root_bounds: first relative slack 2^-ROOT_REL_BITS
-POW_BITS = 128          # iv_pow: bits kept by each outward rounding
+POW_BITS = 128          # PowLadder: bits kept by each outward rounding
 COARSE_BITS = 48        # _coarse_upper: bits of the grid rates are rounded up to
 
 
@@ -85,53 +86,33 @@ def nth_root_bounds(y, n):
         seed = 0.0
     if not (seed > 0 and math.isfinite(seed)):
         return bern_lo, bern_hi
-    slack = Fraction(1, 1 << ROOT_REL_BITS)
     f = Fraction(seed)
-    lo = f * (1 - slack)
-    for _ in range(12):
-        if lo <= 0 or pow_decide(lo, n, lambda p: p <= y):
-            break
-        slack *= 4
-        lo = f * (1 - slack)
-    else:
-        lo = bern_lo
-    slack = Fraction(1, 1 << ROOT_REL_BITS)
-    hi = f * (1 + slack)
-    for _ in range(12):
-        if pow_decide(hi, n, lambda p: p >= y):
-            break
-        slack *= 4
-        hi = f * (1 + slack)
-    else:
-        hi = bern_hi
-    return max(lo, bern_lo), min(hi, bern_hi)
+    lo_hi = []
+    # Each side moves the seed outward by a relative slack, quadrupled after
+    # each failed check; after 12 failures it takes its Bernoulli bound, and
+    # a lower candidate <= 0 gives way to it too, through the max below.
+    for sign, pred, bern in ((-1, lambda p: p <= y, bern_lo), (1, lambda p: p >= y, bern_hi)):
+        slack = Fraction(1, 1 << ROOT_REL_BITS)
+        for _ in range(12):
+            x = f * (1 + sign * slack)
+            if x <= 0 or pow_decide(PowLadder(x), n, pred):
+                break
+            slack *= 4
+        else:
+            x = bern
+        lo_hi.append(x)
+    return max(lo_hi[0], bern_lo), min(lo_hi[1], bern_hi)
 
 
-def round_down(x, bits=POW_BITS):
-    """Largest multiple of a power of two below x with ~bits of precision."""
-    if x == 0:
-        return x
-    n, d = x.numerator, x.denominator
-    shift = bits - (n.bit_length() - d.bit_length())
-    if shift >= 0:
-        return Fraction((n << shift) // d, 1 << shift)
-    s = -shift
-    return Fraction((n // (d << s)) << s)
-
-
-def round_up(x, bits=POW_BITS):
-    """Smallest multiple of a power of two above x with ~bits of precision."""
-    return -round_down(-x, bits)
-
-
-def _round_frac(n, d, up):
-    """round_down(n/d), or round_up with `up`, for a reduced n/d >= 0, as
-    (m, e) meaning m * 2**e; zero is (0, 0), so its rungs keep e at 0."""
+def _round_frac(n, d, up, bits=POW_BITS):
+    """n/d rounded down, or up with `up`, to a multiple of a power of two
+    with about `bits` bits of precision, for a reduced n/d >= 0, as (m, e)
+    meaning m * 2**e; zero is (0, 0), so its rungs keep e at 0."""
     if not n:
         return 0, 0
     if up:
         n = -n
-    shift = POW_BITS - (n.bit_length() - d.bit_length())
+    shift = bits - (n.bit_length() - d.bit_length())
     if shift >= 0:
         m, e = (n << shift) // d, -shift
     else:
@@ -139,10 +120,15 @@ def _round_frac(n, d, up):
     return (-m, e) if up else (m, e)
 
 
+def _dyadic(m, e):
+    """The Fraction m * 2**e."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
 def _round_mul(a, b, up):
-    """round_down, or round_up with `up`, of the product of two dyadics
-    (m, e) >= 0: the top POW_BITS + 1 bits of the mantissa kept, the rest
-    floored or ceiled away."""
+    """The product of two dyadics (m, e) >= 0 rounded down, or up with `up`:
+    the top POW_BITS + 1 bits of the mantissa kept, the rest floored or
+    ceiled away."""
     m, e = a[0] * b[0], a[1] + b[1]
     k = m.bit_length() - 1 - POW_BITS
     if k > 0:
@@ -152,24 +138,25 @@ def _round_mul(a, b, up):
 
 
 class PowLadder:
-    """[lo, hi]^n for 0 <= lo <= hi and any n >= 0, with outward relative
-    rounding: the squaring ladder of each bound on dyadic mantissas.
+    """x**n for a rational x >= 0 and any n >= 0, bracketed with outward
+    relative rounding: two squaring ladders of x on dyadic mantissas, one
+    rounded down and one up.
 
-    Rung k of a bound is its 2**k-th power, rounded outward to POW_BITS + 1
-    bits: rung 0 the bound rounded, rung 1 its exact square rounded, rung
-    k + 1 rung k squared and rounded. pow(n) multiplies the rungs of the
-    bits of n from the lowest up, rounding each product, and converts to
-    Fraction only the two results. Rungs are squared once, on first need,
-    so one ladder answers any number of exponents.
+    Rung k of a ladder is x**(2**k) rounded to POW_BITS + 1 bits: rung 0 x
+    rounded, rung 1 its exact square rounded, rung k + 1 rung k squared and
+    rounded. pow(n) multiplies the rungs of the bits of n from the lowest
+    up, rounding each product, and converts to Fraction only the two
+    results. Rungs are squared once, on first need, so one ladder answers
+    any number of exponents.
     """
 
-    def __init__(self, lo, hi):
-        if not 0 <= lo <= hi:
-            raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
-        self.lo, self.hi = lo, hi
-        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-        self._rungs = ([_round_frac(ln, ld, False), _round_frac(ln * ln, ld * ld, False)],
-                       [_round_frac(hn, hd, True), _round_frac(hn * hn, hd * hd, True)])
+    def __init__(self, x):
+        if x < 0:
+            raise ValueError("PowLadder needs a base x >= 0")
+        self.x = x
+        n, d = x.numerator, x.denominator
+        self._rungs = ([_round_frac(n, d, False), _round_frac(n * n, d * d, False)],
+                       [_round_frac(n, d, True), _round_frac(n * n, d * d, True)])
 
     def _side(self, up, n):
         rungs = self._rungs[up]
@@ -183,37 +170,28 @@ class PowLadder:
             if n & 1:
                 acc = _round_mul(acc, rungs[k], up)
             n >>= 1
-        m, e = acc
-        return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+        return _dyadic(*acc)
 
     def pow(self, n):
-        """Certified (lo, hi) with lo <= lo_bound**n and hi_bound**n <= hi."""
+        """Certified (lo, hi) with lo <= x**n <= hi."""
         if n < 0:
-            raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
+            raise ValueError("PowLadder needs an exponent n >= 0")
         if n == 0:
             return Fraction(1), Fraction(1)
         return self._side(False, n), self._side(True, n)
 
 
-def iv_pow(lo, hi, n):
-    """[lo, hi]^n for 0 <= lo <= hi, with outward relative rounding."""
-    return PowLadder(lo, hi).pow(n)
-
-
-def pow_decide(x, n, pred):
-    """pred(x**n) for x >= 0 and a predicate monotone in its argument; x is
-    a number or a point PowLadder of it, which answers every n of a search.
+def pow_decide(ladder, n, pred):
+    """pred(x**n) for the base x of a PowLadder and a predicate monotone in
+    its argument; one ladder answers every n of a search.
 
     Decided on the ladder's certified interval when pred agrees at both
     ends, so the exact power, which can run to millions of bits, is computed
     only when the interval straddles pred's switching point.
     """
-    ladder = x if isinstance(x, PowLadder) else PowLadder(x, x)
-    if ladder.lo != ladder.hi:
-        raise ValueError("pow_decide needs a point base")
     lo, hi = ladder.pow(n)
     got = pred(lo)
-    return got if got == pred(hi) else pred(ladder.lo ** n)
+    return got if got == pred(hi) else pred(ladder.x ** n)
 
 
 def least_n(pred, n_min=1, hint=None):
@@ -284,10 +262,8 @@ def srun_rate(beta):
     g_lo, g_hi = gamma_bounds()
     root_lo, root_hi = nth_root_bounds(Fraction(2 * beta), beta)
     front = Fraction(beta, beta - 1)
-    mid_lo, mid_hi = iv_pow(Fraction(1, beta) + 1 / g_hi,
-                            Fraction(1, beta) + 1 / g_lo, 1 // beta)
-    return (front * root_lo * mid_lo * g_lo,
-            front * root_hi * mid_hi * g_hi)
+    # floor(1/beta) is 0 for every beta >= 2, so the third factor is 1.
+    return front * root_lo * g_lo, front * root_hi * g_hi
 
 
 # --- the certificate ---
@@ -329,27 +305,14 @@ class EagernessParams:
         }
 
 
-def _steps_to(ex, hits):
-    """Explored id -> its fewest steps to one of the ids `hits`, by one
-    backward BFS over `ex.preds()`: the ids that can reach `hits`."""
-    preds, steps = ex.preds(), dict.fromkeys(hits, 0)
-    queue = list(hits)
-    for c in queue:                 # grows while read: the BFS queue
-        for p in preds[c]:
-            if p not in steps:
-                steps[p] = steps[c] + 1
-                queue.append(p)
-    return steps
-
-
 def _witness_bfs(succs, steps, start, rank):
     """Shortest path of ids from `start` to a label-bearing id that never
     revisits `start`: the BFS over `succs` (bound-filtered, in configuration
     order), each layer expanded in witness order, read from `rank` (explored
     id -> its place in `ex.in_witness_order`), up to the first label-bearing
     id found. It follows only successors one step nearer the label by
-    `steps` (`_steps_to`): every shortest path runs through them, and each
-    one's first discoverer in the full search is one of them."""
+    `steps` (`ex.reaching(label)`): every shortest path runs through them,
+    and each one's first discoverer in the full search is one of them."""
     parent = {start: start}
     layer = [start]
     while layer:
@@ -380,15 +343,15 @@ def compute_mu(prog, label, oracle=None, source=None):
     witness (they cannot occur strictly before a first hit) and are skipped.
     Returns (mu, per-id map, A as ids in witness order) over `oracle`'s ids,
     searched in its final-bound exploration from the configuration `source`.
-    The explored ids are ranked in witness order and their steps to the
-    label counted once, and each path source's distribution is read once.
+    The explored ids are ranked in witness order once, their steps to the
+    label are `ex.reaching(label)`, and each path source's distribution is
+    read once.
     """
     oracle = oracle or reach.ReachOracle(prog)
     source = semantics.initial_config(prog) if source is None else source
     ex, configs = oracle.checked(oracle.intern(source), "A-set"), oracle.configs
     rank = {i: k for k, i in enumerate(ex.in_witness_order(ex.nodes))}
-    hits = {i for i in ex.nodes if label in configs[i].labels}
-    steps = _steps_to(ex, hits)     # keyed by ex.reaching(label)
+    steps = ex.reaching(label)
     a_set = sorted((i for i in steps if oracle.sizes[i] <= SMALL_SIZE), key=rank.__getitem__)
     if not a_set:
         raise ValueError(f"label {label!r} is not reachable from the start configuration"
@@ -396,7 +359,7 @@ def compute_mu(prog, label, oracle=None, source=None):
     per = {}
     dists = {}                     # path source id -> its distribution
     for i in a_set:
-        if i in hits:
+        if not steps[i]:            # bears the label
             continue
         path = _witness_bfs(ex.succs, steps, i, rank)
         num = den = 1
@@ -415,8 +378,19 @@ def compute_mu(prog, label, oracle=None, source=None):
 def _coarse_upper(x):
     """Round a certified upper bound in (0,1) up to a small-denominator grid,
     keeping it below 1; coarse rates keep the cost loop's exact powers cheap."""
-    r = round_up(x, COARSE_BITS)
+    r = _dyadic(*_round_frac(x.numerator, x.denominator, True, COARSE_BITS))
     return r if r < 1 else x
+
+
+def _log_hint(const, ratio, beta):
+    """A float guess, for least_n, at the least n with ratio**n >= const > 1.
+    A ratio > 1 that a float cannot tell from 1 comes from a beta too large
+    for the certificate's thresholds to be searched."""
+    ln = _ln_frac(ratio)
+    if ln == 0:
+        raise ValueError(f"beta={beta} is too large: the certificate's rates are "
+                         "within float precision of each other; use a smaller beta")
+    return int(_ln_frac(const) / ln) + 1
 
 
 def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
@@ -447,40 +421,26 @@ def compute_eagerness(prog, label, oracle=None, source=None, beta=DEFAULT_BETA):
             raise AssertionError("D-run base rate is not below 1")
         alpha_d = (base_hi + 1) / 2
         inner_hi = nth_root_bounds(1 - mu, size_a)[1]
-        const_hi = size_a / ((1 - mu) * (1 - inner_hi))
+        const_hi = size_a / ((1 - mu) * (1 - inner_hi))    # > 1: both factors in (0, 1)
         ratio = alpha_d / base_hi
-        hint = int(_ln_frac(const_hi) / _ln_frac(ratio)) + 1 if const_hi > 1 else 1
-
-        ratio_pow = PowLadder(ratio, ratio)
-
-        def dcheck(n):
-            return ratio_pow.pow(n)[0] >= const_hi
-
-        n_d = least_n(dcheck, 1, hint)
+        ratio_pow = PowLadder(ratio)
+        n_d = least_n(lambda n: ratio_pow.pow(n)[0] >= const_hi, 1,
+                      _log_hint(const_hi, ratio, beta))
 
     alpha_hat = (max(alpha_s[1], alpha_d) + 1) / 2
     rs = alpha_s[1] / alpha_hat
     rd = alpha_d / alpha_hat
 
-    rs_pow, rd_pow = PowLadder(rs, rs), PowLadder(rd, rd)
-
-    def hcheck(n):
-        return rs_pow.pow(n)[1] + rd_pow.pow(n)[1] <= 1
-
-    n_hat = least_n(hcheck, 1, 64)
+    rs_pow, rd_pow = PowLadder(rs), PowLadder(rd)
+    n_hat = least_n(lambda n: rs_pow.pow(n)[1] + rd_pow.pow(n)[1] <= 1, 1, 64)
 
     alpha = (alpha_hat + 1) / 2
     ra = alpha / alpha_hat
     lim = 1 / (1 - alpha_hat)
-    hint = int(_ln_frac(lim) / _ln_frac(ra)) + 1
-
-    ra_pow = PowLadder(ra, ra)
-
-    def tcheck(n):
-        return ra_pow.pow(n)[0] >= lim
-
+    ra_pow = PowLadder(ra)
     # The S-run bound holds only for n >= 2*beta.
-    n_threshold = least_n(tcheck, max(n_d, 2 * beta, n_hat), hint)
+    n_threshold = least_n(lambda n: ra_pow.pow(n)[0] >= lim, max(n_d, 2 * beta, n_hat),
+                          _log_hint(lim, ra, beta))
 
     params = EagernessParams(Q_STAR, P_STAR, gamma, beta, alpha_s, tuple(a_set),
                              mu, alpha_d, n_d, alpha_hat, n_hat, alpha, n_threshold)

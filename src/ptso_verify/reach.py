@@ -75,28 +75,23 @@ class Exploration:
             self._preds = preds
         return self._preds
 
-    def backward_set(self, targets):
-        """All explored ids that can reach the ids `targets`."""
-        preds = self.preds()
-        seen = set()
-        stack = [t for t in targets if t in self.nodes]
-        seen.update(stack)
-        while stack:
-            c = stack.pop()
-            for p in preds[c]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return seen
-
     def reaching(self, target):
-        """All explored ids that can reach `target`: a label (a configuration
-        bearing it) or a frozenset of ids."""
+        """{id: its fewest steps to `target`} over the explored ids that can
+        reach it, by one backward BFS over `preds()`; `target` is a label (a
+        configuration bearing it) or a frozenset of ids."""
         got = self._reaching.get(target)
         if got is None:
-            got = self._reaching[target] = self.backward_set(
-                target if isinstance(target, frozenset)
-                else (c for c in self.nodes if target in self.configs[c].labels))
+            hits = (target if isinstance(target, frozenset)
+                    else (c for c in self.nodes if target in self.configs[c].labels))
+            preds, got = self.preds(), {t: 0 for t in hits if t in self.succs}
+            queue = list(got)
+            for c in queue:             # grows while read: the BFS queue
+                d = got[c] + 1
+                for p in preds[c]:
+                    if p not in got:
+                        got[p] = d
+                        queue.append(p)
+            self._reaching[target] = got
         return got
 
     def bottom_sccs(self):

@@ -8,22 +8,26 @@ every oracle subcommand over every label of the corpus programs.
 holds this file and writes {argv: [exit code, stdout sha256, seconds]} as
 JSON, with the temporary directory of the --init files written as $TMP in
 each argv. A query still running after --alarm seconds (default 20) is
-recorded as ["alarm", null, seconds]. --compare lists the queries whose exit code or
-sha256 differ between two such files, and exits 1 if any do; it then prints
-each side's summed seconds per subcommand and the queries that alarmed.
+recorded as ["alarm", null, seconds], and one that raises an exception past
+`cli.main` as ["raise <Name>", null, seconds]. --compare lists the queries
+whose exit code or sha256 differ between two such files, and exits 1 if any
+do; it then prints each side's summed seconds per subcommand and the
+queries that alarmed.
 Files of two-field entries, [exit code, stdout sha256], compare too.
 
 The queries, over every label of every corpus program: qual-reach,
 qual-rep-reach, never-reach, never-rep-reach, quant-reach, quant-rep-reach,
 cost and eagerness, at --bound 1 and 3, each lax and --strict, with quant-*
 capped at 40 iterations and cost at 60 layers; never-reach with --bound-max
-4 at the same bounds and modes; simulate with --runs 200 --horizon 100 at
---seed 0 and 1; and, for each program that has one, the same eight oracle
+4 at the same bounds and modes; eagerness at --bound 3, lax, with --beta
+100, 149 and 1000; simulate with --runs 200 --horizon 100 at --seed 0 and
+1; and, for each program that has one, the same eight oracle
 subcommands at --bound 1, lax and --strict, and simulate at both seeds, from
 an --init start over the bound: the first successor over bound 1, in
 configuration order, of the configurations reachable within bound 1 from the
-initial one. On the corpus that is 3,860 queries, 630 of them from the
---init starts of loop_all, race_retry and writer_reader.
+initial one. On the corpus that is 4,115 queries, 630 of them from the
+--init starts of loop_all, race_retry and writer_reader and 255 of them
+eagerness at the three betas.
 """
 
 import argparse
@@ -49,6 +53,7 @@ SUBCOMMANDS = ("qual-reach", "qual-rep-reach", "never-reach", "never-rep-reach",
 CAPS = {"quant-reach": ["--max-iterations", "40"],
         "quant-rep-reach": ["--max-iterations", "40"],
         "cost": ["--max-layers", "60"]}
+BETAS = ("100", "149", "1000")
 
 
 class Alarm(BaseException):
@@ -86,6 +91,8 @@ def queries(tmp):
                     for sub in SUBCOMMANDS:
                         yield [sub, *common, *CAPS.get(sub, [])]
                     yield ["never-reach", *common, "--bound-max", "4"]
+            for beta in BETAS:
+                yield ["eagerness", program, "--label", label, "--bound", "3", "--beta", beta]
             for seed in ("0", "1"):
                 yield ["simulate", program, "--label", label, "--runs", "200",
                        "--horizon", "100", "--seed", seed]
@@ -110,6 +117,8 @@ def run(argv, alarm):
         return ["alarm", None, round(time.perf_counter() - t0, 3)]
     except SystemExit as exc:
         code = exc.code
+    except Exception as exc:
+        return [f"raise {type(exc).__name__}", None, round(time.perf_counter() - t0, 3)]
     finally:
         signal.alarm(0)
     seconds = round(time.perf_counter() - t0, 3)

@@ -260,6 +260,17 @@ def test_unreachable_label_named_exit_2(command):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["eagerness", "cost"])
+def test_beta_too_large_exit_2(command):
+    # the D-run rate ratio is 1 to float precision, so no threshold search
+    # can start; at --beta 10**9 it still answers
+    r = run_cli(command, prog("race_costs"), "--label", "GOAL", "--beta", str(10**12))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == (f"error: beta={10**12} is too large: the certificate's rates are "
+                        "within float precision of each other; use a smaller beta\n")
+    assert r.stdout == ""
+
+
 @pytest.mark.parametrize("argv,bound", [
     (["cost", prog("loop_all"), "--label", "PT", "--bound", "1", "--max-layers", "60"], 1),
     (["eagerness", prog("writer_reader"), "--label", "L3", "--bound", "3"], 3),

@@ -233,9 +233,8 @@ def test_threshold_search_matches_exact_predicate(det, monkeypatch, epsilon):
     p, init, oracle = det
     cf = CostFunction.uniform(p)
     fast = expected_avg_cost(p, init, "GOAL", cf, epsilon, oracle)
-    # cost passes its point ladder of alpha, nth_root_bounds a number
-    monkeypatch.setattr(eagerness, "pow_decide", lambda x, n, pred: pred(
-        (x.lo if isinstance(x, eagerness.PowLadder) else x) ** n))
+    # cost and nth_root_bounds pass a ladder of their base
+    monkeypatch.setattr(eagerness, "pow_decide", lambda ladder, n, pred: pred(ladder.x ** n))
     exact = expected_avg_cost(p, init, "GOAL", cf, epsilon, oracle)
     assert (fast.n, fast.c_error, fast.p_error) == (exact.n, exact.c_error, exact.p_error)
     assert fast.n > fast.n_threshold

@@ -6,11 +6,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import witness_reference
 from conftest import corpus_names, load_corpus
-from ptso_verify import lang, reach, semantics
-from ptso_verify.eagerness import (GamblerParams, PowLadder, compute_eagerness, compute_mu,
+from ptso_verify import eagerness, lang, reach, semantics
+from ptso_verify.eagerness import (COARSE_BITS, POW_BITS, GamblerParams, PowLadder,
+                                   _dyadic, _round_frac, compute_eagerness, compute_mu,
                                    gambler_first_passage, gambler_tail_bound,
-                                   gamma_bounds, iv_pow, least_n, nth_root_bounds, pow_decide,
-                                   round_down, round_up, sqrt_bounds, srun_rate)
+                                   gamma_bounds, least_n, nth_root_bounds, pow_decide,
+                                   sqrt_bounds, srun_rate)
 
 F = Fraction
 
@@ -137,36 +138,95 @@ def test_nth_root_bounds_certified(a, b, n):
     assert 0 < lo <= hi
 
 
+# nth_root_bounds(y, n) and its number of pow_decide calls as the two-loop
+# form at commit 60769da gave them, one case per way out: both sides on the
+# first try, a lower and an upper side widened, a lower candidate <= 0
+# (ROOT_REL_BITS = 0 makes the first one 0, and it is never checked), 12
+# failed tries on both sides (pow_decide always False), and a seed that
+# overflows a float.
+ROOT_EXITS = [
+    ("first", F(2), 3, {}, 2,
+     F("1597139675139411290042993380725/1267650600228229401496703205376"),
+     F("1597139675139422638402935026315/1267650600228229401496703205376")),
+    ("first-small", F(1, 3), 150, {}, 2,
+     F("1258400140294961488576749358725/1267650600228229401496703205376"),
+     F("1258400140294970430047533019515/1267650600228229401496703205376")),
+    ("lo-widened", F(2503155504993241601315571986085850, 7), 2, {}, 3,
+     F("332670816712938372757799269827/17592186044416"),
+     F("1330683266851777128714418555453/70368744177664")),
+    ("hi-widened", F(4710128697246244834921603690, 7), 2, {}, 3,
+     F("467290694532302939699463473775/18014398509481984"),
+     F("116822673633077810112418919825/4503599627370496")),
+    ("lo-zero", F(1000), 2, {"ROOT_REL_BITS": 0}, 1,
+     F(2000, 1001), F("4450510153742611/70368744177664")),
+    ("bernoulli", F(1000), 2, {"pow_decide": lambda ladder, n, pred: False}, 24,
+     F(2000, 1001), F(1001, 2)),
+    ("overflow", F(2**3000), 2, {}, 0, 2 / (1 + F(1, 2**3000)), (2**3000 + 1) / F(2)),
+]
+
+
+@pytest.mark.parametrize("case", ROOT_EXITS, ids=[c[0] for c in ROOT_EXITS])
+def test_nth_root_bounds_on_every_exit(monkeypatch, case):
+    _, y, n, patch, calls, lo, hi = case
+    for name, value in patch.items():
+        monkeypatch.setattr(eagerness, name, value)
+    decide, asked = eagerness.pow_decide, []
+    monkeypatch.setattr(eagerness, "pow_decide",
+                        lambda ladder, n, pred: asked.append(n) or decide(ladder, n, pred))
+    assert nth_root_bounds(y, n) == (lo, hi)
+    assert len(asked) == calls
+    assert lo ** n <= y <= hi ** n
+
+
+def round_down(x, bits):
+    """Reference: the largest multiple of a power of two at most x with
+    about `bits` bits of precision, on Fractions."""
+    if x == 0:
+        return x
+    n, d = x.numerator, x.denominator
+    shift = bits - (n.bit_length() - d.bit_length())
+    if shift >= 0:
+        return F((n << shift) // d, 1 << shift)
+    return F((n // (d << -shift)) << -shift)
+
+
+def round_up(x, bits):
+    """Reference: the smallest such multiple at least x."""
+    return -round_down(-x, bits)
+
+
 def test_rounding_brackets():
-    x = F(355, 113)
-    assert round_down(x) <= x <= round_up(x)
-    assert round_down(x, 8) <= x <= round_up(x, 8)
-    tiny = F(1, 10**50)
-    assert 0 < round_down(tiny) <= tiny <= round_up(tiny)
+    for bits, x in itertools.product((8, COARSE_BITS, POW_BITS), (
+            F(355, 113), F(1, 10**50), F(10**50, 3), F(2**200), F(0), F(1))):
+        down = _dyadic(*_round_frac(x.numerator, x.denominator, False, bits))
+        up = _dyadic(*_round_frac(x.numerator, x.denominator, True, bits))
+        assert (down, up) == (round_down(x, bits), round_up(x, bits))
+        assert down <= x <= up
+        assert x == 0 or 0 < down
 
 
-def test_iv_pow_contains_exact():
-    lo, hi = F(2, 3), F(2, 3)
+def test_pow_ladder_contains_exact():
+    ladder = PowLadder(F(2, 3))
     for n in (0, 1, 7, 100, 12345):
-        plo, phi = iv_pow(lo, hi, n)
+        plo, phi = ladder.pow(n)
         assert plo <= F(2, 3) ** n <= phi
 
 
-def fraction_iv_pow(lo, hi, n):
-    """Reference: [lo, hi]^n by square-and-multiply on Fractions, each
-    product rounded outward by round_down / round_up."""
-    if not (0 <= lo <= hi and n >= 0):
-        raise ValueError("iv_pow needs 0 <= lo <= hi and n >= 0")
+def fraction_iv_pow(x, n):
+    """Reference: x**n by square-and-multiply on Fractions, each product
+    rounded down and up to POW_BITS bits, a lower and an upper bound."""
+    if not (x >= 0 and n >= 0):
+        raise ValueError("needs x >= 0 and n >= 0")
     rlo, rhi = F(1), F(1)
-    blo, bhi = lo, hi
+    blo, bhi = x, x
     while n:
         if n & 1:
-            rlo = round_down(rlo * blo)
-            rhi = round_up(rhi * bhi)
+            rlo = round_down(rlo * blo, POW_BITS)
+            rhi = round_up(rhi * bhi, POW_BITS)
         n >>= 1
         if n:
-            blo = round_down(blo * blo)
-            bhi = round_up(bhi * bhi)
+            blo = round_down(blo * blo, POW_BITS)
+            bhi = round_up(bhi * bhi, POW_BITS)
     return rlo, rhi
 
 
@@ -177,63 +237,57 @@ NEAR_ONE = st.integers(-2**20, 2**20).map(lambda k: 1 + F(k, 2**50))
 
 @st.composite
 def pow_cases(draw):
-    """(lo, hi, n): a point or proper interval, lo = 0 among them, of
-    rationals in [0, 2] with n <= 3,000 or of bases near 1 with n <= 1e9;
-    n = 0, 1, 2 drawn often. A small base with a huge n is never drawn: the
-    reference would need a 2**n-bit denominator."""
+    """(x, n): a rational in [0, 2], 0 among them, with n <= 3,000, or a
+    base near 1 with n <= 1e9; n = 0, 1, 2 drawn often. A small base with a
+    huge n is never drawn: the reference would need a 2**n-bit denominator."""
     near = draw(st.booleans())
-    a, b = sorted(draw(st.lists(NEAR_ONE if near else RATIONALS, min_size=2, max_size=2)))
-    lo = draw(st.sampled_from([a, b, F(0)]))
-    hi = max(lo, b)
+    x = draw(st.one_of(NEAR_ONE if near else RATIONALS, st.just(F(0))))
     n = draw(st.one_of(st.sampled_from([0, 1, 2]),
                        st.integers(0, 10**9 if near else 3000)))
-    return lo, hi, n
+    return x, n
 
 
 @settings(max_examples=300, deadline=None)
 @given(pow_cases())
-@example((F(0), F(0), 5))
-@example((F(1), F(1), 10**9))
-@example((F(0), F(1, 3), 0))
+@example((F(0), 5))
+@example((F(1), 10**9))
+@example((F(0), 0))
 def test_pow_ladder_equals_fraction_iv_pow(case):
-    lo, hi, n = case
-    want = fraction_iv_pow(lo, hi, n)
-    assert iv_pow(lo, hi, n) == PowLadder(lo, hi).pow(n) == want
-    assert all(type(x) is F for x in want)
+    x, n = case
+    want = fraction_iv_pow(x, n)
+    assert PowLadder(x).pow(n) == want
+    assert all(type(v) is F for v in want)
 
 
 def test_pow_ladder_zero_bound_stays_small():
-    # a zero bound's rungs stay (0, 0): an exponent that doubled with every
+    # a zero base's rungs stay (0, 0): an exponent that doubled with every
     # squaring would make pow(n) build a 2**(129 * n)-sized denominator
-    assert iv_pow(F(0), F(1), 2**62) == (0, 1)
-    assert PowLadder(F(0), F(0)).pow(10**9) == (0, 0)
+    assert PowLadder(F(0)).pow(2**62) == (0, 0)
+    assert PowLadder(F(0)).pow(10**9) == (0, 0)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.tuples(RATIONALS, RATIONALS).map(sorted),
-       st.lists(st.integers(0, 3000), min_size=1, max_size=12))
-def test_pow_ladder_reused_across_exponents(bounds, ns):
+@given(RATIONALS, st.lists(st.integers(0, 3000), min_size=1, max_size=12))
+def test_pow_ladder_reused_across_exponents(x, ns):
     # one ladder, asked for n descending and then ascending, gives what a
     # fresh ladder gives for each n
-    lo, hi = bounds
-    ladder = PowLadder(lo, hi)
+    ladder = PowLadder(x)
     order = sorted(ns, reverse=True) + sorted(ns)
-    assert [ladder.pow(n) for n in order] == [PowLadder(lo, hi).pow(n) for n in order]
+    assert [ladder.pow(n) for n in order] == [PowLadder(x).pow(n) for n in order]
 
 
 def test_pow_ladder_rejects_bad_input():
-    for lo, hi, n in ((F(1, 2), F(1, 3), 1), (F(-1), F(1), 1), (F(1), F(2), -1)):
-        with pytest.raises(ValueError):
-            iv_pow(lo, hi, n)
-    with pytest.raises(ValueError, match="point base"):
-        pow_decide(PowLadder(F(1, 3), F(1, 2)), 3, lambda p: p < 1)
+    with pytest.raises(ValueError, match="base"):
+        PowLadder(F(-1))
+    with pytest.raises(ValueError, match="exponent"):
+        PowLadder(F(1, 2)).pow(-1)
 
 
 def _decide(x, n, pred):
     """pow_decide(x, n, pred), and whether it fell back to the exact power
     (pred is then asked a third time)."""
     calls = []
-    got = pow_decide(x, n, lambda p: calls.append(p) or pred(p))
+    got = pow_decide(PowLadder(x), n, lambda p: calls.append(p) or pred(p))
     return got, len(calls) == 3
 
 
@@ -243,7 +297,7 @@ def _decide(x, n, pred):
 @example(a=2**20, b=1, n=7, delta=0)
 def test_pow_decide_sign_at_ties_and_neighbours(a, b, n, delta):
     # y is x**n itself or one unit from it in its last place at 128+ bits,
-    # inside iv_pow's interval, so the exact power decides
+    # inside the ladder's interval, so the exact power decides
     x = F(a, b)
     exact = x ** n
     assume(exact.numerator.bit_length() >= 128)
@@ -254,7 +308,7 @@ def test_pow_decide_sign_at_ties_and_neighbours(a, b, n, delta):
     if delta == 0:
         # a point interval is the exact power itself (x a power of two, as
         # in a=2**20, b=1); any other interval straddles the tie
-        lo, hi = iv_pow(x, x, n)
+        lo, hi = PowLadder(x).pow(n)
         assert lo == hi == exact or (above_exact and below_exact)
 
 
@@ -381,10 +435,10 @@ def test_compute_eagerness_sandwich_inequalities():
     assert eager.n_threshold >= max(eager.n_d, 300, eager.n_hat)
     # the threshold inequalities certify at the returned n
     ra = eager.alpha / eager.alpha_hat
-    assert iv_pow(ra, ra, eager.n_threshold)[0] >= 1 / (1 - eager.alpha_hat)
+    assert PowLadder(ra).pow(eager.n_threshold)[0] >= 1 / (1 - eager.alpha_hat)
     rs = eager.alpha_s[1] / eager.alpha_hat
     rd = eager.alpha_d / eager.alpha_hat
-    assert iv_pow(rs, rs, eager.n_hat)[1] + iv_pow(rd, rd, eager.n_hat)[1] <= 1
+    assert PowLadder(rs).pow(eager.n_hat)[1] + PowLadder(rd).pow(eager.n_hat)[1] <= 1
 
 
 def test_compute_eagerness_beta_too_small():

@@ -171,7 +171,7 @@ def test_can_reach_decided_in_reach_only():
              for path in sorted((SRC / "ptso_verify").glob("*.py"))
              if path.name != "reach.py"
              for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and _name(node.func) in ("cone_roots", "backward_set")]
+             if isinstance(node, ast.Call) and _name(node.func) in ("cone_roots", "preds")]
     assert found == []
 
 

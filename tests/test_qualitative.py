@@ -133,7 +133,7 @@ def test_scan_equivalent_to_all_mode_guarded(corpus_mod, oracles):
     nodes = {oracle.configs[i]: i for i in ex.nodes}
     for lbl in sorted(p.labels()):
         targets = {i for c, i in nodes.items() if lbl in c.labels}
-        can = ex.backward_set(targets)
+        can = ex.reaching(frozenset(targets))
         scan = True
         for c in exhaustive.all_plain_configs(p):
             if c in nodes and nodes[c] not in can:

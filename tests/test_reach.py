@@ -145,10 +145,44 @@ def test_every_plain_reaches_bplain():
     init = oracle.intern(semantics.initial_config(p))
     ex = oracle.explore(init)
     bplain = set(oracle.bplain_configs(init))
-    back = ex.backward_set(bplain)
+    back = ex.reaching(frozenset(bplain))
     for i in ex.nodes:
         if semantics.is_plain(oracle.configs[i]):
             assert i in back
+
+
+@pytest.mark.parametrize("name,label", [("writer_reader", "WIN"), ("loop_all", "P2")])
+def test_reaching_gives_forward_distances(name, label):
+    # each id's value is the length of its shortest path to a label-bearing
+    # id, by a forward BFS from the id; the keys are the ids that a search
+    # over `preds` from the label-bearing ids reaches
+    p = load_corpus(name)
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=3))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(p)))
+    hits = {i for i in ex.nodes if label in oracle.configs[i].labels}
+    want = {}
+    for i in ex.nodes:
+        dist = {i: 0}
+        queue = [i]
+        for c in queue:
+            if c in hits:
+                want[i] = dist[c]
+                break
+            for s in ex.succs[c]:
+                if s not in dist:
+                    dist[s] = dist[c] + 1
+                    queue.append(s)
+    back, stack = set(hits), list(hits)
+    while stack:
+        for q in ex.preds()[stack.pop()]:
+            if q not in back:
+                back.add(q)
+                stack.append(q)
+    got = ex.reaching(label)
+    assert got == want
+    assert got.keys() == back
+    assert max(got.values()) > 1 and ex.reaching(label) is got
+    assert ex.reaching(frozenset(hits)) == got
 
 
 def test_reachable_plain_excludes_impossible_valuations():
@@ -816,7 +850,7 @@ def _rep_reach_exploring_each_escape(prog, init, label, config, max_iterations):
     start = oracle.intern(init)
     ex = oracle.explore(start)
     bad = {i for i in oracle.bplain_configs(start) if not oracle.can_reach(i, label)}
-    reach_bad = ex.backward_set(bad)
+    reach_bad = ex.reaching(frozenset(bad))
     seen = set()
 
     def reaches_bad(i):
