@@ -14,7 +14,8 @@ process-choice table holds the enabled processes, their cumulative weights,
 the total weight and the mid-configuration id per choice, read from the
 oracle's process steps (`successors`). The update-letter table holds
 cumulative thresholds (1 for the stop, then W(lens - e_p) per nonempty
-buffer p in process order, summing to W(lens)) and the child id per letter.
+buffer p in process order, summing to W(lens)) and the child id per letter,
+read from the oracle's one-pop table (`popped`).
 `step(id, rng)` draws exactly what the letter-by-letter definition draws: a
 number below the total weight when a process is enabled, then one below
 W(lens) at every intermediate configuration, including the final stop draw.
@@ -109,16 +110,16 @@ class RunSampler:
     def _fill_letters(self, cid):
         """Index 0 is the stop (threshold 1, no letter, stay at cid); index
         k > 0 pops letters[k] with probability W(lens - e_p)/W(lens)."""
-        c = self.configs[cid]
-        caps = [len(b) for b in c.bufs]
-        cum, letters, children = [1], [None], [cid]
+        caps = [len(b) for b in self.configs[cid].bufs]
+        cum, letters = [1], [None]
         for pi, cap in enumerate(caps):
             if cap:
                 caps[pi] -= 1
                 cum.append(cum[-1] + self.total_words(caps))
                 caps[pi] += 1
                 letters.append(pi)
-                children.append(self.intern(semantics.apply_schedule(self.prog, c, (pi,))))
+        children = [cid, *self.oracle.popped(cid)]
+        self._grow()
         total = cum[-1]
         if total != self.total_words(caps):
             raise AssertionError(f"letter thresholds sum to {total}, not W{tuple(caps)}")

@@ -6,16 +6,24 @@ total buffered-message count exceeds the bound are pruned, everything kept is
 explored exhaustively, so answers are exact for the bounded sub-system. A
 query that found nothing while pruning occurred is No under AssumeNo (the
 default, with the bound stamped on the answer) or Unknown under strict mode.
+
+An update word is a sequence of single pops, so an exploration walks the
+pops of each process step's store instead of storing one edge per (process
+step, update successor), and keeps the factored graph of
+`exploration.Exploration`.
 """
 
 from __future__ import annotations
 
 import copy
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from operator import itemgetter
 
 from . import markov, semantics
 from .errors import OracleUnknownError
+from .exploration import Exploration
 from .semantics import Config
 
 
@@ -40,84 +48,7 @@ class ReachAnswer:
         return self.path is not None
 
 
-@dataclass
-class Exploration:
-    """Forward closure of one root in the K-bounded system; node i is configs[i]."""
-
-    root: int
-    bound: int
-    succs: dict                    # id -> tuple of successor ids, in BFS order
-    pruned_at: frozenset           # ids with a successor pruned by the bound
-    configs: list = field(repr=False)   # the oracle's id -> config list
-    _preds: dict = field(default=None, repr=False)
-    _reaching: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def nodes(self):
-        """The explored ids: the keys of `succs`."""
-        return self.succs.keys()
-
-    @property
-    def pruned(self):
-        return bool(self.pruned_at)
-
-    def in_witness_order(self, ids):
-        """ids sorted by their configurations: the order every witness, scan
-        candidate and B-plain list is chosen in, whatever the ids."""
-        return sorted(ids, key=self.configs.__getitem__)
-
-    def preds(self):
-        if self._preds is None:
-            preds = {c: [] for c in self.nodes}
-            for c, succs in self.succs.items():
-                for s in succs:
-                    preds[s].append(c)
-            self._preds = preds
-        return self._preds
-
-    def reaching(self, target):
-        """{id: its fewest steps to `target`} over the explored ids that can
-        reach it, by one backward BFS over `preds()`; `target` is a label (a
-        configuration bearing it) or a frozenset of ids."""
-        got = self._reaching.get(target)
-        if got is None:
-            hits = (target if isinstance(target, frozenset)
-                    else (c for c in self.nodes if target in self.configs[c].labels))
-            preds, got = self.preds(), {t: 0 for t in hits if t in self.succs}
-            queue = list(got)
-            for c in queue:             # grows while read: the BFS queue
-                d = got[c] + 1
-                for p in preds[c]:
-                    if p not in got:
-                        got[p] = d
-                        queue.append(p)
-            self._reaching[target] = got
-        return got
-
-    def bottom_sccs(self):
-        out = []
-        for comp in _tarjan(self.nodes, self.succs):
-            members = set(comp)
-            if all(s in members for c in comp for s in self.succs[c]):
-                out.append(members)
-        return out
-
-    def path_to(self, prog, target):
-        """BFS-tree witness path from the root to id `target`, replayable. A
-        node's parent is its first predecessor (`succs` is in BFS order), its
-        process and schedule the witness step step_successors gives."""
-        preds, configs = self.preds(), self.configs
-        steps = []
-        c = target
-        while c != self.root:
-            pred = preds[c][0]
-            proc, word = semantics.step_successors(prog, configs[pred])[configs[c]]
-            steps.append({"proc": proc,
-                          "schedule": [prog.processes[pi].name for pi in word],
-                          "config": semantics.config_to_json(prog, configs[c])})
-            c = pred
-        steps.reverse()
-        return steps
+_STEP = itemgetter(1, 2, 3)         # a successors entry's (local id, store id, process)
 
 
 def pruned_note(pruned, bound):
@@ -126,55 +57,6 @@ def pruned_note(pruned, bound):
     if not pruned:
         return ""
     return f" within bound {bound} (exploration pruned; rerun with a larger --bound)"
-
-
-def _tarjan(nodes, succs):
-    """Iterative Tarjan SCC. Components come out sinks first: an edge never
-    points to a component emitted later."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    comps = []
-    counter = [0]
-    for start in nodes:
-        if start in index:
-            continue
-        work = [(start, iter(succs[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        onstack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for succ in it:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    onstack.add(succ)
-                    work.append((succ, iter(succs[succ])))
-                    advanced = True
-                    break
-                if succ in onstack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
-    return comps
 
 
 class ReachOracle:
@@ -201,12 +83,18 @@ class ReachOracle:
         self._local_ids = {}       # local part (labels, regs) -> its id
         self._locals = []          # local id -> local part
         self._moves = []           # local id -> its process steps (_moves_of), or None
+        self._own = {}             # (process, own label, own registers) -> its step (_moves_of)
         self._store_ids = {}       # store part (bufs, mem) -> its id
         self._stores = []          # store id -> store part
         self._store_sizes = []     # store id -> buffered messages in it
+        self._pops = []            # store id -> its one-pop table (pops), or None
         self._updates = []         # store id -> its update step (_update_step), or None
         self._explorations = {}    # root id -> its exploration
         self._home = {}            # id -> an exploration holding it
+        spans = itertools.accumulate((len(p.regs) for p in prog.processes), initial=0)
+        self._reg_spans = list(itertools.pairwise(spans))   # process -> its slice of regs
+        self._tables = (self._ids, self._locals, self._lids, self._sids, self._stores,
+                        self._store_sizes, self._pops)
 
     # -- one-step structure --
 
@@ -216,29 +104,56 @@ class ReachOracle:
             got = self._store_ids[store] = len(self._stores)
             self._stores.append(store)
             self._store_sizes.append(sum(map(len, store[0])))
+            self._pops.append(None)
             self._updates.append(None)
             self._ids.append({})
         return got
 
+    def pops(self, sid):
+        """The one-pop table of store id sid, kept: the store id that
+        semantics.pop gives for each nonempty buffer, in process order.
+        Every update word is a walk through these tables."""
+        got = self._pops[sid]
+        if got is None:
+            store = self._stores[sid]
+            got = self._pops[sid] = tuple(self._store_id(semantics.pop(self.prog, store, pi))
+                                          for pi, buf in enumerate(store[0]) if buf)
+        return got
+
+    def popped(self, i):
+        """The ids of configs[i] after one update letter, one per nonempty
+        buffer in process order."""
+        lid = self._lids[i]
+        return [self.node(lid, s) for s in self.pops(self._sids[i])]
+
     def _update_step(self, sid):
         """The update step from store id sid, kept, from one
         semantics.update_successors call: (its successor store ids in store
-        order, their word counts, the number of words). explore walks the
-        ids; row reads all three."""
+        order, their word counts, the number of words), for row."""
         row, total = semantics.update_successors(self.prog, self._stores[sid])
         got = self._updates[sid] = (tuple(map(self._store_id, row)),
                                     tuple(n for n, _ in row.values()), total)
         return got
 
-    def _local_of(self, c):
-        """The id of c's local part (labels, regs), given on first sight."""
-        local = (c.labels, c.regs)
+    def _local_of(self, local):
+        """The id of local part (labels, regs), given on first sight."""
         got = self._local_ids.get(local)
         if got is None:
             got = self._local_ids[local] = len(self._locals)
             self._locals.append(local)
             self._moves.append(None)
         return got
+
+    def _spliced(self, lid, pi, own):
+        """The local id of local id lid with process pi's label and
+        registers replaced by own, a pair (label, registers)."""
+        (labels, regs), (lo, hi) = self._locals[lid], self._reg_spans[pi]
+        return self._local_of((labels[:pi] + own[:1] + labels[pi + 1:],
+                               regs[:lo] + own[1] + regs[hi:]))
+
+    def _own_part(self, c, pi):
+        lo, hi = self._reg_spans[pi]
+        return c.labels[pi], c.regs[lo:hi]
 
     def _moves_of(self, lid, c):
         """The process steps of local id lid, filled from c, a configuration
@@ -249,26 +164,43 @@ class ReachOracle:
           store stays;
         - WRITE: (local id, message); the step pushes the message onto the
           process's buffer;
-        - READ: (x, index of x, {value seen: local id}), the dict filled as
-          values are seen;
+        - READ: (x, index of x, {value seen: local id}, {value seen: own
+          part}), the dicts filled as values are seen;
         - CAS: None; each step is taken by process_step.
-        A process at `term` has none."""
-        prog, local_of = self.prog, self._local_of
+        A process at `term` has none. lang rejects foreign registers and
+        self-targeting jumps, so a step changes only its own process's label
+        and registers, and depends on nothing else of the local part: each
+        is kept once per (process, own label, own registers) in _own, as the
+        own part it gives, from one process_step call, and spliced into
+        lid's local part."""
+        prog, own_of = self.prog, self._own
+        labels, regs = self._locals[lid]
         moves = []
-        for pi, label in enumerate(c.labels):
+        for pi, label in enumerate(labels):
             stmt = prog.stmt_at(label)
             access = semantics.STORE_ACCESS[type(stmt)]
-            if access is semantics.LOCAL:
-                what = local_of(semantics.process_step(prog, c, pi))
-            elif access is semantics.WRITE:
-                mid = semantics.process_step(prog, c, pi)
-                what = (local_of(mid), mid.bufs[pi][0])
-            elif access is semantics.READ:
-                what = (stmt.var, prog.tables["var_index"][stmt.var], {})
-            elif access is semantics.CAS:
-                what = None
-            else:
+            if access is semantics.TERM:
                 continue
+            if access is semantics.CAS:
+                moves.append((pi, access, None))
+                continue
+            lo, hi = self._reg_spans[pi]
+            key = (pi, label, regs[lo:hi])
+            own = own_of.get(key)
+            if own is None:
+                if access is semantics.READ:
+                    own = {}
+                else:
+                    mid = semantics.process_step(prog, c, pi)
+                    own = (self._own_part(mid, pi),
+                           mid.bufs[pi][0] if access is semantics.WRITE else None)
+                own_of[key] = own
+            if access is semantics.READ:
+                what = (stmt.var, prog.tables["var_index"][stmt.var], {}, own)
+            elif access is semantics.LOCAL:
+                what = self._spliced(lid, pi, own[0])
+            else:
+                what = (self._spliced(lid, pi, own[0]), own[1])
             moves.append((pi, access, what))
         got = self._moves[lid] = tuple(moves)
         return got
@@ -279,10 +211,10 @@ class ReachOracle:
         itself with process None when none is enabled. A configuration is its
         local part (labels, regs) joined with its store part (bufs, mem). The
         steps are read from the table of its local id (_moves_of);
-        process_step runs only for a value a Read has not seen before and for
-        a CAS. The update step leaves the local part alone, so each local
-        part here, in turn joined with each store the update step reaches
-        from its store, gives step_successors(configs[i])."""
+        process_step runs only for a process state or a value read not seen
+        before and for a CAS. The update step leaves the local part alone, so
+        each local part here, in turn joined with each store the update step
+        reaches from its store, gives step_successors(configs[i])."""
         prog, locals_, store_id, local_of = (
             self.prog, self._locals, self._store_id, self._local_of)
         c, lid, sid = self.configs[i], self._lids[i], self._sids[i]
@@ -298,16 +230,19 @@ class ReachOracle:
                 j, msg = what
                 s = store_id((semantics.push(bufs, pi, msg), mem))
             elif access is semantics.READ:
-                x, xi, seen = what
+                x, xi, seen, own = what
                 v = semantics.seen_value(bufs[pi], mem, x, xi)
                 j, s = seen.get(v), sid
                 if j is None:
-                    j = seen[v] = local_of(semantics.process_step(prog, c, pi))
+                    part = own.get(v)
+                    if part is None:
+                        part = own[v] = self._own_part(semantics.process_step(prog, c, pi), pi)
+                    j = seen[v] = self._spliced(lid, pi, part)
             elif bufs[pi]:         # a CAS waits for its own buffer to drain
                 continue
             else:
                 mid = semantics.process_step(prog, c, pi)
-                j, s = local_of(mid), store_id((mid.bufs, mid.mem))
+                j, s = local_of(mid[:2]), store_id(mid[2:])
             out.append((locals_[j], j, s, pi))
         if not out:
             return [(locals_[lid], lid, sid, None)]
@@ -322,7 +257,7 @@ class ReachOracle:
         """The integer id of configuration c, given on first sight: c equals
         configs[id], and its size is sizes[id]. c is looked up by the ids of
         its local part and its store part."""
-        return self.node(self._local_of(c), self._store_id((c.bufs, c.mem)))
+        return self.node(self._local_of(c[:2]), self._store_id(c[2:]))
 
     def node(self, lid, sid):
         """The id of the configuration joining local id lid with store id
@@ -346,10 +281,11 @@ class ReachOracle:
         denominator: (den, ((succ_id, weight), ...)) with weight/den the
         exact probability of the step, den the least common denominator and
         successors in first-reached order (process by index, then store
-        order); the mass-propagation loops run on these. Each step's update
-        step is the one explore walks (_update_step). Each successor is
-        looked up by its (local id, store id) pair; no configuration is built
-        for one that already has an id.
+        order); the mass-propagation loops run on these. The process steps
+        are those explore kept, else successors(i); each one's update step
+        is counted once per store (_update_step). Each successor is looked
+        up by its (local id, store id) pair; no configuration is built for
+        one that already has an id.
 
         The process at index pi is scheduled with probability w_pi / W (W the
         total weight of the enabled processes) and each update word from its
@@ -364,7 +300,7 @@ class ReachOracle:
         prog, ids, updates, node = self.prog, self._ids, self._updates, self.node
         steps = [(1 if pi is None else prog.processes[pi].weight, lid,
                   updates[s] or self._update_step(s))
-                 for _, lid, s, pi in self.successors(i)]
+                 for lid, s, pi in self._steps_of(i)]
         words = math.lcm(*(total for *_, (_, _, total) in steps))
         acc = {}
         for w, lid, (sids, counts, total) in steps:
@@ -383,6 +319,13 @@ class ReachOracle:
         got = self._rows[i] = (den // g, tuple((j, n // g) for j, n in acc.items()))
         return got
 
+    def _steps_of(self, i):
+        """The process steps of id i as (local id, store id, process): the
+        ones an exploration holding i kept, else successors(i)'s."""
+        ex = self._home.get(i)
+        steps = ex.steps[i] if ex else sum(map(_STEP, self.successors(i)), ())
+        return zip(steps[::3], steps[1::3], steps[2::3])
+
     def distribution(self, c):
         """The step distribution at c as exact Fractions keyed by
         configuration, a view of row(intern(c))."""
@@ -391,39 +334,59 @@ class ReachOracle:
     # -- bounded exploration --
 
     def explore(self, root):
-        """The exploration from id `root`."""
+        """The exploration from id `root`: a BFS whose full steps are walked
+        as single pops. From each process step (local id, store) it walks
+        the pops of the store by DFS and stops at a node already walked,
+        whose whole update closure was discovered with it. The new stores
+        within the bound are sorted into store order before they get ids, so
+        ids and BFS order are those of a search over every update word."""
         got = self._explorations.get(root)
         if got is not None:
             return got
-        bound, sizes, ids, updates = (
-            self.config.bound, self._store_sizes, self._ids, self._updates)
-        seen = {root}              # the ids discovered so far
+        bound, sizes, ids, stores, pops = (
+            self.config.bound, self._store_sizes, self._ids, self._stores, self._pops)
+        node, pop_table = self.node, self.pops
+        walked = set()             # ids whose update closure was walked: all found, the root once reached
         queue = [root]             # FIFO, appended to while it is walked
-        succs = {}
-        pruned_at = set()
-        node, update_step = self.node, self._update_step
+        steps, found, pruned_at = {}, {}, set()
         for i in queue:
-            kept = []
-            for _, lid, sid, _ in sorted(self.successors(i)):
-                for s in (updates[sid] or update_step(sid))[0]:
-                    # an edge is pruned exactly when it leads over the bound,
-                    # back to an over-bound --init root included
-                    if sizes[s] > bound:
-                        pruned_at.add(i)
-                        continue
-                    j = ids[s].get(lid)
+            out = self.successors(i)
+            steps[i] = sum(map(_STEP, out), ())
+            for _, lid, t, _ in sorted(out):
+                if sizes[t] > bound:
+                    pruned_at.add(i)
+                elif ids[t].get(lid) in walked:
+                    continue
+                fresh, reached, stack = [], {t}, [t]
+                while stack:
+                    u = stack.pop()
+                    if sizes[u] <= bound:
+                        j = ids[u].get(lid)
+                        if j in walked:
+                            continue
+                        if j == root:
+                            walked.add(root)
+                        else:
+                            fresh.append(u)
+                    next_ = pops[u]
+                    for s in (pop_table(u) if next_ is None else next_):
+                        if s not in reached:
+                            reached.add(s)
+                            stack.append(s)
+                fresh.sort(key=stores.__getitem__)
+                for u in fresh:
+                    j = ids[u].get(lid)
                     if j is None:
-                        j = node(lid, s)
-                    if j not in seen:
-                        seen.add(j)
-                        queue.append(j)
-                    kept.append(j)
-            succs[i] = tuple(kept)
-        got = Exploration(root, bound, succs, frozenset(pruned_at), self.configs)
+                        j = node(lid, u)
+                    walked.add(j)
+                    found[j] = i
+                    queue.append(j)
+        got = Exploration(root, bound, steps, found, frozenset(pruned_at), self.configs,
+                          self._tables)
         self._explorations[root] = got
         # A node's forward cone does not depend on the root it was reached
         # from, so any exploration holding it answers for it.
-        for i in succs:
+        for i in steps:
             self._home.setdefault(i, got)
         return got
 

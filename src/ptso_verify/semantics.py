@@ -222,23 +222,28 @@ def may_reach_label(prog, init, label):
     return lambda c: (c.labels[owner], c.regs[lo:hi]) in live
 
 
+def pop(prog, store, pi):
+    """The store part (bufs, mem) after one update letter: process pi's
+    oldest message, the last entry of its nonempty buffer, written to
+    memory."""
+    bufs, mem = store
+    buf = bufs[pi]
+    x, v = buf[-1]
+    xi = prog.tables["var_index"][x]
+    return (bufs[:pi] + (buf[:-1],) + bufs[pi + 1:],
+            mem if mem[xi] == v else mem[:xi] + (v,) + mem[xi + 1:])
+
+
 def apply_schedule(prog, c, word):
-    """Execute an update schedule: each letter pops the named process's oldest
-    message into memory, front of the word first."""
-    vix = prog.tables["var_index"]
-    popped = [0] * len(prog.processes)
-    mem = list(c.mem)
+    """Execute an update schedule: one pop per letter, front of the word
+    first."""
+    store = (c.bufs, c.mem)
     for proc in word:
         pi = _resolve_proc(prog, proc)
-        buf = c.bufs[pi]
-        k = popped[pi]
-        if k >= len(buf):
+        if not store[0][pi]:
             raise ValueError(f"infeasible schedule: process {prog.processes[pi].name!r} buffer exhausted")
-        x, v = buf[len(buf) - 1 - k]
-        mem[vix[x]] = v
-        popped[pi] = k + 1
-    bufs = tuple(b[: len(b) - k] if k else b for b, k in zip(c.bufs, popped))
-    return Config(c.labels, c.regs, bufs, tuple(mem))
+        store = pop(prog, store, pi)
+    return Config(c.labels, c.regs, *store)
 
 
 def update_word_counts_by_length(buffer_lengths):

@@ -20,14 +20,16 @@ qual-rep-reach, never-reach, never-rep-reach, quant-reach, quant-rep-reach,
 cost and eagerness, at --bound 1 and 3, each lax and --strict, with quant-*
 capped at 40 iterations and cost at 60 layers; never-reach with --bound-max
 4 at the same bounds and modes; eagerness at --bound 3, lax, with --beta
-100, 149 and 1000; simulate with --runs 200 --horizon 100 at --seed 0 and
-1; and, for each program that has one, the same eight oracle
+100, 149 and 1000; the four qualitative subcommands at --bound 16, lax
+and --strict, on loop_all and writer_reader, where the update step fans
+out most; simulate with --runs 200 --horizon 100 at --seed 0 and 1; and,
+for each program that has one, the same eight oracle
 subcommands at --bound 1, lax and --strict, and simulate at both seeds, from
 an --init start over the bound: the first successor over bound 1, in
 configuration order, of the configurations reachable within bound 1 from the
-initial one. On the corpus that is 4,115 queries, 630 of them from the
---init starts of loop_all, race_retry and writer_reader and 255 of them
-eagerness at the three betas.
+initial one. On the corpus that is 4,275 queries, 630 of them from the
+--init starts of loop_all, race_retry and writer_reader, 255 of them
+eagerness at the three betas and 160 at --bound 16.
 """
 
 import argparse
@@ -54,6 +56,7 @@ CAPS = {"quant-reach": ["--max-iterations", "40"],
         "quant-rep-reach": ["--max-iterations", "40"],
         "cost": ["--max-layers", "60"]}
 BETAS = ("100", "149", "1000")
+DEEP = ("loop_all", "writer_reader")   # also asked the qualitative queries at --bound 16
 
 
 class Alarm(BaseException):
@@ -91,6 +94,10 @@ def queries(tmp):
                     for sub in SUBCOMMANDS:
                         yield [sub, *common, *CAPS.get(sub, [])]
                     yield ["never-reach", *common, "--bound-max", "4"]
+            if path.stem in DEEP:
+                for strict in ([], ["--strict"]):
+                    for sub in SUBCOMMANDS[:4]:
+                        yield [sub, program, "--label", label, "--bound", "16", *strict]
             for beta in BETAS:
                 yield ["eagerness", program, "--label", label, "--bound", "3", "--beta", beta]
             for seed in ("0", "1"):

@@ -14,7 +14,7 @@ import exhaustive
 from conftest import corpus_names, load_corpus, make_config
 from test_lang import programs, racy_programs
 from update_reference import enumerate_updates
-from ptso_verify import cost, lang, markov, quantitative, reach, semantics
+from ptso_verify import cost, exploration, lang, markov, quantitative, reach, semantics
 from ptso_verify.errors import BudgetExceededError, OracleUnknownError
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
@@ -155,7 +155,7 @@ def test_every_plain_reaches_bplain():
 def test_reaching_gives_forward_distances(name, label):
     # each id's value is the length of its shortest path to a label-bearing
     # id, by a forward BFS from the id; the keys are the ids that a search
-    # over `preds` from the label-bearing ids reaches
+    # over the reversed `succs` from the label-bearing ids reaches
     p = load_corpus(name)
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=3))
     ex = oracle.explore(oracle.intern(semantics.initial_config(p)))
@@ -172,15 +172,9 @@ def test_reaching_gives_forward_distances(name, label):
                 if s not in dist:
                     dist[s] = dist[c] + 1
                     queue.append(s)
-    back, stack = set(hits), list(hits)
-    while stack:
-        for q in ex.preds()[stack.pop()]:
-            if q not in back:
-                back.add(q)
-                stack.append(q)
     got = ex.reaching(label)
     assert got == want
-    assert got.keys() == back
+    assert got.keys() == _view_distances(ex, hits).keys()
     assert max(got.values()) > 1 and ex.reaching(label) is got
     assert ex.reaching(frozenset(hits)) == got
 
@@ -287,7 +281,7 @@ def test_tarjan_emits_components_sinks_first(name):
     """Every node lies in one component, and no exploration edge points to
     a component emitted later: the order an SCC-by-SCC solve relies on."""
     for _, ex in _explorations(load_corpus(name)):
-        comps = reach._tarjan(ex.nodes, ex.succs)
+        comps = exploration._tarjan(ex.nodes, ex.succs)
         order = {i: k for k, comp in enumerate(comps) for i in comp}
         assert sorted(order) == sorted(ex.nodes) == sorted(i for comp in comps for i in comp)
         assert all(order[s] <= order[i] for i, succs in ex.succs.items() for s in succs)
@@ -318,20 +312,50 @@ def _reference_exploration(prog, root, bound):
     return succs, pruned_at, found
 
 
+def _view_distances(ex, hits):
+    """{id: fewest steps to an id in hits}, by a backward BFS over the
+    reversed `succs` view."""
+    preds = {i: [] for i in ex.nodes}
+    for i, succs in ex.succs.items():
+        for s in succs:
+            preds[s].append(i)
+    dist = dict.fromkeys(hits, 0)
+    queue = list(dist)
+    for c in queue:
+        for q in preds[c]:
+            if q not in dist:
+                dist[q] = dist[c] + 1
+                queue.append(q)
+    return dist
+
+
 def _assert_explores_as_reference(prog, oracle, ex):
+    """The factored exploration against the search over configurations:
+    the `succs` view lists the same nodes in the same order with the same
+    successor tuples, the pruned set and every node's discoverer are the
+    reference's, `reaching` gives each label the distances of a BFS over
+    the view, and `bottom_sccs` keeps the bottom SCCs of _tarjan over the
+    view."""
     configs = oracle.configs
-    succs, pruned_at, _ = _reference_exploration(prog, configs[ex.root], ex.bound)
+    succs, pruned_at, found = _reference_exploration(prog, configs[ex.root], ex.bound)
     assert [(configs[i], tuple(configs[s] for s in ss)) for i, ss in ex.succs.items()] == list(
         succs.items())
     assert {configs[i] for i in ex.pruned_at} == pruned_at
+    assert [(configs[j], configs[i]) for j, i in ex.found.items()] == list(found.items())
+    for label in sorted(prog.labels()):
+        hits = [i for i in ex.nodes if label in configs[i].labels]
+        assert ex.reaching(label) == _view_distances(ex, hits), label
+    bottoms = [set(comp) for comp in exploration._tarjan(ex.nodes, ex.succs)
+               if all(s in comp for c in comp for s in ex.succs[c])]
+    assert sorted(map(sorted, ex.bottom_sccs())) == sorted(map(sorted, bottoms))
 
 
 @pytest.mark.parametrize("name", corpus_names())
 def test_exploration_matches_reference(name):
-    """Same nodes in the same order, the same successor tuples and the same
-    pruned set as the search over configurations."""
+    """At bounds 1, 3, 8 and 16, from the start and from the first successor
+    over the bound."""
     prog = load_corpus(name)
-    for oracle, ex in _explorations(prog):
+    for oracle, ex in _explorations(prog, (1, 3, 8, 16)):
         _assert_explores_as_reference(prog, oracle, ex)
 
 
@@ -340,6 +364,24 @@ def test_exploration_matches_reference(name):
 def test_generated_explorations_match_reference(prog, bound):
     for oracle, ex in _explorations(prog, (bound,)):
         _assert_explores_as_reference(prog, oracle, ex)
+
+
+def _factored_edges(ex):
+    """The number of edges of ex's factored graph: the process steps, the
+    pops and the stops."""
+    into, unpop = ex._preds()
+    stops = sum(1 for x in {*into, *unpop} if type(x) is int)
+    return sum(map(len, into.values())) + sum(map(len, unpop.values())) + stops
+
+
+def test_factored_graph_stays_small():
+    """writer_reader at bound 16: the factored graph keeps under 30,000
+    edges where the graph of full steps has 518,629."""
+    p = load_corpus("writer_reader")
+    oracle = reach.ReachOracle(p, reach.OracleConfig(bound=16))
+    ex = oracle.explore(oracle.intern(semantics.initial_config(p)))
+    assert _factored_edges(ex) < 30_000
+    assert sum(map(len, ex.succs.values())) == 518_629
 
 
 def test_successors_refuse_two_steps_to_one_local_part(monkeypatch):
@@ -412,12 +454,18 @@ def test_corpus_explorations_cover_the_store_uses():
 
 def test_process_steps_filled_once_per_key(monkeypatch):
     """Exploring race seed 1 at bound 8, then building every explored node's
-    row, calls process_step at most once per (local part, process, value a
-    Read sees) key, and no more often than there are such keys among the
-    explored nodes' enabled processes: rows read the steps exploration
-    tabled. (race has no CAS, whose steps are not tabled.)"""
+    row, calls process_step exactly once per (process, own label, own
+    registers, value a Read sees) key among the explored nodes' enabled
+    processes: a step reads nothing else of its configuration, and rows
+    read the steps exploration kept. That is far fewer calls than there are
+    (local part, process, value seen) keys. (race has no CAS, whose steps
+    are not tabled.)"""
     prog = lang.parse_program(race_program(1))
     vix = prog.tables["var_index"]
+    spans = {}
+    for pi, proc in enumerate(prog.processes):
+        lo = sum(len(p.regs) for p in prog.processes[:pi])
+        spans[pi] = slice(lo, lo + len(proc.regs))
 
     def key(c, pi):
         stmt = prog.stmt_at(c.labels[pi])
@@ -425,7 +473,7 @@ def test_process_steps_filled_once_per_key(monkeypatch):
         seen = None
         if isinstance(stmt, lang.Read):
             seen = next((v for x, v in c.bufs[pi] if x == stmt.var), c.mem[vix[stmt.var]])
-        return (c.labels, c.regs), pi, seen
+        return pi, c.labels[pi], c.regs[spans[pi]], seen
 
     calls = collections.Counter()
     original = semantics.process_step
@@ -440,13 +488,11 @@ def test_process_steps_filled_once_per_key(monkeypatch):
     for i in ex.nodes:
         oracle.row(i)
     monkeypatch.undo()
-    keys = {key(oracle.configs[i], pi) for i in ex.nodes
-            for pi in semantics.enabled_indices(prog, oracle.configs[i])}
-    assert set(calls.values()) == {1}
-    assert set(calls) <= keys
-    assert sum(calls.values()) <= len(keys)
-    assert len(keys) < sum(len(semantics.enabled_indices(prog, oracle.configs[i]))
-                           for i in ex.nodes)
+    configs = oracle.configs
+    steps = [(configs[i], pi) for i in ex.nodes for pi in semantics.enabled_indices(prog, configs[i])]
+    assert calls == collections.Counter({key(c, pi) for c, pi in steps})
+    global_keys = {(c.labels, c.regs, key(c, pi)) for c, pi in steps}
+    assert 10 * sum(calls.values()) < len(global_keys)
 
 
 def test_update_step_counted_once_per_store_id(monkeypatch):
@@ -469,10 +515,11 @@ def test_update_step_counted_once_per_store_id(monkeypatch):
 
 def test_exploration_memory_ceiling():
     """The traced peak of exploring writer_reader from its start at bound 12
-    (2,976 nodes) stays under 5 MiB. Keeping each store's update step once,
-    as store ids and word counts, peaks at 3.3 MiB on CPython 3.11; keeping
-    it a second time with each successor's store part and first word peaked
-    at 6.9 MiB."""
+    (2,976 nodes) stays under 2.5 MiB. Walking single pops and keeping each
+    node's process steps, but no successor tuple, peaks at 1.6 MiB on
+    CPython 3.11; one stored edge per (process step, update successor)
+    peaked at 3.1 MiB, and keeping each store's update step a second time
+    with each successor's store part and first word at 6.9 MiB."""
     prog = load_corpus("writer_reader")
     tracemalloc.start()
     try:
@@ -482,7 +529,7 @@ def test_exploration_memory_ceiling():
     finally:
         tracemalloc.stop()
     assert len(ex.nodes) == 2976
-    assert peak < 5 * 2**20
+    assert peak < 2.5 * 2**20
 
 
 @pytest.mark.parametrize("name", corpus_names())
@@ -555,29 +602,39 @@ def test_iterative_mode_schedule(monkeypatch):
 @pytest.mark.parametrize("name,label,start,bound_max",
                          [("loop_all", "PT", 2, 12), ("writer_reader", "L3", 1, 16)])
 def test_deepening_counts_each_update_step_once(monkeypatch, name, label, start, bound_max):
-    """The update step does not depend on the bound, so iterative deepening
-    counts it once per distinct store over all its bounds, and steps each
-    local part once."""
+    """Neither a store's pops nor its update step depend on the bound, so
+    over all the bounds of iterative deepening each store's pop table is
+    filled once, one semantics.pop per nonempty buffer, update_successors
+    runs at most once per store, and each local part is stepped once."""
     p = load_corpus(name)
     init = semantics.initial_config(p)
-    stores, locals_ = collections.Counter(), collections.Counter()
-    update_successors, process_step = semantics.update_successors, semantics.process_step
+    stores, pops, locals_ = collections.Counter(), collections.Counter(), collections.Counter()
+    update_successors, pop, process_step = (
+        semantics.update_successors, semantics.pop, semantics.process_step)
 
     def counted_update(prog, store):
         stores[store] += 1
         return update_successors(prog, store)
+
+    def counted_pop(prog, store, pi):
+        pops[store, pi] += 1
+        return pop(prog, store, pi)
 
     def counted_step(prog, c, proc):
         locals_[c.labels, c.regs, proc] += 1
         return process_step(prog, c, proc)
 
     monkeypatch.setattr(semantics, "update_successors", counted_update)
+    monkeypatch.setattr(semantics, "pop", counted_pop)
     monkeypatch.setattr(semantics, "process_step", counted_step)
     oracle = reach.ReachOracle(p, reach.OracleConfig(bound=start))
     ans = oracle.reaches_label(init, label, bound_max)
     assert not ans.is_yes and ans.bound == bound_max
-    assert set(stores.values()) == {1}
-    assert len(stores) == len(oracle._stores) > 400
+    filled = [oracle._stores[s] for s, table in enumerate(oracle._pops) if table is not None]
+    assert len(filled) > 400
+    assert pops == collections.Counter(
+        (store, pi) for store in filled for pi, buf in enumerate(store[0]) if buf)
+    assert set(stores.values()) <= {1}
     # A Read is stepped once per value seen and a CAS at every store.
     assert all(n == 1 for (labels, _, pi), n in locals_.items()
                if semantics.STORE_ACCESS[type(p.stmt_at(labels[pi]))] is semantics.LOCAL)
@@ -738,16 +795,17 @@ def _writer_reader_run(monkeypatch):
 
 
 def test_quant_reach_asks_successors_once_per_configuration(monkeypatch):
-    """Each configuration of the start exploration asks for its successors
-    once when explored, and every configuration once more when its row is
-    built; an over-bound configuration decided from its cone roots is
-    explored by none, and reads them from its cached row; no row is built
-    twice."""
+    """Each configuration asks for its successors once: one of the start
+    exploration when explored, its row reading the steps exploration kept,
+    any other when its row is built; an over-bound configuration decided
+    from its cone roots is explored by none, and reads them from its cached
+    row; no row is built twice."""
     oracle, ex, successors, rows, rooted = _writer_reader_run(monkeypatch)
     nodes = {oracle.configs[i] for i in ex.nodes}
     assert rooted
     assert all(oracle.configs[i] in rows and oracle.configs[i] not in nodes for i in rooted)
-    assert successors == collections.Counter(nodes) + rows
+    assert len(nodes & rows.keys()) > 1000
+    assert successors == collections.Counter(nodes | rows.keys())
     assert set(rows.values()) == {1}
 
 

@@ -320,8 +320,9 @@ def test_count_updates_does_not_enumerate():
 
 
 def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
-    """explore, then distribution on every explored configuration: update
-    words are counted once per distinct (bufs, mem) pair, and the witness
+    """explore, then distribution on every explored configuration: explore
+    walks single pops and counts no update word, distribution counts them
+    once per distinct (bufs, mem) pair a process step leaves, and the witness
     step that step_successors gives each explored step (the one a witness
     path prints) is a process name, never a schedule, and an update word
     that takes that process's step to the successor."""
@@ -335,12 +336,13 @@ def test_update_rows_enumerated_once_per_bufs_and_mem(monkeypatch):
                         lambda p, store: enumerated.append(store) or real(p, store))
     oracle = reach.ReachOracle(prog, reach.OracleConfig(bound=8))
     ex = oracle.explore(oracle.intern(semantics.initial_config(prog)))
-    after_explore = len(enumerated)
+    assert enumerated == []
     nodes = sorted(oracle.configs[i] for i in ex.nodes)
     for c in nodes:
         oracle.distribution(c)
     assert len(enumerated) == len(set(enumerated))
-    assert len(enumerated) == after_explore    # distribution reuses every row
+    assert set(enumerated) == {oracle._stores[s] for steps in ex.steps.values()
+                               for s in steps[1::3]}
     names = {p.name for p in prog.processes} | {None}
     for c in nodes:
         for succ, (proc, word) in semantics.step_successors(prog, c).items():
